@@ -22,7 +22,6 @@ from .bounds import (
     expectation_bound_hoeffding,
     gap_event_shift,
     hoeffding_gap_tail,
-    hoeffding_shifted_tail,
     hoeffding_tail,
     margin,
     mt_oracle_rhs,
@@ -40,7 +39,6 @@ from .chains import (
     MarkovizedChain,
     MixingProfile,
     SpectralDiagnostics,
-    StateSpace,
     TransitionKernel,
     distance_profile,
     markovize,
@@ -74,7 +72,6 @@ from .harness import (
     ExperimentConfig,
     NoiseCheckReport,
     OracleGapReport,
-    ReplicationRecord,
     RunResult,
     TailEstimate,
     VerificationReport,
@@ -88,10 +85,8 @@ from .harness import (
     wilson_upper,
 )
 from .predictors import (
-    CandidateFamily,
     LossSpec,
     PredictorTable,
-    RiskReport,
     bayes_predictor,
     conditional_risk,
     disagreement_variance,

@@ -91,11 +91,6 @@ def gap_event_shift(m: int, b: int) -> Fraction:
     return Fraction(b, m)
 
 
-def hoeffding_shifted_tail(m: int, b: int, epsilon: float, t_mix: int) -> float:
-    """Same tail as :func:`hoeffding_gap_tail`, for the event shifted by b/m."""
-    return hoeffding_gap_tail(m, b, epsilon, t_mix)
-
-
 def hoeffding_tail(m: int, epsilon: float, t_mix: int) -> float:
     """Burn-in-free deviation tail with the optimized b folded in."""
     _check_common(m=m, epsilon=epsilon, t_mix=t_mix)
@@ -429,7 +424,8 @@ def report(bound_id: str, raw: float, **inputs) -> BoundReport:
 BOUND_FORMS = {
     "hoeffding_gap": (hoeffding_gap_tail,
                       ("m", "b", "epsilon", "t_mix"), "epsilon"),
-    "hoeffding_shifted": (hoeffding_shifted_tail,
+    # the full-mean event shifted by b/m has the burn-in event's tail
+    "hoeffding_shifted": (hoeffding_gap_tail,
                           ("m", "b", "epsilon", "t_mix"), "epsilon"),
     "hoeffding": (hoeffding_tail, ("m", "epsilon", "t_mix"), "epsilon"),
     "selection_hoeffding": (selection_hoeffding_tail,

@@ -37,21 +37,6 @@ GAP_K_CAP = 64
 MARKOVIZE_STATE_CAP = 4096
 
 
-@dataclass(frozen=True)
-class StateSpace:
-    """Finite state space: a size and optional human-readable labels."""
-
-    size: int
-    labels: tuple[str, ...] | None = None
-
-    def __post_init__(self):
-        if self.size < 1:
-            raise RangeError("state space must have at least one state")
-        if self.labels is not None and len(self.labels) != self.size:
-            raise DimensionMismatchError(
-                f"{len(self.labels)} labels for {self.size} states")
-
-
 class TransitionKernel:
     """Validated row-stochastic matrix.
 
@@ -463,9 +448,6 @@ class MarkovizedChain:
         p = embedding_order
         n = kernel.size
         self.n_states = n
-        self.states = StateSpace(
-            size=n,
-            labels=tuple(",".join(map(str, self.decode(x))) for x in range(n)))
         xs = np.arange(n)
         self.targets = xs // s ** p
         self.feature_index = xs % s ** p

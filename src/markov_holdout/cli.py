@@ -34,6 +34,8 @@ from .chains import (
 )
 from .config import (
     ENV_SEED,
+    _field,
+    _float_array,
     _resolve_env_int,
     build_chain,
     experiment_from_dict,
@@ -112,11 +114,14 @@ def _write_manifest(out_dir: Path, command: str, config_path: str,
 def _load_config(path: str) -> dict:
     try:
         with open(path) as fh:
-            return json.load(fh)
+            cfg = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"config {path} must be a JSON object")
+    return cfg
 
 
 def _diagnostics_payload(kernel: TransitionKernel, level: float,
@@ -143,10 +148,12 @@ def cmd_diagnose(cfg: dict, out_dir: Path, config_path: str) -> int:
     chain_obj = cfg.get("chain")
     if chain_obj is None:
         raise ConfigError("config needs a 'chain'")
-    level = float(cfg.get("level", 0.25))
-    horizon = int(cfg.get("horizon", 50))
-    if "kernel" in chain_obj and "embedding_order" not in chain_obj:
-        kernel = TransitionKernel(np.asarray(chain_obj["kernel"], dtype=float))
+    level = _field(cfg, "level", 0.25, float)
+    horizon = _field(cfg, "horizon", 50, int)
+    if (isinstance(chain_obj, dict) and "kernel" in chain_obj
+            and "embedding_order" not in chain_obj):
+        kernel = TransitionKernel(_field(
+            chain_obj, "kernel", None, _float_array))
         payload = _diagnostics_payload(kernel, level, horizon)
         payload["embedded"] = False
     else:
@@ -173,7 +180,7 @@ def cmd_bounds(cfg: dict, out_dir: Path, config_path: str) -> int:
     requested = cfg.get("bounds")
     if not requested:
         raise ConfigError("config needs a non-empty 'bounds' list")
-    params = dict(cfg.get("params", {}))
+    params = _field(cfg, "params", {}, dict)
     chain = None
     if "chain" in cfg:
         chain = build_chain(cfg["chain"])
@@ -182,14 +189,14 @@ def cmd_bounds(cfg: dict, out_dir: Path, config_path: str) -> int:
         params.setdefault("t_mix", profile.t_mix)
         params.setdefault("gamma_ps", spectral.gamma_ps)
     noise = parse_noise(cfg.get("noise"), chain)
-    if noise is not None and "m" in params:
-        params.setdefault("tau_star", noise.tau_star(int(params["m"])))
-    eps_grid = (parse_epsilon_grid(cfg["epsilon_grid"])
-                if "epsilon_grid" in cfg else (params.get("epsilon"),))
-    delta_grid = (tuple(float(v) for v in cfg["delta_grid"])
-                  if "delta_grid" in cfg else (params.get("delta", 0.05),))
     rows = []
     try:
+        if noise is not None and "m" in params:
+            params.setdefault("tau_star", noise.tau_star(int(params["m"])))
+        eps_grid = (parse_epsilon_grid(cfg["epsilon_grid"])
+                    if "epsilon_grid" in cfg else (params.get("epsilon"),))
+        delta_grid = (tuple(float(v) for v in cfg["delta_grid"])
+                      if "delta_grid" in cfg else (params.get("delta", 0.05),))
         for bound_id in requested:
             if bound_id not in bnd.BOUND_FORMS:
                 raise ConfigError(f"unknown bound id {bound_id!r}")
@@ -214,18 +221,15 @@ def cmd_bounds(cfg: dict, out_dir: Path, config_path: str) -> int:
                 elif bound_id == "noise_gap":
                     shift = bnd.nc_event_shift(int(p["m"]), int(p["b"]),
                                                float(p["theta"]))
-                rows.append([bound_id, p.get("m"), p.get("b"),
-                             p.get("epsilon") if grid_param == "epsilon" else None,
-                             p.get("delta") if grid_param == "delta" else None,
-                             p.get("a") if "a" in bnd.BOUND_FORMS[bound_id][1] else None,
-                             p.get("theta") if "theta" in bnd.BOUND_FORMS[bound_id][1] else None,
-                             p.get("n_candidates") if "n_candidates" in bnd.BOUND_FORMS[bound_id][1] else None,
-                             p.get("t_mix"), p.get("gamma_ps"),
-                             p.get("variance") if "variance" in bnd.BOUND_FORMS[bound_id][1] else None,
-                             p.get("centering_bound", 1.0) if "centering_bound" in bnd.BOUND_FORMS[bound_id][1] else None,
-                             p.get("tau_star") if "tau_star" in bnd.BOUND_FORMS[bound_id][1] else None,
-                             shift, rep.raw, rep.clamped, rep.vacuous])
-    except HoldoutError:
+                # m, b, t_mix and gamma_ps are echoed even for forms that
+                # do not take them; the other parameter columns show inputs
+                row = {**rep.inputs, "bound_id": bound_id,
+                       "m": p.get("m"), "b": p.get("b"),
+                       "t_mix": p.get("t_mix"), "gamma_ps": p.get("gamma_ps"),
+                       "shift": shift, "raw": rep.raw,
+                       "clamped": rep.clamped, "vacuous": rep.vacuous}
+                rows.append([row.get(col) for col in _BOUNDS_COLUMNS])
+    except HoldoutError:  # RangeError is also a ValueError: keep its message
         raise
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad bound parameters: {exc}") from exc
@@ -242,13 +246,13 @@ def cmd_simulate(cfg: dict, out_dir: Path, config_path: str,
     chain = build_chain(cfg["chain"]) if "chain" in cfg else None
     if chain is None:
         raise ConfigError("config needs a 'chain'")
-    n = int(cfg.get("n", 1))
-    m = int(cfg.get("m", 0))
+    n = _field(cfg, "n", 1, int)
+    m = _field(cfg, "m", 0, int)
     # same precedence as verify: --seed flag > env > config > default
-    seed = _resolve_env_int(ENV_SEED, int(cfg.get("seed", 0)))
+    seed = _resolve_env_int(ENV_SEED, _field(cfg, "seed", 0, int))
     if seed_override is not None:
         seed = seed_override
-    replication = int(cfg.get("replication", 0))
+    replication = _field(cfg, "replication", 0, int)
     traj = sample_stationary_trajectory(chain, n, m, SeedSpec(seed, replication))
     log.info("[simulate] drew %d states (n=%d, m=%d) seed=(%d, %d)",
              len(traj.states), n, m, seed, replication)
@@ -385,14 +389,15 @@ def cmd_noise(cfg: dict, out_dir: Path, config_path: str) -> int:
     noise = parse_noise(cfg.get("noise"), chain)
     if noise is None and h is not None and not zero_margin:
         noise = bnd.MammenTsybakovNoise(alpha=1.0, h=h)
-    m_grid = [int(v) for v in cfg.get("m_grid", [100, 1000, 10000])]
+    m_grid = _field(cfg, "m_grid", [100, 1000, 10000],
+                    lambda v: [int(x) for x in v])
     tau_table = None
     if noise is not None:
         tau_table = [{"m": m, "tau_star": noise.tau_star(m)} for m in m_grid]
     check = None
-    order = cfg.get("noise_check_order")
-    if order is not None:
-        check = asdict(noise_condition_check(chain, int(order), noise=noise))
+    if cfg.get("noise_check_order") is not None:
+        order = _field(cfg, "noise_check_order", None, int)
+        check = asdict(noise_condition_check(chain, order, noise=noise))
     payload = {"margin": h, "zero_margin": zero_margin,
                "noise": None if noise is None else type(noise).__name__,
                "tau_star": tau_table, "condition_check": check}
@@ -422,7 +427,8 @@ def main(argv=None) -> int:
         p.add_argument("--seed", type=int, default=None,
                        help="override the master seed")
         p.add_argument("--threads", type=int, default=None,
-                       help="override the worker process count")
+                       help="override the worker process count (verify "
+                            "replications, either mode)")
         p.add_argument("--quiet", action="store_true",
                        help="suppress stage logging")
     args = parser.parse_args(argv)

@@ -34,6 +34,18 @@ ENV_SEED = "MARKOV_HOLDOUT_SEED"
 ENV_THREADS = "MARKOV_HOLDOUT_THREADS"
 
 
+def _field(obj: dict, key: str, default, convert):
+    """``convert(obj.get(key, default))``; a value it rejects is a ConfigError."""
+    try:
+        return convert(obj.get(key, default))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad value for {key!r}: {exc}") from exc
+
+
+def _float_array(value) -> np.ndarray:
+    return np.asarray(value, dtype=float)
+
+
 def _context_index(key: str, symbols: int, order: int) -> int:
     parts = [p.strip() for p in key.split(",")]
     if len(parts) != order:
@@ -89,7 +101,7 @@ def parse_loss(obj, symbols: int) -> LossSpec:
     if obj is None or obj == "misclassification":
         return LossSpec.misclassification(symbols)
     if isinstance(obj, dict) and "table" in obj:
-        return LossSpec(table=np.asarray(obj["table"], dtype=float),
+        return LossSpec(table=_field(obj, "table", None, _float_array),
                         name=str(obj.get("name", "loss")))
     raise ConfigError(f"cannot parse loss spec {obj!r}")
 
@@ -101,20 +113,20 @@ def parse_noise(obj, chain: MarkovizedChain | None):
         raise ConfigError("noise spec must be an object with a 'kind'")
     kind = obj["kind"]
     if kind == "mammen-tsybakov":
-        h = obj.get("h")
-        if h is None:
-            if chain is None:
-                raise ConfigError("noise h omitted and no chain to take a "
-                                  "margin from")
+        if obj.get("h") is not None:
+            h = _field(obj, "h", None, float)
+        elif chain is None:
+            raise ConfigError("noise h omitted and no chain to take a "
+                              "margin from")
+        else:
             h = margin(chain)
-        return MammenTsybakovNoise(alpha=float(obj.get("alpha", 1.0)),
-                                   h=float(h))
+        return MammenTsybakovNoise(alpha=_field(obj, "alpha", 1.0, float), h=h)
     if kind == "tabulated":
-        try:
-            return TabulatedNoise(radii=np.asarray(obj["radii"], dtype=float),
-                                  values=np.asarray(obj["values"], dtype=float))
-        except KeyError as exc:
-            raise ConfigError(f"tabulated noise needs {exc}") from exc
+        missing = [k for k in ("radii", "values") if k not in obj]
+        if missing:
+            raise ConfigError(f"tabulated noise needs {missing[0]!r}")
+        return TabulatedNoise(radii=_field(obj, "radii", None, _float_array),
+                              values=_field(obj, "values", None, _float_array))
     raise ConfigError(f"unknown noise kind {kind!r}")
 
 

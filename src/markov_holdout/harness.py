@@ -149,19 +149,6 @@ class ExperimentConfig:
         return len(self.orders)
 
 
-@dataclass(frozen=True)
-class ReplicationRecord:
-    """Per-replication selection outcome and risks (candidate-indexed)."""
-
-    index: int
-    k_hat: int
-    k_tilde: int
-    empirical: tuple[float, ...]
-    exact: tuple[float, ...]
-    excess_hat: float
-    excess_tilde: float
-
-
 @dataclass
 class RunResult:
     """Arrays of shape (R, N) across replications and candidates."""
@@ -197,62 +184,52 @@ class RunResult:
         return np.bincount(self.k_hat,
                            minlength=self.config.n_candidates) / self.replications
 
-    def records(self) -> list[ReplicationRecord]:
-        out = []
-        for r in range(self.replications):
-            kh = int(self.k_hat[r])
-            kt = int(self.k_tilde[r])
-            out.append(ReplicationRecord(
-                index=r + 1, k_hat=kh, k_tilde=kt,
-                empirical=tuple(self.empirical[r]),
-                exact=tuple(self.exact[r]),
-                excess_hat=float(self.exact[r, kh] - self.bayes_risk),
-                excess_tilde=float(self.exact[r, kt] - self.bayes_risk)))
-        return out
+
+def _fit_candidates(config: ExperimentConfig, learning: np.ndarray):
+    """ERM fits of every candidate order and their (N, S) per-state losses."""
+    chain = config.chain
+    candidates = [erm_fit(chain, q, learning, config.effective_train_loss)
+                  for q in config.orders]
+    return candidates, np.stack([state_losses(g, chain, config.loss)
+                                 for g in candidates])
 
 
-def _conditional_rows(args):
-    chain, loss_matrix, x_last, m, gap_b, master_seed, indices = args
-    emp = np.empty((len(indices), loss_matrix.shape[0]))
-    gap = np.empty_like(emp) if gap_b > 0 else None
-    for i, r in enumerate(indices):
-        seg = sample_conditional_continuation(
-            chain, x_last, m, SeedSpec(master_seed, int(r)))
-        emp[i] = loss_matrix[:, seg].mean(axis=1)
-        if gap is not None:
-            gap[i] = loss_matrix[:, seg[gap_b:]].mean(axis=1)
-    return emp, gap
+def _replication_rows(args):
+    """Empirical, gapped (None when gap_b = 0) and exact risk rows of a chunk.
 
-
-def _marginal_rows(args):
-    chain, orders, train_loss, loss, n, m, gap_b, master_seed, indices = args
-    n_cand = len(orders)
-    emp = np.empty((len(indices), n_cand))
+    ``loss_matrix`` holds the frozen candidates' per-state losses in
+    conditional mode, where each validation segment continues from
+    ``x_last``.  It is None in marginal mode, where each replication draws
+    its own learning series and refits the candidates on it.
+    """
+    config, loss_matrix, x_last, indices = args
+    chain, gap_b = config.chain, config.gap_b
+    emp = np.empty((len(indices), config.n_candidates))
     gap = np.empty_like(emp) if gap_b > 0 else None
     exact = np.empty_like(emp)
     for i, r in enumerate(indices):
-        traj = sample_stationary_trajectory(
-            chain, n, m, SeedSpec(master_seed, int(r)))
-        cands = [erm_fit(chain, q, traj.learning, train_loss) for q in orders]
-        loss_matrix = np.stack([state_losses(g, chain, loss) for g in cands])
-        exact[i] = loss_matrix @ chain.stationary
-        seg = traj.validation
-        emp[i] = loss_matrix[:, seg].mean(axis=1)
+        seed = SeedSpec(config.master_seed, int(r))
+        if loss_matrix is None:
+            traj = sample_stationary_trajectory(chain, config.n, config.m, seed)
+            losses = _fit_candidates(config, traj.learning)[1]
+            seg = traj.validation
+        else:
+            losses = loss_matrix
+            seg = sample_conditional_continuation(chain, x_last, config.m, seed)
+        emp[i] = losses[:, seg].mean(axis=1)
         if gap is not None:
-            gap[i] = loss_matrix[:, seg[gap_b:]].mean(axis=1)
+            gap[i] = losses[:, seg[gap_b:]].mean(axis=1)
+        exact[i] = losses @ chain.stationary
     return emp, gap, exact
-
-
-def _chunked(indices: np.ndarray, workers: int) -> list[np.ndarray]:
-    n_chunks = min(len(indices), workers * 4)
-    return [c for c in np.array_split(indices, n_chunks) if len(c)]
 
 
 def run_replications(config: ExperimentConfig) -> RunResult:
     """Execute all replications and package exact/empirical risk arrays.
 
     Replication r draws with seed (master_seed, r), r = 1..R, so results do
-    not depend on thread count or completion order.
+    not depend on thread count or completion order.  In conditional mode
+    the candidates are fitted once on the learning draw with seed
+    (master_seed, 0); ``threads`` worker processes serve both modes.
     """
     chain = config.chain
     mixing = mixing_time(chain.kernel, q=chain.stationary)
@@ -262,58 +239,34 @@ def run_replications(config: ExperimentConfig) -> RunResult:
             f"gamma_ps {spectral.gamma_ps} below 1/(2 t_mix) "
             f"with t_mix {mixing.t_mix}; diagnostics are inconsistent")
     tau_star = config.noise.tau_star(config.m) if config.noise is not None else None
-    loss = config.loss
-    bayes = bayes_predictor(chain, loss)
-    bayes_risk = exact_risk(bayes, chain, loss)
-    indices = np.arange(1, config.replications + 1)
-    r_total = config.replications
+    bayes = bayes_predictor(chain, config.loss)
+    bayes_risk = exact_risk(bayes, chain, config.loss)
 
+    candidates = loss_matrix = x_last = None
     if config.mode == "conditional":
         learn = sample_stationary_trajectory(
             chain, config.n, 0, SeedSpec(config.master_seed, 0))
-        candidates = [erm_fit(chain, q, learn.states,
-                              config.effective_train_loss)
-                      for q in config.orders]
-        loss_matrix = np.stack([state_losses(g, chain, loss)
-                                for g in candidates])
-        exact_row = loss_matrix @ chain.stationary
+        candidates, loss_matrix = _fit_candidates(config, learn.learning)
         x_last = int(learn.states[-1])
-        chunks = _chunked(indices, config.threads)
-        arg_list = [(chain, loss_matrix, x_last, config.m, config.gap_b,
-                     config.master_seed, c) for c in chunks]
-        if config.threads == 1:
-            parts = [_conditional_rows(a) for a in arg_list]
-        else:
-            with ProcessPoolExecutor(max_workers=config.threads) as pool:
-                parts = list(pool.map(_conditional_rows, arg_list))
-        empirical = np.vstack([p[0] for p in parts])
-        gap_emp = (np.vstack([p[1] for p in parts])
-                   if config.gap_b > 0 else None)
-        exact = np.tile(exact_row, (r_total, 1))
-        k_tilde = np.full(r_total, int(np.argmin(exact_row)))
+    indices = np.arange(1, config.replications + 1)
+    n_chunks = min(config.replications, config.threads * 4)
+    jobs = [(config, loss_matrix, x_last, chunk)
+            for chunk in np.array_split(indices, n_chunks)]
+    if config.threads == 1:
+        parts = [_replication_rows(job) for job in jobs]
     else:
-        candidates = None
-        chunks = _chunked(indices, config.threads)
-        arg_list = [(chain, config.orders, config.effective_train_loss, loss,
-                     config.n, config.m, config.gap_b, config.master_seed, c)
-                    for c in chunks]
-        if config.threads == 1:
-            parts = [_marginal_rows(a) for a in arg_list]
-        else:
-            with ProcessPoolExecutor(max_workers=config.threads) as pool:
-                parts = list(pool.map(_marginal_rows, arg_list))
-        empirical = np.vstack([p[0] for p in parts])
-        gap_emp = (np.vstack([p[1] for p in parts])
-                   if config.gap_b > 0 else None)
-        exact = np.vstack([p[2] for p in parts])
-        k_tilde = np.argmin(exact, axis=1)
-
-    k_hat = np.argmin(empirical, axis=1)
+        with ProcessPoolExecutor(max_workers=config.threads) as pool:
+            parts = list(pool.map(_replication_rows, jobs))
+    empirical = np.vstack([p[0] for p in parts])
+    gap_emp = (np.vstack([p[1] for p in parts])
+               if config.gap_b > 0 else None)
+    exact = np.vstack([p[2] for p in parts])
     return RunResult(config=config, empirical=empirical,
-                     gap_empirical=gap_emp, exact=exact, k_hat=k_hat,
-                     k_tilde=k_tilde, bayes=bayes, bayes_risk=bayes_risk,
-                     mixing=mixing, spectral=spectral, tau_star=tau_star,
-                     candidates=candidates)
+                     gap_empirical=gap_emp, exact=exact,
+                     k_hat=np.argmin(empirical, axis=1),
+                     k_tilde=np.argmin(exact, axis=1), bayes=bayes,
+                     bayes_risk=bayes_risk, mixing=mixing, spectral=spectral,
+                     tau_star=tau_star, candidates=candidates)
 
 
 # ---------------------------------------------------------------------------

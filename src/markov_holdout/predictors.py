@@ -165,34 +165,6 @@ def erm_fit(chain: MarkovizedChain, order_q: int, learn: np.ndarray,
     return PredictorTable(order=order_q, symbols=s, table=table)
 
 
-@dataclass(frozen=True)
-class CandidateFamily:
-    """Memory orders to fit as competing candidates."""
-
-    orders: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.orders) < 1:
-            raise RangeError("need at least one candidate order")
-        if any(q < 0 for q in self.orders):
-            raise RangeError("orders must be >= 0")
-        if len(set(self.orders)) != len(self.orders):
-            raise RangeError("orders must be distinct")
-
-    def fit(self, chain: MarkovizedChain, learn: np.ndarray,
-            loss: LossSpec) -> list[PredictorTable]:
-        return [erm_fit(chain, q, learn, loss) for q in self.orders]
-
-
-@dataclass(frozen=True)
-class RiskReport:
-    """Exact and empirical risk of one candidate plus its excess over Bayes."""
-
-    exact: float
-    empirical: float
-    excess: float
-
-
 def holdout_select(candidates, chain: MarkovizedChain, segment: np.ndarray,
                    loss: LossSpec, burn: int = 0):
     """Index of the empirical-risk minimizer on the validation segment.

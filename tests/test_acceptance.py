@@ -47,9 +47,9 @@ from markov_holdout import (
     erm_fit,
     exact_risk,
     expectation_bound_bernstein,
+    evaluate_bound,
     expectation_bound_hoeffding,
     hoeffding_gap_tail,
-    hoeffding_shifted_tail,
     hoeffding_tail,
     markovize,
     mixing_time,
@@ -231,7 +231,9 @@ def test_bound_evaluators_match_high_precision():
             hoeffding_gap_tail(m, b, p["eps"], t),
             mp.e ** (-2 * (m - b) * eps ** 2 / (9 * t)) + couple)
         _assert_close(
-            hoeffding_shifted_tail(m, b, p["eps"], t),
+            evaluate_bound("hoeffding_shifted",
+                           {"m": m, "b": b, "epsilon": p["eps"],
+                            "t_mix": t}).raw,
             mp.e ** (-2 * (m - b) * eps ** 2 / (9 * t)) + couple)
         _assert_close(
             hoeffding_tail(m, p["eps"], t),

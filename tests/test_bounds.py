@@ -29,7 +29,6 @@ from markov_holdout import (
     expectation_bound_hoeffding,
     gap_event_shift,
     hoeffding_gap_tail,
-    hoeffding_shifted_tail,
     hoeffding_tail,
     margin,
     markovize,
@@ -59,8 +58,9 @@ def test_hoeffding_gap_tail_frozen():
 
 def test_hoeffding_shifted_tail_equals_gap_tail():
     # the shifted event carries the identical tail; only the threshold moves
-    assert hoeffding_shifted_tail(500, 20, 0.1, 3) == hoeffding_gap_tail(
-        500, 20, 0.1, 3)
+    rep = evaluate_bound("hoeffding_shifted",
+                         {"m": 500, "b": 20, "epsilon": 0.1, "t_mix": 3})
+    assert rep.raw == hoeffding_gap_tail(500, 20, 0.1, 3)
     assert gap_event_shift(500, 20) == Fraction(1, 25)
 
 

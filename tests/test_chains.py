@@ -372,7 +372,6 @@ def test_encode_decode_roundtrip(order2_chain):
         syms = order2_chain.decode(x)
         assert order2_chain.encode(syms) == x
     assert order2_chain.decode(5) == (1, 0, 1)
-    assert order2_chain.states.labels[5] == "1,0,1"
 
 
 def test_encode_validates_input(two_state_chain):

@@ -118,6 +118,29 @@ def test_malformed_json(tmp_path, capsys):
     assert "not valid JSON" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, payload", [
+    ("simulate", {**TWO_STATE, "n": "ten"}),
+    ("diagnose", {**TWO_STATE, "level": "abc"}),
+    ("diagnose", {"chain": {"kernel": [[0.9, 0.1], [0.2]]}}),
+    ("noise", {**TWO_STATE, "m_grid": ["x"]}),
+    ("noise", {**TWO_STATE, "noise": {"kind": "mammen-tsybakov",
+                                      "alpha": "x", "h": 0.5}}),
+    ("noise", {**TWO_STATE, "noise": {"kind": "tabulated",
+                                      "radii": [[0.1], 0.2],
+                                      "values": [0.1, 0.2]}}),
+    ("verify", {**VERIFY_BASE, "loss": {"table": [[0, 1], [1]]}}),
+    ("diagnose", [TWO_STATE]),
+    ("bounds", [{"bounds": ["hoeffding"]}]),
+])
+def test_malformed_config_values_exit_two(tmp_path, capsys, command, payload):
+    cfg = write_config(tmp_path, payload)
+    code = main([command, "--config", cfg, "--out", str(tmp_path / "out"),
+                 "--quiet"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
 # ---------------------------------------------------------------------------
 # bounds
 
@@ -200,6 +223,17 @@ def test_bounds_missing_parameter(tmp_path, capsys):
     code = main(["bounds", "--config", cfg, "--out", str(tmp_path / "out"),
                  "--quiet"])
     assert code == 2
+
+
+def test_bounds_epsilon_out_of_range_keeps_range_message(tmp_path, capsys):
+    cfg = write_config(tmp_path, {"bounds": ["hoeffding"],
+                                  "params": {"m": 100, "t_mix": 2},
+                                  "epsilon_grid": [1.5]})
+    code = main(["bounds", "--config", cfg, "--out", str(tmp_path / "out"),
+                 "--quiet"])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: epsilon must lie in [0, 1], got 1.5\n")
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,6 @@ import pytest
 from scipy import stats
 
 from markov_holdout import (
-    CandidateFamily,
     ExperimentConfig,
     HigherOrderChainSpec,
     LossSpec,
@@ -96,6 +95,8 @@ def test_config_rejects_bad_orders(two_state_chain):
         _config(two_state_chain, orders=(0, 2))     # above embedding order
     with pytest.raises(RangeError):
         _config(two_state_chain, orders=(1, 1))     # duplicates
+    with pytest.raises(RangeError):
+        _config(two_state_chain, orders=())         # no candidates
 
 
 def test_config_rejects_bad_grid(two_state_chain):
@@ -166,9 +167,6 @@ def test_selected_risks_and_oracle(small_run):
     freq = small_run.selection_frequency()
     assert freq.sum() == pytest.approx(1.0)
     assert freq[1] > 0.5     # memory-1 ERM wins most splits here
-    recs = small_run.records()
-    assert len(recs) == 120
-    assert recs[0].excess_hat == pytest.approx(hat[0] - tilde[0])
 
 
 def test_run_is_reproducible(two_state_chain, small_run):
@@ -222,6 +220,47 @@ def test_marginal_replication_matches_manual_refit(two_state_chain,
             assert exact_risk(refit, two_state_chain,
                               zero_one_loss) == pytest.approx(
                 run.exact[r - 1, j])
+
+
+def test_marginal_threads_do_not_change_results(two_state_chain):
+    def run(threads):
+        return run_replications(ExperimentConfig(
+            chain=two_state_chain, orders=(0, 1),
+            loss=LossSpec.misclassification(2), n=60, m=80,
+            replications=120, epsilon_grid=(0.2,), mode="marginal",
+            gap_b=10, master_seed=11, threads=threads))
+
+    serial, pooled = run(1), run(2)
+    for name in ("empirical", "gap_empirical", "exact", "k_hat", "k_tilde"):
+        assert (getattr(pooled, name) == getattr(serial, name)).all(), name
+
+
+# Values recorded from the replication code before its two modes shared one
+# worker.  With 0/1 losses every empirical risk is (loss count) / m, so the
+# counts are exact integers; the index-weighted sums also catch replications
+# that moved between rows.
+@pytest.mark.parametrize("mode, n, m, seed, counts, weighted, k_hat, "
+                         "k_hat_weighted, exact_means", [
+    ("conditional", 200, 40, 5, [1580, 620], [97499, 38108], [16, 104], 6470,
+     [0.33333333333333337, 0.1333333333333332]),
+    ("marginal", 60, 80, 11, [3599, 1369], [219311, 86095], [6, 114], 6797,
+     [0.38888888888888923, 0.13999999999999985]),
+])
+def test_replications_match_recorded_values(two_state_chain, mode, n, m, seed,
+                                            counts, weighted, k_hat,
+                                            k_hat_weighted, exact_means):
+    run = run_replications(ExperimentConfig(
+        chain=two_state_chain, orders=(0, 1),
+        loss=LossSpec.misclassification(2), n=n, m=m, replications=120,
+        epsilon_grid=(0.1,), mode=mode, gap_b=10, master_seed=seed))
+    loss_counts = np.rint(run.empirical * m).astype(int)
+    assert np.abs(run.empirical * m - loss_counts).max() < 1e-9
+    rows = np.arange(1, 121)
+    assert loss_counts.sum(axis=0).tolist() == counts
+    assert (rows @ loss_counts).tolist() == weighted
+    assert np.bincount(run.k_hat, minlength=2).tolist() == k_hat
+    assert int(rows @ run.k_hat) == k_hat_weighted
+    assert run.exact.mean(axis=0) == pytest.approx(exact_means, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from markov_holdout import (
-    CandidateFamily,
     DimensionMismatchError,
     EmptySegmentError,
     LossSpec,
@@ -222,18 +221,6 @@ def test_erm_matches_brute_force_on_random_streams(two_state_chain,
             np.mean(np.array(tab)[ctx[learn]] != tgt[learn])
             for tab in itertools.product(range(2), repeat=2))
         assert achieved == pytest.approx(best, abs=1e-12)
-
-
-def test_candidate_family_orders_and_fit(two_state_chain, zero_one_loss):
-    family = CandidateFamily((0, 1))
-    learn = np.array([0, 2, 3, 3, 1])
-    cands = family.fit(two_state_chain, learn, zero_one_loss)
-    assert [c.order for c in cands] == [0, 1]
-    assert all(isinstance(c, PredictorTable) for c in cands)
-    with pytest.raises(RangeError):
-        CandidateFamily((0, 0))
-    with pytest.raises(RangeError):
-        CandidateFamily(())
 
 
 # ---------------------------------------------------------------------------
