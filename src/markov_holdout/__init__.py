@@ -40,7 +40,6 @@ from .chains import (
     MixingProfile,
     SpectralDiagnostics,
     TransitionKernel,
-    distance_profile,
     markovize,
     mixing_time,
     pseudo_spectral_gap,

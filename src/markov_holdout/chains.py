@@ -176,24 +176,6 @@ def total_variation(p, q) -> float:
     return 0.5 * float(np.abs(p - q).sum())
 
 
-def distance_profile(kernel: TransitionKernel, q: np.ndarray,
-                     horizon: int) -> np.ndarray:
-    """Worst-start distances d(t) = max_x TV(K^t(x, .), Q) for t = 0..horizon.
-
-    Computed from exact dense matrix powers; d(0) = 1 - min(Q).
-    """
-    if horizon < 0:
-        raise RangeError("horizon must be >= 0")
-    k = kernel.matrix
-    power = np.eye(kernel.size)
-    out = np.empty(horizon + 1)
-    for t in range(horizon + 1):
-        out[t] = 0.5 * np.abs(power - q[None, :]).sum(axis=1).max()
-        if t < horizon:
-            power = power @ k
-    return out
-
-
 @dataclass(frozen=True)
 class MixingProfile:
     """Distance-to-stationarity profile with the induced mixing certificate.
@@ -274,6 +256,23 @@ def mixing_time(kernel: TransitionKernel, level: float = 0.25,
                          epsilon_level=level)
 
 
+def _check_stationary(kernel: TransitionKernel, q,
+                      zero_mass_tol: float = ZERO_MASS_TOL,
+                      row_sum_tol: float = REVERSAL_ROW_SUM_TOL) -> np.ndarray:
+    # the checks that make K* well defined for a caller-supplied Q; row x of
+    # K* sums to (QK)(x) / Q(x), which is 1 exactly when Q is stationary
+    q = np.asarray(q, dtype=float)
+    if q.shape != (kernel.size,):
+        raise DimensionMismatchError("stationary law has wrong length")
+    if np.any(q <= zero_mass_tol):
+        raise ZeroStationaryMassError(
+            f"stationary mass <= {zero_mass_tol:.1e} at state "
+            f"{int(np.argmin(q))}")
+    if np.any(np.abs((q @ kernel.matrix) / q - 1.0) > row_sum_tol):
+        raise NumericalFailureError("reversed rows do not sum to 1")
+    return q
+
+
 def time_reversal(kernel: TransitionKernel, q: np.ndarray,
                   zero_mass_tol: float = ZERO_MASS_TOL,
                   row_sum_tol: float = REVERSAL_ROW_SUM_TOL) -> TransitionKernel:
@@ -286,18 +285,9 @@ def time_reversal(kernel: TransitionKernel, q: np.ndarray,
     NumericalFailureError
         A reversed row sum drifts from 1 by more than ``row_sum_tol``.
     """
-    q = np.asarray(q, dtype=float)
-    if q.shape != (kernel.size,):
-        raise DimensionMismatchError("stationary law has wrong length")
-    if np.any(q <= zero_mass_tol):
-        raise ZeroStationaryMassError(
-            f"stationary mass <= {zero_mass_tol:.1e} at state "
-            f"{int(np.argmin(q))}")
+    q = _check_stationary(kernel, q, zero_mass_tol, row_sum_tol)
     rev = (q[None, :] * kernel.matrix.T) / q[:, None]
-    sums = rev.sum(axis=1)
-    if np.any(np.abs(sums - 1.0) > row_sum_tol):
-        raise NumericalFailureError("reversed rows do not sum to 1")
-    rev /= sums[:, None]
+    rev /= rev.sum(axis=1)[:, None]
     # reversal preserves the positivity pattern transpose, hence primitivity
     return TransitionKernel(rev, require_primitive=False)
 
@@ -307,10 +297,12 @@ class SpectralDiagnostics:
     """Pseudo-spectral gap search result.
 
     ``gammas[i]`` is gamma_k at k = i + 1, where gamma_k =
-    (1 - lambda_2((K*)^k K^k)) / k; ``gamma_ps`` is the max over the searched
-    range and ``argmax_k`` its argument.  ``k_stop`` is where the search
-    terminated: the first k >= 1/max (no later k can beat the running max,
-    because gamma_k <= 1/k) or the hard cap.
+    (1 - lambda_2((M^k)^T M^k)) / k with M = D K D^{-1}, D = diag(sqrt(Q));
+    (M^k)^T M^k is similar to the reversiblization (K*)^k K^k.  ``gamma_ps``
+    is the max over the searched range and ``argmax_k`` its argument.
+    ``k_stop`` is where the search terminated: the first k >= 1/max (no
+    later k can beat the running max, because gamma_k <= 1/k) or the hard
+    cap.
     """
 
     gamma_ps: float
@@ -323,46 +315,40 @@ def pseudo_spectral_gap(kernel: TransitionKernel, q: np.ndarray | None = None,
                         k_cap: int = GAP_K_CAP) -> SpectralDiagnostics:
     """Pseudo-spectral gap gamma_ps = max_k gamma((K*)^k K^k) / k.
 
-    Each multiplicative reversiblization A_k = (K*)^k K^k is similar to a
-    symmetric matrix via D = diag(sqrt(Q)), so its spectrum is computed with
-    a symmetric eigensolver on D A_k D^{-1}.  Early k can give gamma_k = 0
-    (A_k rank-deficient happens for embedded higher-order chains); the stop
-    rule k >= 1/max only engages once the running max is positive.
+    With D = diag(sqrt(Q)) and M = D K D^{-1}, the reversiblization
+    satisfies D (K*)^k K^k D^{-1} = (M^k)^T M^k, which is symmetric by
+    construction, so each k takes one product to advance M^k, one to form
+    (M^k)^T M^k, and a symmetric eigensolver.  Early k can give gamma_k = 0
+    (a repeated eigenvalue 1 at small k happens for embedded higher-order
+    chains); the stop rule k >= 1/max only engages once the running max is
+    positive.
 
     Raises
     ------
+    ZeroStationaryMassError
+        Some Q(x) is numerically zero.
     EigensolverFailureError
         LAPACK failed to converge.
     NumericalFailureError
-        Symmetrized matrix has asymmetry beyond tolerance (wrong Q) or an
-        eigenvalue far outside [0, 1].
+        Q is inconsistent with the kernel (reversed row sums off 1) or an
+        eigenvalue lies far outside [0, 1].
     """
     if kernel.size < 2:
         raise DimensionMismatchError("need at least 2 states for a spectral gap")
     if q is None:
         q = stationary_distribution(kernel)
-    rev = time_reversal(kernel, q).matrix
-    k_mat = kernel.matrix
-    sqrt_q = np.sqrt(q)
-    forward = np.eye(kernel.size)
-    backward = np.eye(kernel.size)
+    sqrt_q = np.sqrt(_check_stationary(kernel, q))
+    m_mat = sqrt_q[:, None] * kernel.matrix / sqrt_q[None, :]
+    power = np.eye(kernel.size)
     gammas = []
     best = 0.0
     best_k = 0
     k = 0
     while k < k_cap:
         k += 1
-        forward = forward @ k_mat
-        backward = backward @ rev
-        a_k = backward @ forward
-        sym = sqrt_q[:, None] * a_k / sqrt_q[None, :]
-        asym = np.abs(sym - sym.T).max()
-        if asym > 1e-8:
-            raise NumericalFailureError(
-                f"reversiblization not symmetric (residual {asym:.3e}); "
-                "stationary law is inconsistent with the kernel")
+        power = power @ m_mat
         try:
-            eigenvalues = np.linalg.eigvalsh(0.5 * (sym + sym.T))
+            eigenvalues = np.linalg.eigvalsh(power.T @ power)
         except np.linalg.LinAlgError as exc:
             raise EigensolverFailureError(str(exc)) from exc
         lam2 = eigenvalues[-2]

@@ -27,6 +27,8 @@ import numpy as np
 from . import __version__
 from . import bounds as bnd
 from .chains import (
+    MixingProfile,
+    SpectralDiagnostics,
     TransitionKernel,
     mixing_time,
     pseudo_spectral_gap,
@@ -124,14 +126,10 @@ def _load_config(path: str) -> dict:
     return cfg
 
 
-def _diagnostics_payload(kernel: TransitionKernel, level: float,
-                         horizon: int) -> dict:
-    q = stationary_distribution(kernel)
-    profile = mixing_time(kernel, level=level, q=q, horizon=horizon)
-    spectral = pseudo_spectral_gap(kernel, q)
+def _mixing_fields(profile: MixingProfile,
+                   spectral: SpectralDiagnostics) -> dict:
+    # the mixing and spectral keys shared by diagnostics.json and report.json
     return {
-        "states": kernel.size,
-        "stationary": q,
         "d_values": profile.d_values,
         "t_mix": profile.t_mix,
         "epsilon_level": profile.epsilon_level,
@@ -142,6 +140,15 @@ def _diagnostics_payload(kernel: TransitionKernel, level: float,
         "gammas": spectral.gammas,
         "k_stop": spectral.k_stop,
     }
+
+
+def _diagnostics_payload(kernel: TransitionKernel, level: float,
+                         horizon: int) -> dict:
+    q = stationary_distribution(kernel)
+    profile = mixing_time(kernel, level=level, q=q, horizon=horizon)
+    spectral = pseudo_spectral_gap(kernel, q)
+    return {"states": kernel.size, "stationary": q,
+            **_mixing_fields(profile, spectral)}
 
 
 def cmd_diagnose(cfg: dict, out_dir: Path, config_path: str) -> int:
@@ -178,8 +185,8 @@ _BOUNDS_COLUMNS = ("bound_id", "m", "b", "epsilon", "delta", "a", "theta",
 
 def cmd_bounds(cfg: dict, out_dir: Path, config_path: str) -> int:
     requested = cfg.get("bounds")
-    if not requested:
-        raise ConfigError("config needs a non-empty 'bounds' list")
+    if not isinstance(requested, list) or not requested:
+        raise ConfigError("'bounds' must be a non-empty list of bound ids")
     params = _field(cfg, "params", {}, dict)
     chain = None
     if "chain" in cfg:
@@ -327,15 +334,7 @@ def cmd_verify(cfg: dict, out_dir: Path, config_path: str,
         "config": echo,
         "diagnostics": {
             "states": exp.chain.n_states,
-            "t_mix": run.mixing.t_mix,
-            "epsilon_level": run.mixing.epsilon_level,
-            "d_values": run.mixing.d_values,
-            "certificate": {"c": run.mixing.certificate_c,
-                            "rho": run.mixing.certificate_rho},
-            "gamma_ps": run.spectral.gamma_ps,
-            "argmax_k": run.spectral.argmax_k,
-            "gammas": run.spectral.gammas,
-            "k_stop": run.spectral.k_stop,
+            **_mixing_fields(run.mixing, run.spectral),
             "bayes_risk": run.bayes_risk,
             "tau_star": run.tau_star,
             "margin": chain_margin,

@@ -43,7 +43,6 @@ from markov_holdout import (
     bernstein_tail_raw,
     conditional_risk,
     coupling_check,
-    distance_profile,
     erm_fit,
     exact_risk,
     expectation_bound_bernstein,
@@ -138,7 +137,7 @@ def test_certificate_domination(two_state_kernel, iid_kernel):
     for kernel in kernels:
         q = stationary_distribution(kernel)
         profile = mixing_time(kernel, q=q)
-        d = distance_profile(kernel, q, horizon=50)
+        d = mixing_time(kernel, q=q, horizon=50).d_values
         t = np.arange(51)
         certificate = 2.0 * np.exp(-t * np.log(2) / profile.t_mix)
         assert (d <= certificate + 1e-12).all()

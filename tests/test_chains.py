@@ -21,7 +21,6 @@ from markov_holdout import (
     SizeOverflowError,
     TransitionKernel,
     ZeroStationaryMassError,
-    distance_profile,
     markovize,
     mixing_time,
     pseudo_spectral_gap,
@@ -134,14 +133,14 @@ def test_total_variation_rejects_length_mismatch():
 
 def test_distance_profile_two_state_closed_form(two_state_kernel):
     q = stationary_distribution(two_state_kernel)
-    d = distance_profile(two_state_kernel, q, horizon=30)
+    d = mixing_time(two_state_kernel, q=q, horizon=30).d_values
     t = np.arange(31)
     assert d == pytest.approx((2.0 / 3.0) * 0.7 ** t, abs=1e-12)
 
 
 def test_distance_profile_iid(iid_kernel):
     q = stationary_distribution(iid_kernel)
-    d = distance_profile(iid_kernel, q, horizon=4)
+    d = mixing_time(iid_kernel, q=q, horizon=4).d_values
     assert d == pytest.approx([0.5, 0.0, 0.0, 0.0, 0.0], abs=1e-15)
 
 
@@ -150,7 +149,7 @@ def test_distance_profile_is_non_increasing_on_random_kernels():
     for _ in range(25):
         kernel = random_primitive_binary_kernel(rng)
         q = stationary_distribution(kernel)
-        d = distance_profile(kernel, q, horizon=40)
+        d = mixing_time(kernel, q=q, horizon=40).d_values
         assert (np.diff(d) <= 1e-12).all()
 
 
@@ -191,7 +190,7 @@ def test_mixing_time_certificate_dominates_profile(two_state_kernel):
     profile = mixing_time(two_state_kernel)
     curve = profile.certificate_curve(50)
     q = stationary_distribution(two_state_kernel)
-    d = distance_profile(two_state_kernel, q, horizon=50)
+    d = mixing_time(two_state_kernel, q=q, horizon=50).d_values
     assert (d <= curve + 1e-12).all()
 
 
@@ -271,12 +270,18 @@ def test_gap_order_two_fixture(order2_chain):
     assert diag.k_stop == 6
 
 
-def test_gap_matches_dense_eigensolver_oracle():
+def test_gap_matches_dense_eigensolver_oracle(order2_chain):
     # recompute gamma_k from the unsymmetrized product (K*)^k K^k with a
-    # general eigensolver and compare
+    # general eigensolver and compare; two-state chains are all reversible,
+    # so larger random kernels and the order-2 embedding (structural zeros)
+    # make the oracle tell K from K*
     rng = np.random.default_rng(37)
-    for _ in range(20):
-        kernel = random_primitive_binary_kernel(rng)
+    kernels = [random_primitive_binary_kernel(rng) for _ in range(20)]
+    for size in (3, 4, 5, 6):
+        matrix = rng.uniform(0.05, 1.0, size=(size, size))
+        kernels.append(TransitionKernel(matrix / matrix.sum(axis=1)[:, None]))
+    kernels.append(order2_chain.kernel)
+    for kernel in kernels:
         q = stationary_distribution(kernel)
         rev = time_reversal(kernel, q).matrix
         diag = pseudo_spectral_gap(kernel)
@@ -286,6 +291,16 @@ def test_gap_matches_dense_eigensolver_oracle():
             eigs = np.sort(np.real(np.linalg.eigvals(a_k)))
             gamma_oracle = (1.0 - eigs[-2]) / k
             assert diag.gammas[k - 1] == pytest.approx(gamma_oracle, abs=1e-8)
+
+
+def test_gap_rejects_bad_stationary_law():
+    # uniform is not stationary here: the column sums are 1.0, 1.1, 0.9
+    matrix = np.array([[0.1, 0.6, 0.3], [0.2, 0.3, 0.5], [0.7, 0.2, 0.1]])
+    with pytest.raises(NumericalFailureError):
+        pseudo_spectral_gap(TransitionKernel(matrix), np.full(3, 1.0 / 3.0))
+    kernel = TransitionKernel(np.array([[0.5, 0.5], [0.5, 0.5]]))
+    with pytest.raises(ZeroStationaryMassError):
+        pseudo_spectral_gap(kernel, np.array([1.0, 0.0]))
 
 
 def test_gap_never_exceeds_one_over_k():

@@ -160,6 +160,18 @@ def test_bounds_single_value(tmp_path):
     assert rows[0]["vacuous"] == "false"
 
 
+@pytest.mark.parametrize("requested", ["hoeffding", {"hoeffding": 1}, []])
+def test_bounds_requires_a_list_of_ids(tmp_path, capsys, requested):
+    cfg = write_config(tmp_path, {
+        "bounds": requested,
+        "params": {"m": 100, "epsilon": 0.5, "t_mix": 1}})
+    code = main(["bounds", "--config", cfg, "--out", str(tmp_path / "out"),
+                 "--quiet"])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: 'bounds' must be a non-empty list of bound ids\n")
+
+
 def test_bounds_grid_row_counts(tmp_path):
     cfg = write_config(tmp_path, {
         "bounds": ["hoeffding", "bernstein_radius", "expectation_hoeffding"],
