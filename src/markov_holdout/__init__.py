@@ -89,7 +89,6 @@ from .predictors import (
     bayes_predictor,
     conditional_risk,
     disagreement_variance,
-    empirical_risk,
     erm_fit,
     exact_risk,
     holdout_select,

@@ -27,7 +27,7 @@ from .errors import (
 
 LN2 = math.log(2.0)
 
-# default tolerances; every consumer can override through keyword arguments
+# numerical tolerances and search caps shared by the diagnostics below
 ROW_SUM_TOL = 1e-12
 STATIONARY_RESIDUAL_TOL = 1e-10
 REVERSAL_ROW_SUM_TOL = 1e-10
@@ -49,22 +49,19 @@ class TransitionKernel:
         (irreducible and aperiodic); primitivity is what guarantees a
         unique stationary law and uniform ergodicity.  Deterministic 0/1
         kernels fail this; pass False to study them anyway.
-    row_sum_tol : float
-        Largest tolerated deviation of a row sum from 1.
 
     Raises
     ------
     DimensionMismatchError
         Non-square or empty input.
     RangeError
-        Entries outside [0, 1] or a row sum off by more than ``row_sum_tol``
+        Entries outside [0, 1] or a row sum off by more than ``ROW_SUM_TOL``
         (the message names the offending row).
     NonPrimitiveError
         Kernel not primitive and ``require_primitive`` is True.
     """
 
-    def __init__(self, matrix, require_primitive: bool = True,
-                 row_sum_tol: float = ROW_SUM_TOL):
+    def __init__(self, matrix, require_primitive: bool = True):
         m = np.array(matrix, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] == 0:
             raise DimensionMismatchError(
@@ -72,7 +69,7 @@ class TransitionKernel:
         if np.any(m < 0.0) or np.any(m > 1.0):
             raise RangeError("kernel entries must lie in [0, 1]")
         sums = m.sum(axis=1)
-        bad = np.nonzero(np.abs(sums - 1.0) > row_sum_tol)[0]
+        bad = np.nonzero(np.abs(sums - 1.0) > ROW_SUM_TOL)[0]
         if bad.size:
             raise RangeError(
                 f"row {bad[0]} sums to {sums[bad[0]]:.17g}, not 1")
@@ -118,8 +115,7 @@ def is_primitive(matrix: np.ndarray) -> bool:
         exponent *= 2
 
 
-def stationary_distribution(kernel: TransitionKernel,
-                            residual_tol: float = STATIONARY_RESIDUAL_TOL) -> np.ndarray:
+def stationary_distribution(kernel: TransitionKernel) -> np.ndarray:
     """Stationary law Q solving QK = Q, sum(Q) = 1.
 
     Direct linear solve with the last balance equation replaced by the
@@ -130,7 +126,7 @@ def stationary_distribution(kernel: TransitionKernel,
     ------
     NumericalFailureError
         Singular system, negative mass beyond round-off, or residual
-        ||QK - Q||_1 above ``residual_tol``.
+        ||QK - Q||_1 above ``STATIONARY_RESIDUAL_TOL``.
     """
     k = kernel.matrix
     s = kernel.size
@@ -147,9 +143,10 @@ def stationary_distribution(kernel: TransitionKernel,
     q = np.clip(q, 0.0, None)
     q /= q.sum()
     residual = np.abs(q @ k - q).sum()
-    if residual > residual_tol:
+    if residual > STATIONARY_RESIDUAL_TOL:
         raise NumericalFailureError(
-            f"stationary residual {residual:.3e} exceeds {residual_tol:.1e}")
+            f"stationary residual {residual:.3e} exceeds "
+            f"{STATIONARY_RESIDUAL_TOL:.1e}")
     return q
 
 
@@ -208,8 +205,8 @@ class MixingProfile:
 
 
 def mixing_time(kernel: TransitionKernel, level: float = 0.25,
-                q: np.ndarray | None = None, horizon: int | None = None,
-                cap: int | None = None) -> MixingProfile:
+                q: np.ndarray | None = None,
+                horizon: int | None = None) -> MixingProfile:
     """Mixing profile up to max(t_mix, horizon) at threshold ``level``.
 
     Parameters
@@ -218,20 +215,17 @@ def mixing_time(kernel: TransitionKernel, level: float = 0.25,
         TV threshold defining t_mix, in (0, 1); default 1/4.
     horizon : int, optional
         Extend the stored profile past t_mix (for plotting/domination tests).
-    cap : int, optional
-        Step cap for the search, default 10 * S**2.
 
     Raises
     ------
     HorizonExceededError
-        d(t) stays above ``level`` through the cap.
+        d(t) stays above ``level`` through the step cap 10 * S**2.
     """
     if not 0.0 < level < 1.0:
         raise RangeError("level must lie in (0, 1)")
     if q is None:
         q = stationary_distribution(kernel)
-    if cap is None:
-        cap = 10 * kernel.size ** 2
+    cap = 10 * kernel.size ** 2
     k = kernel.matrix
     power = np.eye(kernel.size)
     d_values = []
@@ -256,36 +250,33 @@ def mixing_time(kernel: TransitionKernel, level: float = 0.25,
                          epsilon_level=level)
 
 
-def _check_stationary(kernel: TransitionKernel, q,
-                      zero_mass_tol: float = ZERO_MASS_TOL,
-                      row_sum_tol: float = REVERSAL_ROW_SUM_TOL) -> np.ndarray:
+def _check_stationary(kernel: TransitionKernel, q) -> np.ndarray:
     # the checks that make K* well defined for a caller-supplied Q; row x of
     # K* sums to (QK)(x) / Q(x), which is 1 exactly when Q is stationary
     q = np.asarray(q, dtype=float)
     if q.shape != (kernel.size,):
         raise DimensionMismatchError("stationary law has wrong length")
-    if np.any(q <= zero_mass_tol):
+    if np.any(q <= ZERO_MASS_TOL):
         raise ZeroStationaryMassError(
-            f"stationary mass <= {zero_mass_tol:.1e} at state "
+            f"stationary mass <= {ZERO_MASS_TOL:.1e} at state "
             f"{int(np.argmin(q))}")
-    if np.any(np.abs((q @ kernel.matrix) / q - 1.0) > row_sum_tol):
+    if np.any(np.abs((q @ kernel.matrix) / q - 1.0) > REVERSAL_ROW_SUM_TOL):
         raise NumericalFailureError("reversed rows do not sum to 1")
     return q
 
 
-def time_reversal(kernel: TransitionKernel, q: np.ndarray,
-                  zero_mass_tol: float = ZERO_MASS_TOL,
-                  row_sum_tol: float = REVERSAL_ROW_SUM_TOL) -> TransitionKernel:
+def time_reversal(kernel: TransitionKernel, q: np.ndarray) -> TransitionKernel:
     """Time-reversed kernel K*(x, z) = Q(z) K(z, x) / Q(x).
 
     Raises
     ------
     ZeroStationaryMassError
-        Some Q(x) <= ``zero_mass_tol``.
+        Some Q(x) <= ``ZERO_MASS_TOL``.
     NumericalFailureError
-        A reversed row sum drifts from 1 by more than ``row_sum_tol``.
+        A reversed row sum drifts from 1 by more than
+        ``REVERSAL_ROW_SUM_TOL``.
     """
-    q = _check_stationary(kernel, q, zero_mass_tol, row_sum_tol)
+    q = _check_stationary(kernel, q)
     rev = (q[None, :] * kernel.matrix.T) / q[:, None]
     rev /= rev.sum(axis=1)[:, None]
     # reversal preserves the positivity pattern transpose, hence primitivity
@@ -311,8 +302,8 @@ class SpectralDiagnostics:
     k_stop: int
 
 
-def pseudo_spectral_gap(kernel: TransitionKernel, q: np.ndarray | None = None,
-                        k_cap: int = GAP_K_CAP) -> SpectralDiagnostics:
+def pseudo_spectral_gap(kernel: TransitionKernel,
+                        q: np.ndarray | None = None) -> SpectralDiagnostics:
     """Pseudo-spectral gap gamma_ps = max_k gamma((K*)^k K^k) / k.
 
     With D = diag(sqrt(Q)) and M = D K D^{-1}, the reversiblization
@@ -344,7 +335,7 @@ def pseudo_spectral_gap(kernel: TransitionKernel, q: np.ndarray | None = None,
     best = 0.0
     best_k = 0
     k = 0
-    while k < k_cap:
+    while k < GAP_K_CAP:
         k += 1
         power = power @ m_mat
         try:
@@ -409,6 +400,15 @@ class HigherOrderChainSpec:
         return cls(symbols=m.shape[0], order=1, conditional=m)
 
 
+def _cumulative(law: np.ndarray) -> list[float]:
+    # cumulative sums set to 1.0 from the first entry at the final total (a
+    # positive-mass entry) on, so a law summing to just under 1 cannot send
+    # u < 1 to a trailing zero-mass state
+    c = np.cumsum(law)
+    c[c.searchsorted(c[-1]):] = 1.0
+    return c.tolist()
+
+
 class MarkovizedChain:
     """First-order chain on tuples (Y_t, ..., Y_{t-p}) embedding an order-k chain.
 
@@ -437,16 +437,9 @@ class MarkovizedChain:
         xs = np.arange(n)
         self.targets = xs // s ** p
         self.feature_index = xs % s ** p
-        # per-row inverse-cdf tables for the sampler; the forced final 1.0
-        # makes u < 1 always select a positive-mass successor
-        self._cum_rows = []
-        for row in kernel.matrix:
-            c = np.cumsum(row)
-            c[-1] = 1.0
-            self._cum_rows.append(c.tolist())
-        c = np.cumsum(stationary)
-        c[-1] = 1.0
-        self._cum_stationary = c.tolist()
+        # inverse-cdf tables for the sampler, one per kernel row
+        self._cum_rows = [_cumulative(row) for row in kernel.matrix]
+        self._cum_stationary = _cumulative(stationary)
 
     @property
     def symbols(self) -> int:
@@ -490,7 +483,6 @@ class MarkovizedChain:
 
 
 def markovize(base: HigherOrderChainSpec, embedding_order: int,
-              state_cap: int = MARKOVIZE_STATE_CAP,
               require_primitive: bool = True) -> MarkovizedChain:
     """Embed an order-k chain as a first-order chain on (p+1)-tuples.
 
@@ -499,9 +491,8 @@ def markovize(base: HigherOrderChainSpec, embedding_order: int,
     base : HigherOrderChainSpec
     embedding_order : int
         p >= base.order; predictors built on the result may consult up to
-        p past symbols.
-    state_cap : int
-        Reject composite spaces larger than this (S**(p+1) states).
+        p past symbols.  The composite space has S**(p+1) states, at most
+        ``MARKOVIZE_STATE_CAP``.
     require_primitive : bool
         The composite kernel of a strictly positive conditional is always
         primitive; conditionals with structural zeros leave unreachable
@@ -518,9 +509,9 @@ def markovize(base: HigherOrderChainSpec, embedding_order: int,
     if p < k:
         raise RangeError(f"embedding order {p} < base order {k}")
     n = s ** (p + 1)
-    if n > state_cap:
+    if n > MARKOVIZE_STATE_CAP:
         raise SizeOverflowError(
-            f"composite space needs {n} states, cap is {state_cap}")
+            f"composite space needs {n} states, cap is {MARKOVIZE_STATE_CAP}")
     xs = np.arange(n)
     shifted = xs // s
     ctx = xs // s ** (p + 1 - k)

@@ -185,7 +185,8 @@ _BOUNDS_COLUMNS = ("bound_id", "m", "b", "epsilon", "delta", "a", "theta",
 
 def cmd_bounds(cfg: dict, out_dir: Path, config_path: str) -> int:
     requested = cfg.get("bounds")
-    if not isinstance(requested, list) or not requested:
+    if (not isinstance(requested, list) or not requested
+            or not all(isinstance(b, str) for b in requested)):
         raise ConfigError("'bounds' must be a non-empty list of bound ids")
     params = _field(cfg, "params", {}, dict)
     chain = None
@@ -423,11 +424,13 @@ def main(argv=None) -> int:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="JSON config path")
         p.add_argument("--out", default="out", help="output directory")
-        p.add_argument("--seed", type=int, default=None,
-                       help="override the master seed")
-        p.add_argument("--threads", type=int, default=None,
-                       help="override the worker process count (verify "
-                            "replications, either mode)")
+        if name in ("simulate", "verify"):
+            p.add_argument("--seed", type=int, default=None,
+                           help="override the master seed")
+        if name == "verify":
+            p.add_argument("--threads", type=int, default=None,
+                           help="override the worker process count "
+                                "(replications, either mode)")
         p.add_argument("--quiet", action="store_true",
                        help="suppress stage logging")
     args = parser.parse_args(argv)

@@ -46,6 +46,13 @@ def _float_array(value) -> np.ndarray:
     return np.asarray(value, dtype=float)
 
 
+def _orders(value) -> tuple[int, ...]:
+    # a JSON string is iterable too: "01" must not read as [0, 1]
+    if not isinstance(value, list) or any(type(q) is not int for q in value):
+        raise ConfigError("'orders' must be a list of integers")
+    return tuple(value)
+
+
 def _context_index(key: str, symbols: int, order: int) -> int:
     parts = [p.strip() for p in key.split(",")]
     if len(parts) != order:
@@ -185,7 +192,7 @@ def experiment_from_dict(d: dict, seed_override: int | None = None,
     try:
         return ExperimentConfig(
             chain=chain,
-            orders=tuple(int(q) for q in d["orders"]),
+            orders=_orders(d["orders"]),
             loss=loss,
             train_loss=train_loss,
             n=int(d["n"]),

@@ -43,6 +43,8 @@ from .predictors import (
     disagreement_variance,
     erm_fit,
     exact_risk,
+    holdout_select,
+    oracle_select,
     state_losses,
 )
 from .sampling import (
@@ -195,8 +197,10 @@ def _fit_candidates(config: ExperimentConfig, learning: np.ndarray):
 
 
 def _replication_rows(args):
-    """Empirical, gapped (None when gap_b = 0) and exact risk rows of a chunk.
+    """k_hat, k_tilde, empirical, gapped (None when gap_b = 0), exact rows.
 
+    Each replication selects through :func:`holdout_select` on its
+    validation segment and :func:`oracle_select` on the stationary law.
     ``loss_matrix`` holds the frozen candidates' per-state losses in
     conditional mode, where each validation segment continues from
     ``x_last``.  It is None in marginal mode, where each replication draws
@@ -204,6 +208,7 @@ def _replication_rows(args):
     """
     config, loss_matrix, x_last, indices = args
     chain, gap_b = config.chain, config.gap_b
+    k_hat, k_tilde = np.empty((2, len(indices)), dtype=np.intp)
     emp = np.empty((len(indices), config.n_candidates))
     gap = np.empty_like(emp) if gap_b > 0 else None
     exact = np.empty_like(emp)
@@ -216,11 +221,11 @@ def _replication_rows(args):
         else:
             losses = loss_matrix
             seg = sample_conditional_continuation(chain, x_last, config.m, seed)
-        emp[i] = losses[:, seg].mean(axis=1)
+        k_hat[i], emp[i] = holdout_select(losses, seg)
         if gap is not None:
-            gap[i] = losses[:, seg[gap_b:]].mean(axis=1)
-        exact[i] = losses @ chain.stationary
-    return emp, gap, exact
+            gap[i] = holdout_select(losses, seg, gap_b)[1]
+        k_tilde[i], exact[i] = oracle_select(losses, chain.stationary)
+    return k_hat, k_tilde, emp, gap, exact
 
 
 def run_replications(config: ExperimentConfig) -> RunResult:
@@ -229,7 +234,8 @@ def run_replications(config: ExperimentConfig) -> RunResult:
     Replication r draws with seed (master_seed, r), r = 1..R, so results do
     not depend on thread count or completion order.  In conditional mode
     the candidates are fitted once on the learning draw with seed
-    (master_seed, 0); ``threads`` worker processes serve both modes.
+    (master_seed, 0); ``threads`` worker processes serve both modes and
+    select through :func:`holdout_select` and :func:`oracle_select`.
     """
     chain = config.chain
     mixing = mixing_time(chain.kernel, q=chain.stationary)
@@ -257,14 +263,11 @@ def run_replications(config: ExperimentConfig) -> RunResult:
     else:
         with ProcessPoolExecutor(max_workers=config.threads) as pool:
             parts = list(pool.map(_replication_rows, jobs))
-    empirical = np.vstack([p[0] for p in parts])
-    gap_emp = (np.vstack([p[1] for p in parts])
-               if config.gap_b > 0 else None)
-    exact = np.vstack([p[2] for p in parts])
+    k_hat, k_tilde, empirical, gap_emp, exact = (
+        None if col[0] is None else np.concatenate(col) for col in zip(*parts))
     return RunResult(config=config, empirical=empirical,
                      gap_empirical=gap_emp, exact=exact,
-                     k_hat=np.argmin(empirical, axis=1),
-                     k_tilde=np.argmin(exact, axis=1), bayes=bayes,
+                     k_hat=k_hat, k_tilde=k_tilde, bayes=bayes,
                      bayes_risk=bayes_risk, mixing=mixing, spectral=spectral,
                      tau_star=tau_star, candidates=candidates)
 
@@ -394,7 +397,7 @@ def _bound_params(run: RunResult) -> dict:
     }
 
 
-def verify_bounds(run: RunResult, epsilon_grid=None) -> VerificationReport:
+def verify_bounds(run: RunResult) -> VerificationReport:
     """Compare every event's estimated tail with its scaled bound.
 
     A VIOLATION requires the Wilson upper limit to exceed a bound that is
@@ -407,7 +410,7 @@ def verify_bounds(run: RunResult, epsilon_grid=None) -> VerificationReport:
     violations = 0
     vacuous_count = 0
     for event_id, spec in event_table(run).items():
-        for est in tail_probability(run, event_id, epsilon_grid):
+        for est in tail_probability(run, event_id):
             rep = bnd.evaluate_bound(spec.bound_id,
                                      {**params, "epsilon": est.epsilon})
             scaled = rep.raw * scale
@@ -541,13 +544,13 @@ class NoiseCheckReport:
 
 
 def noise_condition_check(chain: MarkovizedChain, order_q: int,
-                          noise=None, slack_tol: float = 1e-12) -> NoiseCheckReport:
+                          noise=None) -> NoiseCheckReport:
     """Check sqrt(Var(disagreement)) <= omega(excess risk) for every table.
 
     Enumerates all binary memory-q predictors (2^(2^q) of them), computes
     both sides exactly under the stationary law, and reports the worst
-    slack.  Default modulus: polynomial with alpha = 1 and h = the chain's
-    conditional margin.
+    slack, which passes at <= 1e-12.  Default modulus: polynomial with
+    alpha = 1 and h = the chain's conditional margin.
     """
     if chain.symbols != 2:
         raise BinaryOnlyError("exhaustive noise check is binary-only")
@@ -574,4 +577,4 @@ def noise_condition_check(chain: MarkovizedChain, order_q: int,
         n_tables += 1
     return NoiseCheckReport(order=order_q, margin=h, alpha=float(alpha),
                             n_tables=n_tables, worst_slack=worst,
-                            passed=worst <= slack_tol)
+                            passed=worst <= 1e-12)

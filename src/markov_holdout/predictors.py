@@ -104,25 +104,6 @@ def loss_variance(predictor: PredictorTable, chain: MarkovizedChain,
     return float(chain.stationary @ (ell - mean) ** 2)
 
 
-def empirical_risk(predictor: PredictorTable, chain: MarkovizedChain,
-                   segment: np.ndarray, loss: LossSpec, burn: int = 0) -> float:
-    """Mean loss over segment[burn:].
-
-    Raises
-    ------
-    EmptySegmentError
-        Fewer than one state remains after the burn-in.
-    """
-    segment = np.asarray(segment)
-    if burn < 0:
-        raise RangeError("burn-in must be >= 0")
-    if len(segment) - burn < 1:
-        raise EmptySegmentError(
-            f"segment of {len(segment)} states with burn-in {burn} is empty")
-    ell = state_losses(predictor, chain, loss)
-    return float(ell[segment[burn:]].mean())
-
-
 def bayes_predictor(chain: MarkovizedChain, loss: LossSpec) -> PredictorTable:
     """Risk-minimizing full-memory predictor, ties to the lowest symbol.
 
@@ -165,24 +146,35 @@ def erm_fit(chain: MarkovizedChain, order_q: int, learn: np.ndarray,
     return PredictorTable(order=order_q, symbols=s, table=table)
 
 
-def holdout_select(candidates, chain: MarkovizedChain, segment: np.ndarray,
-                   loss: LossSpec, burn: int = 0):
+def holdout_select(loss_matrix: np.ndarray, segment: np.ndarray,
+                   burn: int = 0):
     """Index of the empirical-risk minimizer on the validation segment.
 
-    Returns (index, empirical risks); ties go to the lowest index.
+    Row k of ``loss_matrix`` is candidate k's :func:`state_losses`; its
+    empirical risk is their mean over segment[burn:], which must not be
+    empty (EmptySegmentError).  Returns (index, empirical risks); ties go
+    to the lowest index.
     """
-    if len(candidates) < 1:
+    if len(loss_matrix) < 1:
         raise RangeError("need at least one candidate")
-    risks = np.array([empirical_risk(g, chain, segment, loss, burn)
-                      for g in candidates])
+    segment = np.asarray(segment)
+    if burn < 0:
+        raise RangeError("burn-in must be >= 0")
+    if len(segment) - burn < 1:
+        raise EmptySegmentError(
+            f"segment of {len(segment)} states with burn-in {burn} is empty")
+    risks = loss_matrix[:, segment[burn:]].mean(axis=1)
     return int(np.argmin(risks)), risks
 
 
-def oracle_select(candidates, chain: MarkovizedChain, loss: LossSpec):
-    """Index of the exact-risk minimizer; ties go to the lowest index."""
-    if len(candidates) < 1:
+def oracle_select(loss_matrix: np.ndarray, stationary: np.ndarray):
+    """Index of the exact-risk minimizer; ties go to the lowest index.
+
+    Returns (index, loss_matrix @ stationary), the exact risk of each row.
+    """
+    if len(loss_matrix) < 1:
         raise RangeError("need at least one candidate")
-    risks = np.array([exact_risk(g, chain, loss) for g in candidates])
+    risks = loss_matrix @ stationary
     return int(np.argmin(risks)), risks
 
 

@@ -3,8 +3,8 @@
 Streams are drawn with a counter-based generator (Philox) keyed by
 (master_seed, replication_index), so replication r is reproducible in
 isolation and independent of how many other replications ran before it.
-Transitions use inverse-CDF lookups on precomputed per-row cumulative
-tables; a transition with zero mass can never be selected.
+Transitions use inverse-CDF lookups on per-row cumulative tables set to 1.0
+from the entry where the row reaches its total, so zero mass is never drawn.
 """
 
 from __future__ import annotations

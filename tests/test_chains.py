@@ -196,7 +196,7 @@ def test_mixing_time_certificate_dominates_profile(two_state_kernel):
 
 def test_mixing_time_raises_when_horizon_exhausted(two_state_kernel):
     with pytest.raises(HorizonExceededError):
-        mixing_time(two_state_kernel, level=1e-30, cap=12)
+        mixing_time(two_state_kernel, level=1e-30)
 
 
 def test_mixing_profile_rejects_non_monotone_distances():

@@ -131,6 +131,8 @@ def test_malformed_json(tmp_path, capsys):
     ("verify", {**VERIFY_BASE, "loss": {"table": [[0, 1], [1]]}}),
     ("diagnose", [TWO_STATE]),
     ("bounds", [{"bounds": ["hoeffding"]}]),
+    ("verify", {**VERIFY_BASE, "orders": "01"}),
+    ("verify", {**VERIFY_BASE, "orders": "10"}),
 ])
 def test_malformed_config_values_exit_two(tmp_path, capsys, command, payload):
     cfg = write_config(tmp_path, payload)
@@ -160,7 +162,8 @@ def test_bounds_single_value(tmp_path):
     assert rows[0]["vacuous"] == "false"
 
 
-@pytest.mark.parametrize("requested", ["hoeffding", {"hoeffding": 1}, []])
+@pytest.mark.parametrize("requested", ["hoeffding", {"hoeffding": 1}, [],
+                                       [["hoeffding"]]])
 def test_bounds_requires_a_list_of_ids(tmp_path, capsys, requested):
     cfg = write_config(tmp_path, {
         "bounds": requested,
@@ -425,6 +428,20 @@ def test_verify_threads_flag_matches_serial(tmp_path):
     report_a = read_json(out_a, "report.json")
     report_b = read_json(out_b, "report.json")
     assert report_a["tails"] == report_b["tails"]
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("diagnose", "--seed"), ("diagnose", "--threads"),
+    ("bounds", "--seed"), ("bounds", "--threads"),
+    ("noise", "--seed"), ("noise", "--threads"),
+    ("simulate", "--threads"),
+])
+def test_flags_a_command_does_not_read_are_rejected(tmp_path, command, flag):
+    cfg = write_config(tmp_path, TWO_STATE)
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", cfg, "--out", str(tmp_path / "out"),
+              flag, "1", "--quiet"])
+    assert exc.value.code == 2
 
 
 # ---------------------------------------------------------------------------

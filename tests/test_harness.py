@@ -239,6 +239,19 @@ def test_marginal_threads_do_not_change_results(two_state_chain):
 # worker.  With 0/1 losses every empirical risk is (loss count) / m, so the
 # counts are exact integers; the index-weighted sums also catch replications
 # that moved between rows.
+@pytest.mark.parametrize("mode", ["conditional", "marginal"])
+def test_replication_ties_go_to_lowest_index(two_state_chain, mode):
+    # a zero training loss makes every context predict 0 at both orders, so
+    # the candidates' losses agree in every replication; listing the higher
+    # order first catches a harness that prefers the lower order or the
+    # last minimizer
+    run = run_replications(_config(two_state_chain, orders=(1, 0), mode=mode,
+                                   train_loss=LossSpec(np.zeros((2, 2)))))
+    assert (run.empirical[:, 0] == run.empirical[:, 1]).all()
+    assert (run.k_hat == 0).all()
+    assert (run.k_tilde == 0).all()
+
+
 @pytest.mark.parametrize("mode, n, m, seed, counts, weighted, k_hat, "
                          "k_hat_weighted, exact_means", [
     ("conditional", 200, 40, 5, [1580, 620], [97499, 38108], [16, 104], 6470,

@@ -21,7 +21,6 @@ from markov_holdout import (
     bayes_predictor,
     conditional_risk,
     disagreement_variance,
-    empirical_risk,
     erm_fit,
     exact_risk,
     holdout_select,
@@ -141,29 +140,35 @@ def test_exact_risk_of_exhaustive_tables_brackets_bayes(two_state_chain,
 # empirical risk
 
 
+def losses_of(cands, chain, loss):
+    """Loss matrix whose row k is candidate k's per-state losses."""
+    return np.stack([state_losses(g, chain, loss) for g in cands])
+
+
 def test_empirical_risk_hand_computed(two_state_chain, zero_one_loss):
     g = bayes_predictor(two_state_chain, zero_one_loss)   # table (0, 1)
+    losses = losses_of([g], two_state_chain, zero_one_loss)
     segment = np.array([0, 3, 2])
     # losses per state: 0 -> 0, 3 -> 0, 2 -> 1
-    assert empirical_risk(g, two_state_chain, segment,
-                          zero_one_loss) == pytest.approx(1.0 / 3.0)
-    assert empirical_risk(g, two_state_chain, segment, zero_one_loss,
-                          burn=1) == pytest.approx(0.5)
+    assert holdout_select(losses, segment)[1][0] == pytest.approx(1.0 / 3.0)
+    assert holdout_select(losses, segment,
+                          burn=1)[1][0] == pytest.approx(0.5)
 
 
 def test_empirical_risk_rejects_exhausted_segment(two_state_chain,
                                                   zero_one_loss):
     g = bayes_predictor(two_state_chain, zero_one_loss)
+    losses = losses_of([g], two_state_chain, zero_one_loss)
     with pytest.raises(EmptySegmentError):
-        empirical_risk(g, two_state_chain, np.array([0, 1]), zero_one_loss,
-                       burn=2)
+        holdout_select(losses, np.array([0, 1]), burn=2)
 
 
 def test_empirical_risk_concentrates_on_exact(two_state_chain, zero_one_loss):
     g = bayes_predictor(two_state_chain, zero_one_loss)
     traj = sample_stationary_trajectory(two_state_chain, 1, 1_000_000,
                                         SeedSpec(4242))
-    emp = empirical_risk(g, two_state_chain, traj.validation, zero_one_loss)
+    emp = holdout_select(losses_of([g], two_state_chain, zero_one_loss),
+                         traj.validation)[1][0]
     # correlated Bernoulli mean; 0.003 is ~3 effective SEs at this length
     assert abs(emp - 2.0 / 15.0) < 0.003
 
@@ -231,12 +236,10 @@ def test_holdout_select_minimizes_empirical(two_state_chain, zero_one_loss):
     cands = [PredictorTable(1, 2, np.array([0, 1])),   # Bayes
              PredictorTable(1, 2, np.array([1, 0]))]   # anti-Bayes
     traj = sample_stationary_trajectory(two_state_chain, 1, 400, SeedSpec(61))
-    idx, risks = holdout_select(cands, two_state_chain, traj.validation,
-                                zero_one_loss)
+    losses = losses_of(cands, two_state_chain, zero_one_loss)
+    idx, risks = holdout_select(losses, traj.validation)
     assert idx == 0
-    assert risks[0] == pytest.approx(
-        empirical_risk(cands[0], two_state_chain, traj.validation,
-                       zero_one_loss))
+    assert risks[0] == pytest.approx(losses[0, traj.validation].mean())
     assert risks[1] > risks[0]
 
 
@@ -245,8 +248,8 @@ def test_holdout_select_tie_prefers_lowest_index(two_state_chain,
     g = PredictorTable(1, 2, np.array([0, 1]))
     twin = PredictorTable(1, 2, np.array([0, 1]))
     traj = sample_stationary_trajectory(two_state_chain, 1, 100, SeedSpec(67))
-    idx, risks = holdout_select([g, twin], two_state_chain, traj.validation,
-                                zero_one_loss)
+    idx, risks = holdout_select(
+        losses_of([g, twin], two_state_chain, zero_one_loss), traj.validation)
     assert idx == 0
     assert risks[0] == risks[1]
 
@@ -254,10 +257,9 @@ def test_holdout_select_tie_prefers_lowest_index(two_state_chain,
 def test_holdout_select_with_burn_gap(two_state_chain, zero_one_loss):
     g = PredictorTable(1, 2, np.array([0, 1]))
     segment = np.array([2, 0, 0, 3])
-    _, risks = holdout_select([g], two_state_chain, segment, zero_one_loss,
-                              burn=1)
-    assert risks[0] == pytest.approx(
-        empirical_risk(g, two_state_chain, segment[1:], zero_one_loss))
+    losses = losses_of([g], two_state_chain, zero_one_loss)
+    _, risks = holdout_select(losses, segment, burn=1)
+    assert risks[0] == pytest.approx(losses[0, segment[1:]].mean())
 
 
 def test_holdout_select_invariant_under_affine_loss_rescale(two_state_chain):
@@ -269,16 +271,19 @@ def test_holdout_select_invariant_under_affine_loss_rescale(two_state_chain):
     for seed in range(5):
         traj = sample_stationary_trajectory(two_state_chain, 1, 301,
                                             SeedSpec(71, seed))
-        idx_a, _ = holdout_select(cands, two_state_chain, traj.validation, base)
-        idx_b, _ = holdout_select(cands, two_state_chain, traj.validation,
-                                  scaled)
+        idx_a, _ = holdout_select(
+            losses_of(cands, two_state_chain, base), traj.validation)
+        idx_b, _ = holdout_select(
+            losses_of(cands, two_state_chain, scaled), traj.validation)
         assert idx_a == idx_b
 
 
 def test_oracle_select_returns_exact_minimizer(two_state_chain, zero_one_loss):
     cands = [PredictorTable(0, 2, np.array([0])),
              PredictorTable(1, 2, np.array([0, 1]))]
-    idx, risks = oracle_select(cands, two_state_chain, zero_one_loss)
+    idx, risks = oracle_select(losses_of(cands, two_state_chain,
+                                         zero_one_loss),
+                               two_state_chain.stationary)
     assert idx == 1
     assert risks == pytest.approx([1.0 / 3.0, 2.0 / 15.0], abs=1e-12)
 

@@ -100,6 +100,28 @@ def test_transitions_respect_structural_zeros(two_state_chain):
     assert ((nxt == x // 2) | (nxt == x // 2 + 2)).all()
 
 
+def test_largest_uniform_never_selects_zero_mass(monkeypatch):
+    # row 0 of this conditional sums to 1 - 4e-13, within the row-sum
+    # tolerance; a uniform in [1 - 4e-13, 1) must still land on a state
+    # the kernel can reach, not on the zero-mass last column
+    spec = HigherOrderChainSpec.from_kernel([[0.6, 0.4 - 4e-13],
+                                             [0.3, 0.7]])
+    chain = markovize(spec, 1)
+    top = np.nextafter(1.0, 0.0)
+
+    class LargestUniform:
+        def random(self, k):
+            return np.full(k, top)
+
+    monkeypatch.setattr(SeedSpec, "generator",
+                        lambda self: LargestUniform())
+    matrix = chain.kernel.matrix
+    for start in range(chain.n_states):
+        states = sample_conditional_continuation(chain, start, 4, SeedSpec(0))
+        path = [start, *states.tolist()]
+        assert all(matrix[x, z] > 0.0 for x, z in zip(path, path[1:]))
+
+
 def test_deterministic_cycle_base_symbols():
     # base symbols rotate 0 -> 1 -> 2 -> 0 deterministically
     conditional = np.array([[0.0, 1.0, 0.0],
