@@ -400,15 +400,6 @@ class HigherOrderChainSpec:
         return cls(symbols=m.shape[0], order=1, conditional=m)
 
 
-def _cumulative(law: np.ndarray) -> list[float]:
-    # cumulative sums set to 1.0 from the first entry at the final total (a
-    # positive-mass entry) on, so a law summing to just under 1 cannot send
-    # u < 1 to a trailing zero-mass state
-    c = np.cumsum(law)
-    c[c.searchsorted(c[-1]):] = 1.0
-    return c.tolist()
-
-
 class MarkovizedChain:
     """First-order chain on tuples (Y_t, ..., Y_{t-p}) embedding an order-k chain.
 
@@ -421,7 +412,7 @@ class MarkovizedChain:
     - a memory-q predictor reads features(x) // S^(p-q)
     - the next-symbol law of x is conditional row x // S^(p+1-k)
 
-    Construct through :func:`markovize`.
+    It carries no sampler state.  Construct through :func:`markovize`.
     """
 
     def __init__(self, base: HigherOrderChainSpec, embedding_order: int,
@@ -437,9 +428,6 @@ class MarkovizedChain:
         xs = np.arange(n)
         self.targets = xs // s ** p
         self.feature_index = xs % s ** p
-        # inverse-cdf tables for the sampler, one per kernel row
-        self._cum_rows = [_cumulative(row) for row in kernel.matrix]
-        self._cum_stationary = _cumulative(stationary)
 
     @property
     def symbols(self) -> int:

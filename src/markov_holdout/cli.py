@@ -38,6 +38,8 @@ from .config import (
     ENV_SEED,
     _field,
     _float_array,
+    _int_list,
+    _optional_int,
     _resolve_env_int,
     build_chain,
     experiment_from_dict,
@@ -197,6 +199,8 @@ def cmd_bounds(cfg: dict, out_dir: Path, config_path: str) -> int:
         params.setdefault("t_mix", profile.t_mix)
         params.setdefault("gamma_ps", spectral.gamma_ps)
     noise = parse_noise(cfg.get("noise"), chain)
+    if not isinstance(cfg.get("delta_grid", []), list):
+        raise ConfigError("'delta_grid' must be a list of numbers")
     rows = []
     try:
         if noise is not None and "m" in params:
@@ -389,14 +393,13 @@ def cmd_noise(cfg: dict, out_dir: Path, config_path: str) -> int:
     noise = parse_noise(cfg.get("noise"), chain)
     if noise is None and h is not None and not zero_margin:
         noise = bnd.MammenTsybakovNoise(alpha=1.0, h=h)
-    m_grid = _field(cfg, "m_grid", [100, 1000, 10000],
-                    lambda v: [int(x) for x in v])
+    m_grid = _int_list(cfg.get("m_grid", [100, 1000, 10000]), "m_grid")
     tau_table = None
     if noise is not None:
         tau_table = [{"m": m, "tau_star": noise.tau_star(m)} for m in m_grid]
     check = None
-    if cfg.get("noise_check_order") is not None:
-        order = _field(cfg, "noise_check_order", None, int)
+    order = _optional_int(cfg.get("noise_check_order"), "noise_check_order")
+    if order is not None:
         check = asdict(noise_condition_check(chain, order, noise=noise))
     payload = {"margin": h, "zero_margin": zero_margin,
                "noise": None if noise is None else type(noise).__name__,

@@ -46,11 +46,18 @@ def _float_array(value) -> np.ndarray:
     return np.asarray(value, dtype=float)
 
 
-def _orders(value) -> tuple[int, ...]:
+def _int_list(value, key: str) -> tuple[int, ...]:
     # a JSON string is iterable too: "01" must not read as [0, 1]
     if not isinstance(value, list) or any(type(q) is not int for q in value):
-        raise ConfigError("'orders' must be a list of integers")
+        raise ConfigError(f"{key!r} must be a list of integers")
     return tuple(value)
+
+
+def _optional_int(value, key: str) -> int | None:
+    # type(), not isinstance: JSON false must not read as 0
+    if value is not None and type(value) is not int:
+        raise ConfigError(f"{key!r} must be an integer or null")
+    return value
 
 
 def _context_index(key: str, symbols: int, order: int) -> int:
@@ -185,6 +192,9 @@ def experiment_from_dict(d: dict, seed_override: int | None = None,
     seed = _resolve_env_int(ENV_SEED, seed)
     if seed_override is not None:
         seed = seed_override
+    oracle_checks = d.get("oracle_checks", True)
+    if type(oracle_checks) is not bool:
+        raise ConfigError("'oracle_checks' must be true or false")
     threads = d.get("threads", 1)
     threads = _resolve_env_int(ENV_THREADS, threads)
     if threads_override is not None:
@@ -192,7 +202,7 @@ def experiment_from_dict(d: dict, seed_override: int | None = None,
     try:
         return ExperimentConfig(
             chain=chain,
-            orders=_orders(d["orders"]),
+            orders=_int_list(d["orders"], "orders"),
             loss=loss,
             train_loss=train_loss,
             n=int(d["n"]),
@@ -209,9 +219,9 @@ def experiment_from_dict(d: dict, seed_override: int | None = None,
             bound_scale=float(d.get("bound_scale", 1.0)),
             threads=int(threads),
             coupling_b_max=int(d.get("coupling_b_max", 20)),
-            noise_check_order=(None if d.get("noise_check_order") is None
-                               else int(d["noise_check_order"])),
-            run_oracle_checks=bool(d.get("oracle_checks", True)),
+            noise_check_order=_optional_int(d.get("noise_check_order"),
+                                            "noise_check_order"),
+            run_oracle_checks=oracle_checks,
         )
     except KeyError as exc:
         raise ConfigError(f"config is missing {exc}") from exc

@@ -3,8 +3,10 @@
 Streams are drawn with a counter-based generator (Philox) keyed by
 (master_seed, replication_index), so replication r is reproducible in
 isolation and independent of how many other replications ran before it.
-Transitions use inverse-CDF lookups on per-row cumulative tables set to 1.0
-from the entry where the row reaches its total, so zero mass is never drawn.
+A step appends a symbol y, x -> y * S^p + x // S, drawn by inverse CDF from
+per-call cumulative tables, one per row of ``chain.base.conditional`` and
+set to 1.0 from the entry where the row reaches its total, so zero mass is
+never drawn.
 """
 
 from __future__ import annotations
@@ -62,10 +64,24 @@ class Trajectory:
         return self.states[self.n_learning:]
 
 
-def _walk(cum_rows, state: int, uniforms, out: np.ndarray, offset: int) -> None:
-    # tight inner loop: bisect on small python lists beats numpy here
+def _cumulative(law: np.ndarray) -> list[float]:
+    # cumulative sums set to 1.0 from the first entry at the final total (a
+    # positive-mass entry) on, so a law summing to just under 1 cannot send
+    # u < 1 to a trailing zero-mass state
+    c = np.cumsum(law)
+    c[c.searchsorted(c[-1]):] = 1.0
+    return c.tolist()
+
+
+def _walk(chain, state: int, uniforms, out: np.ndarray, offset: int) -> None:
+    # the context x // S^(p+1-k) is constant over runs of S^(p+1-k) states,
+    # so rows[x] is its table; bisect on small python lists beats numpy here
+    s, p, k = chain.base.symbols, chain.embedding_order, chain.base.order
+    tables = [_cumulative(row) for row in chain.base.conditional]
+    rows = [t for t in tables for _ in range(s ** (p + 1 - k))]
+    high = s ** p
     for i, u in enumerate(uniforms):
-        state = bisect_right(cum_rows[state], u)
+        state = bisect_right(rows[state], u) * high + state // s
         out[offset + i] = state
 
 
@@ -79,9 +95,9 @@ def sample_stationary_trajectory(chain: MarkovizedChain, n: int, m: int,
     gen = seed.generator()
     uniforms = gen.random(n + m).tolist()
     states = np.empty(n + m, dtype=np.int64)
-    first = bisect_right(chain._cum_stationary, uniforms[0])
+    first = bisect_right(_cumulative(chain.stationary), uniforms[0])
     states[0] = first
-    _walk(chain._cum_rows, first, uniforms[1:], states, 1)
+    _walk(chain, first, uniforms[1:], states, 1)
     return Trajectory(states=states, n_learning=n, m_validation=m)
 
 
@@ -99,5 +115,5 @@ def sample_conditional_continuation(chain: MarkovizedChain, x_last: int,
     gen = seed.generator()
     uniforms = gen.random(m).tolist()
     states = np.empty(m, dtype=np.int64)
-    _walk(chain._cum_rows, x_last, uniforms, states, 0)
+    _walk(chain, x_last, uniforms, states, 0)
     return states

@@ -133,6 +133,10 @@ def test_malformed_json(tmp_path, capsys):
     ("bounds", [{"bounds": ["hoeffding"]}]),
     ("verify", {**VERIFY_BASE, "orders": "01"}),
     ("verify", {**VERIFY_BASE, "orders": "10"}),
+    ("noise", {**TWO_STATE, "m_grid": "15"}),
+    ("noise", {**TWO_STATE, "noise_check_order": False}),
+    ("verify", {**VERIFY_BASE, "oracle_checks": "false"}),
+    ("verify", {**VERIFY_BASE, "noise_check_order": False}),
 ])
 def test_malformed_config_values_exit_two(tmp_path, capsys, command, payload):
     cfg = write_config(tmp_path, payload)
@@ -173,6 +177,20 @@ def test_bounds_requires_a_list_of_ids(tmp_path, capsys, requested):
     assert code == 2
     assert capsys.readouterr().err == (
         "error: 'bounds' must be a non-empty list of bound ids\n")
+
+
+def test_bounds_delta_grid_must_be_a_list(tmp_path, capsys):
+    # a bare number used to fail as "'float' object is not iterable"
+    cfg = write_config(tmp_path, {
+        "bounds": ["bernstein_radius"],
+        "params": {"m": 1000, "t_mix": 3, "gamma_ps": 0.51,
+                   "variance": 0.25, "n_candidates": 2},
+        "delta_grid": 0.1})
+    code = main(["bounds", "--config", cfg, "--out", str(tmp_path / "out"),
+                 "--quiet"])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: 'delta_grid' must be a list of numbers\n")
 
 
 def test_bounds_grid_row_counts(tmp_path):

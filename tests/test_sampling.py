@@ -5,6 +5,8 @@ against exact laws with 3-standard-error (or chi-square) tolerances, so they
 are deterministic once the seed is frozen.
 """
 
+from bisect import bisect_right
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -120,6 +122,76 @@ def test_largest_uniform_never_selects_zero_mass(monkeypatch):
         states = sample_conditional_continuation(chain, start, 4, SeedSpec(0))
         path = [start, *states.tolist()]
         assert all(matrix[x, z] > 0.0 for x, z in zip(path, path[1:]))
+
+
+def _clamped_cumsum(law):
+    c = np.cumsum(law)
+    c[c.searchsorted(c[-1]):] = 1.0
+    return c.tolist()
+
+
+def _dense_reference_walk(chain, state, uniforms):
+    # reference sampler: bisect on the clamped cumulative sums of each dense
+    # kernel row, the S x S form the base-conditional tables must reproduce
+    rows = [_clamped_cumsum(row) for row in chain.kernel.matrix]
+    path = []
+    for u in uniforms:
+        state = bisect_right(rows[state], u)
+        path.append(state)
+    return path
+
+
+def _reference_chains():
+    rng = np.random.default_rng(20260825)
+    chains = []
+    for s in (2, 3):
+        for k in (1, 2):
+            for p in (k, k + 1):
+                cond = rng.dirichlet(np.ones(s), size=s ** k)
+                chains.append(markovize(HigherOrderChainSpec(s, k, cond), p))
+    zero = rng.dirichlet(np.ones(3), size=3)
+    zero[1] = [0.5, 0.5, 0.0]
+    chains.append(markovize(HigherOrderChainSpec(3, 1, zero), 2,
+                            require_primitive=False))
+    short = rng.dirichlet(np.ones(3), size=9)
+    short[2] = [0.6, 0.4 - 4e-13, 0.0]
+    chains.append(markovize(HigherOrderChainSpec(3, 2, short), 2,
+                            require_primitive=False))
+    return chains
+
+
+@pytest.mark.parametrize("top_every", [None, 3])
+def test_sampler_matches_dense_row_reference(monkeypatch, top_every):
+    # both entry points against the dense-row reference on the same uniforms;
+    # with top_every set, every third uniform is the largest double below 1,
+    # which reaches the clamped end of each table
+    if top_every is not None:
+        real = SeedSpec.generator
+
+        class TopInjected:
+            def __init__(self, gen):
+                self.gen = gen
+
+            def random(self, k):
+                u = self.gen.random(k)
+                u[::top_every] = np.nextafter(1.0, 0.0)
+                return u
+
+        monkeypatch.setattr(SeedSpec, "generator",
+                            lambda self: TopInjected(real(self)))
+    for c, chain in enumerate(_reference_chains()):
+        seed = SeedSpec(41, c)
+        uniforms = seed.generator().random(300).tolist()
+        traj = sample_stationary_trajectory(chain, 250, 50, seed)
+        first = bisect_right(_clamped_cumsum(chain.stationary), uniforms[0])
+        expected = [first, *_dense_reference_walk(chain, first, uniforms[1:])]
+        assert traj.states.tolist() == expected
+        for start in range(chain.n_states):
+            seed = SeedSpec(43 + c, start)
+            uniforms = seed.generator().random(40).tolist()
+            states = sample_conditional_continuation(chain, start, 40, seed)
+            assert states.tolist() == _dense_reference_walk(chain, start,
+                                                            uniforms)
 
 
 def test_deterministic_cycle_base_symbols():
