@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 
@@ -88,7 +89,7 @@ def hoeffding_gap_tail(m: int, b: int, epsilon: float, t_mix: int) -> float:
 def gap_event_shift(m: int, b: int) -> Fraction:
     """Exact threshold shift b/m attached to the full-mean shifted event."""
     _check_common(m=m, b=b)
-    return Fraction(b, m)
+    return Fraction(int(b), int(m))
 
 
 def hoeffding_tail(m: int, epsilon: float, t_mix: int) -> float:
@@ -414,81 +415,81 @@ class BoundReport:
     inputs: dict = field(default_factory=dict)
 
 
-def report(bound_id: str, raw: float, **inputs) -> BoundReport:
-    return BoundReport(bound_id=bound_id, raw=raw, clamped=min(raw, 1.0),
-                       vacuous=raw >= 1.0, inputs=dict(inputs))
+def _gap_shift(p: dict) -> Fraction:
+    return gap_event_shift(p["m"], p["b"])
+
+
+def _nc_shift(p: dict) -> float:
+    return nc_event_shift(p["m"], p["b"], p["theta"])
 
 
 # registered tail/radius/expectation forms for grid evaluation by the CLI:
-# id -> (function, required parameter names, grid parameter or None)
+# id -> (function, parameter names, grid parameter or None, shift or None).
+# A shift maps the parameters to the threshold shift of the full-mean event
+# that verify checks the form on; None means the form's own event is checked.
 BOUND_FORMS = {
     "hoeffding_gap": (hoeffding_gap_tail,
-                      ("m", "b", "epsilon", "t_mix"), "epsilon"),
+                      ("m", "b", "epsilon", "t_mix"), "epsilon", None),
     # the full-mean event shifted by b/m has the burn-in event's tail
     "hoeffding_shifted": (hoeffding_gap_tail,
-                          ("m", "b", "epsilon", "t_mix"), "epsilon"),
-    "hoeffding": (hoeffding_tail, ("m", "epsilon", "t_mix"), "epsilon"),
+                          ("m", "b", "epsilon", "t_mix"), "epsilon",
+                          _gap_shift),
+    "hoeffding": (hoeffding_tail, ("m", "epsilon", "t_mix"), "epsilon", None),
     "selection_hoeffding": (selection_hoeffding_tail,
                             ("n_candidates", "m", "epsilon", "t_mix"),
-                            "epsilon"),
+                            "epsilon", None),
     "bernstein_raw": (bernstein_tail_raw,
                       ("m", "epsilon", "gamma_ps", "variance",
-                       "centering_bound"), "epsilon"),
+                       "centering_bound"), "epsilon", None),
     "bernstein_radius": (bernstein_deviation_radius,
                          ("m", "delta", "gamma_ps", "variance",
-                          "centering_bound"), "delta"),
-    "bernstein_gap_over": (bernstein_gap_tail,
-                           ("m", "b", "epsilon", "a", "gamma_ps", "t_mix",
-                            "side"), "epsilon"),
-    "bernstein_gap_under": (bernstein_gap_tail,
-                            ("m", "b", "epsilon", "a", "gamma_ps", "t_mix",
-                             "side"), "epsilon"),
-    "bernstein_over": (bernstein_tail,
-                       ("m", "epsilon", "a", "gamma_ps", "t_mix", "side"),
-                       "epsilon"),
-    "bernstein_under": (bernstein_tail,
-                        ("m", "epsilon", "a", "gamma_ps", "t_mix", "side"),
-                        "epsilon"),
+                          "centering_bound"), "delta", None),
+    "bernstein_gap_over": (partial(bernstein_gap_tail, side="over"),
+                           ("m", "b", "epsilon", "a", "gamma_ps", "t_mix"),
+                           "epsilon", _gap_shift),
+    "bernstein_gap_under": (partial(bernstein_gap_tail, side="under"),
+                            ("m", "b", "epsilon", "a", "gamma_ps", "t_mix"),
+                            "epsilon", _gap_shift),
+    "bernstein_over": (partial(bernstein_tail, side="over"),
+                       ("m", "epsilon", "a", "gamma_ps", "t_mix"),
+                       "epsilon", None),
+    "bernstein_under": (partial(bernstein_tail, side="under"),
+                        ("m", "epsilon", "a", "gamma_ps", "t_mix"),
+                        "epsilon", None),
     "expectation_hoeffding": (expectation_bound_hoeffding,
-                              ("n_candidates", "m", "t_mix"), None),
+                              ("n_candidates", "m", "t_mix"), None, None),
     "oracle_gap_hoeffding": (oracle_gap_hoeffding,
-                             ("n_candidates", "m", "t_mix"), None),
-    "expectation_bernstein_over": (expectation_bound_bernstein,
-                                   ("n_candidates", "m", "a", "t_mix",
-                                    "gamma_ps", "side"), None),
-    "expectation_bernstein_under": (expectation_bound_bernstein,
-                                    ("n_candidates", "m", "a", "t_mix",
-                                     "gamma_ps", "side"), None),
+                             ("n_candidates", "m", "t_mix"), None, None),
+    "expectation_bernstein_over": (
+        partial(expectation_bound_bernstein, side="over"),
+        ("n_candidates", "m", "a", "t_mix", "gamma_ps"), None, None),
+    "expectation_bernstein_under": (
+        partial(expectation_bound_bernstein, side="under"),
+        ("n_candidates", "m", "a", "t_mix", "gamma_ps"), None, None),
     "noise_gap": (nc_gap_tail,
                   ("n_candidates", "m", "b", "epsilon", "theta", "gamma_ps",
-                   "t_mix", "tau_star"), "epsilon"),
+                   "t_mix", "tau_star"), "epsilon", _nc_shift),
     "noise": (nc_tail,
               ("n_candidates", "m", "epsilon", "theta", "gamma_ps", "t_mix",
-               "tau_star"), "epsilon"),
+               "tau_star"), "epsilon", None),
 }
 
 
 def evaluate_bound(bound_id: str, params: dict) -> BoundReport:
     """Evaluate a registered bound form from a parameter mapping.
 
-    The mapping must provide every required parameter (the implicit ``side``
-    of over/under forms and the n=m aliasing of the raw Bernstein forms are
-    filled in here); extra keys are ignored.
+    The mapping must provide every parameter the form names
+    (``centering_bound`` defaults to 1.0); extra keys are ignored.
     """
     if bound_id not in BOUND_FORMS:
         raise KeyMismatchError(f"unknown bound id {bound_id!r}")
-    func, names, _ = BOUND_FORMS[bound_id]
-    filled = dict(params)
-    if bound_id.endswith("_over"):
-        filled["side"] = "over"
-    elif bound_id.endswith("_under"):
-        filled["side"] = "under"
-    if bound_id in ("bernstein_raw", "bernstein_radius"):
-        filled.setdefault("centering_bound", 1.0)
-    missing = [k for k in names if k not in filled or filled[k] is None]
+    func, names = BOUND_FORMS[bound_id][:2]
+    filled = {"centering_bound": 1.0, **params}
+    missing = [k for k in names if filled.get(k) is None]
     if missing:
         raise KeyMismatchError(
             f"bound {bound_id!r} missing parameters {missing}")
-    args = [filled[k] for k in names]
-    return report(bound_id, func(*args),
-                  **{k: filled[k] for k in names if k != "side"})
+    inputs = {k: filled[k] for k in names}
+    raw = func(*inputs.values())
+    return BoundReport(bound_id=bound_id, raw=raw, clamped=min(raw, 1.0),
+                       vacuous=raw >= 1.0, inputs=inputs)

@@ -19,7 +19,6 @@ import json
 import logging
 import sys
 from dataclasses import asdict
-from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -73,8 +72,6 @@ def _jsonable(value):
         return int(value)
     if isinstance(value, (np.bool_,)):
         return bool(value)
-    if isinstance(value, Fraction):
-        return str(value)
     return value
 
 
@@ -144,9 +141,8 @@ def _mixing_fields(profile: MixingProfile,
     }
 
 
-def _diagnostics_payload(kernel: TransitionKernel, level: float,
-                         horizon: int) -> dict:
-    q = stationary_distribution(kernel)
+def _diagnostics_payload(kernel: TransitionKernel, q: np.ndarray,
+                         level: float, horizon: int) -> dict:
     profile = mixing_time(kernel, level=level, q=q, horizon=horizon)
     spectral = pseudo_spectral_gap(kernel, q)
     return {"states": kernel.size, "stationary": q,
@@ -163,11 +159,13 @@ def cmd_diagnose(cfg: dict, out_dir: Path, config_path: str) -> int:
             and "embedding_order" not in chain_obj):
         kernel = TransitionKernel(_field(
             chain_obj, "kernel", None, _float_array))
-        payload = _diagnostics_payload(kernel, level, horizon)
+        payload = _diagnostics_payload(
+            kernel, stationary_distribution(kernel), level, horizon)
         payload["embedded"] = False
     else:
         chain = build_chain(chain_obj)
-        payload = _diagnostics_payload(chain.kernel, level, horizon)
+        payload = _diagnostics_payload(chain.kernel, chain.stationary,
+                                       level, horizon)
         payload["embedded"] = True
         payload["embedding_order"] = chain.embedding_order
         payload["symbol_marginal"] = chain.symbol_marginal()
@@ -212,7 +210,7 @@ def cmd_bounds(cfg: dict, out_dir: Path, config_path: str) -> int:
         for bound_id in requested:
             if bound_id not in bnd.BOUND_FORMS:
                 raise ConfigError(f"unknown bound id {bound_id!r}")
-            grid_param = bnd.BOUND_FORMS[bound_id][2]
+            grid_param, shift = bnd.BOUND_FORMS[bound_id][2:]
             if grid_param == "epsilon":
                 grid = [("epsilon", e) for e in eps_grid]
             elif grid_param == "delta":
@@ -227,18 +225,13 @@ def cmd_bounds(cfg: dict, out_dir: Path, config_path: str) -> int:
                             f"bound {bound_id!r} needs a {name} grid")
                     p[name] = value
                 rep = bnd.evaluate_bound(bound_id, p)
-                shift = ""
-                if bound_id == "hoeffding_shifted":
-                    shift = bnd.gap_event_shift(int(p["m"]), int(p["b"]))
-                elif bound_id == "noise_gap":
-                    shift = bnd.nc_event_shift(int(p["m"]), int(p["b"]),
-                                               float(p["theta"]))
                 # m, b, t_mix and gamma_ps are echoed even for forms that
                 # do not take them; the other parameter columns show inputs
                 row = {**rep.inputs, "bound_id": bound_id,
                        "m": p.get("m"), "b": p.get("b"),
                        "t_mix": p.get("t_mix"), "gamma_ps": p.get("gamma_ps"),
-                       "shift": shift, "raw": rep.raw,
+                       "shift": None if shift is None else shift(p),
+                       "raw": rep.raw,
                        "clamped": rep.clamped, "vacuous": rep.vacuous}
                 rows.append([row.get(col) for col in _BOUNDS_COLUMNS])
     except HoldoutError:  # RangeError is also a ValueError: keep its message
@@ -323,12 +316,7 @@ def cmd_verify(cfg: dict, out_dir: Path, config_path: str,
                  noise_report.order, noise_report.n_tables,
                  "ok" if noise_report.passed else "FAIL")
 
-    chain_margin = None
-    if exp.chain.symbols == 2:
-        try:
-            chain_margin = bnd.margin(exp.chain)
-        except BinaryOnlyError:  # pragma: no cover
-            chain_margin = None
+    chain_margin = bnd.margin(exp.chain) if exp.chain.symbols == 2 else None
 
     all_passed = (verification.passed
                   and all(r.passed for r in oracle_reports)

@@ -213,7 +213,6 @@ def experiment_from_dict(d: dict, seed_override: int | None = None,
             gap_b=int(d.get("gap_b", 0)),
             a=float(d.get("a", 0.5)),
             theta=float(d.get("theta", 0.5)),
-            delta=float(d.get("delta", 0.05)),
             noise=noise,
             master_seed=int(seed),
             bound_scale=float(d.get("bound_scale", 1.0)),
@@ -272,7 +271,6 @@ def experiment_to_dict(config: ExperimentConfig) -> dict:
         "gap_b": config.gap_b,
         "a": config.a,
         "theta": config.theta,
-        "delta": config.delta,
         "noise": noise_to_dict(config.noise),
         "seed": config.master_seed,
         "bound_scale": config.bound_scale,

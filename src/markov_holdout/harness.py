@@ -98,7 +98,6 @@ class ExperimentConfig:
     gap_b: int = 0
     a: float = 0.5
     theta: float = 0.5
-    delta: float = 0.05
     noise: object | None = None
     master_seed: int = 0
     bound_scale: float = 1.0
@@ -133,8 +132,6 @@ class ExperimentConfig:
             raise RangeError("a must lie in (0, 1)")
         if not 0.0 < self.theta < 1.0:
             raise RangeError("theta must lie in (0, 1)")
-        if not 0.0 < self.delta < 1.0:
-            raise RangeError("delta must lie in (0, 1)")
         if self.bound_scale <= 0.0:
             raise RangeError("bound_scale must be positive")
         if self.threads < 1:
@@ -297,13 +294,16 @@ def event_table(run: RunResult) -> dict[str, EventSpec]:
     noise-condition tail.
     """
     cfg = run.config
+    params = _bound_params(run)
     rows = np.arange(run.replications)
     events: dict[str, EventSpec] = {}
 
-    def add(event_id, bound_id, stats, shift=0.0):
-        events[event_id] = EventSpec(event_id=event_id, bound_id=bound_id,
-                                     stats=np.asarray(stats, dtype=float),
-                                     shift=float(shift))
+    def add(event_id, bound_id, stats):
+        shift = bnd.BOUND_FORMS[bound_id][3]
+        events[event_id] = EventSpec(
+            event_id=event_id, bound_id=bound_id,
+            stats=np.asarray(stats, dtype=float),
+            shift=0.0 if shift is None else float(shift(params)))
 
     for k in range(cfg.n_candidates):
         dev = run.empirical[:, k] - run.exact[:, k]
@@ -315,14 +315,11 @@ def event_table(run: RunResult) -> dict[str, EventSpec]:
         if cfg.gap_b > 0:
             gap_dev = run.gap_empirical[:, k] - run.exact[:, k]
             add(f"gap_abs_dev[g{k}]", "hoeffding_gap", np.abs(gap_dev))
-            add(f"shifted_abs_dev[g{k}]", "hoeffding_shifted", np.abs(dev),
-                shift=cfg.gap_b / cfg.m)
+            add(f"shifted_abs_dev[g{k}]", "hoeffding_shifted", np.abs(dev))
             add(f"gap_scaled_over[g{k}]", "bernstein_gap_over",
-                run.empirical[:, k] / (1.0 + cfg.a) - run.exact[:, k],
-                shift=cfg.gap_b / cfg.m)
+                run.empirical[:, k] / (1.0 + cfg.a) - run.exact[:, k])
             add(f"gap_scaled_under[g{k}]", "bernstein_gap_under",
-                run.exact[:, k] - run.empirical[:, k] / (1.0 - cfg.a),
-                shift=cfg.gap_b / cfg.m)
+                run.exact[:, k] - run.empirical[:, k] / (1.0 - cfg.a))
 
     emp_hat = run.empirical[rows, run.k_hat]
     emp_tilde = run.empirical[rows, run.k_tilde]
@@ -334,8 +331,7 @@ def event_table(run: RunResult) -> dict[str, EventSpec]:
                        - (1.0 + cfg.theta) * (run.exact_tilde - run.bayes_risk))
         add("excess_vs_best", "noise", excess_stat)
         if cfg.gap_b > 0:
-            add("excess_vs_best_gap", "noise_gap", excess_stat,
-                shift=bnd.nc_event_shift(cfg.m, cfg.gap_b, cfg.theta))
+            add("excess_vs_best_gap", "noise_gap", excess_stat)
     return events
 
 
@@ -393,7 +389,6 @@ def _bound_params(run: RunResult) -> dict:
         "m": cfg.m, "b": cfg.gap_b, "t_mix": run.mixing.t_mix,
         "gamma_ps": run.spectral.gamma_ps, "a": cfg.a, "theta": cfg.theta,
         "n_candidates": cfg.n_candidates, "tau_star": run.tau_star,
-        "delta": cfg.delta,
     }
 
 

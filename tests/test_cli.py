@@ -6,11 +6,14 @@ pytest temporary directories.
 
 import csv
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from markov_holdout import event_table, run_replications
 from markov_holdout.cli import main
+from markov_holdout.config import experiment_from_dict
 
 TWO_STATE = {"chain": {"kernel": [[0.9, 0.1], [0.2, 0.8]]}}
 
@@ -368,6 +371,43 @@ def test_verify_small_run_passes(tmp_path):
     n_events = len({r["event_id"] for r in rows})
     assert len(rows) == n_events * 3
     assert all(r["verdict"] in ("dominated", "vacuous-bound") for r in rows)
+
+
+def test_verify_accepts_and_drops_delta(tmp_path):
+    # no verify event form reads delta: the key is ignored like any other
+    cfg = write_config(tmp_path, {**VERIFY_BASE, "delta": 0.1})
+    out = tmp_path / "out"
+    assert main(["verify", "--config", cfg, "--out", str(out),
+                 "--quiet"]) == 0
+    assert "delta" not in read_json(out, "report.json")["config"]
+    assert "delta" not in read_json(out, "manifest.json")["config"]
+
+
+def test_verify_event_shifts_match_bounds_shift_column(tmp_path):
+    # verify raises each event's threshold by the shift `bounds` prints for
+    # the event's form at the same m, b and theta; an empty cell means 0
+    exp = experiment_from_dict({**VERIFY_BASE, "gap_b": 12, "theta": 0.3,
+                                "noise": {"kind": "mammen-tsybakov"}})
+    run = run_replications(exp)
+    events = event_table(run).values()
+    cfg = write_config(tmp_path, {
+        "bounds": sorted({e.bound_id for e in events}),
+        "params": {"m": exp.m, "b": exp.gap_b, "theta": exp.theta,
+                   "a": exp.a, "n_candidates": exp.n_candidates,
+                   "t_mix": run.mixing.t_mix,
+                   "gamma_ps": run.spectral.gamma_ps,
+                   "tau_star": run.tau_star},
+        "epsilon_grid": [0.1]})
+    out = tmp_path / "out"
+    assert main(["bounds", "--config", cfg, "--out", str(out),
+                 "--quiet"]) == 0
+    printed = {r["bound_id"]: r["shift"] for r in read_csv(out, "bounds.csv")}
+    assert len(printed) == 10
+    assert sum(e.shift > 0.0 for e in events) == 3 * 2 + 1
+    for spec in events:
+        cell = printed[spec.bound_id]
+        assert spec.shift == (float(Fraction(cell)) if cell else 0.0), \
+            spec.event_id
 
 
 def test_verify_reports_oracle_checks_and_noise(tmp_path):

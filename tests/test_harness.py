@@ -5,6 +5,8 @@ Runs here are deliberately small (about a hundred replications) so the whole
 module stays fast; statistical power comes from the acceptance suite.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -23,6 +25,7 @@ from markov_holdout import (
     erm_fit,
     event_table,
     exact_risk,
+    holdout_select,
     markovize,
     mixing_time,
     noise_condition_check,
@@ -295,6 +298,45 @@ def test_event_table_contents(small_run):
     assert spec.stats.shape == (120,)
     assert spec.bound_id == "hoeffding"
     assert events["shifted_abs_dev[g0]"].shift == pytest.approx(10.0 / 150.0)
+
+
+@pytest.mark.parametrize("a", [0.1, 0.5, 0.9])
+def test_shifted_full_mean_event_implies_burn_in_event(small_run, a):
+    # With 0/1 losses and exact risks in [0, 1], the full-mean event at
+    # eps + b/m fires only when the burn-in event at eps does: this is what
+    # lets verify check the burn-in forms on the full-mean statistic.
+    m, b = small_run.config.m, small_run.config.gap_b
+    rng = np.random.default_rng(20260825)
+    segments = [(rng.random(m) < rng.random()).astype(int)
+                for _ in range(200)]
+    head = np.r_[np.zeros(b, int), np.ones(m - b, int)]
+    segments += [head, 1 - head]
+    risks = np.r_[0.0, 1.0, np.linspace(0.0, 1.0, 41)[1:-1], rng.random(20)]
+    losses = np.array([[0.0, 1.0]])          # state s loses s
+    full, gap = np.array([[holdout_select(losses, seg, burn)[1][0]
+                           for seg in segments]
+                          for burn in (0, b)]).repeat(len(risks), axis=1)
+    exact = np.tile(risks, len(segments))
+    run = replace(small_run, config=replace(small_run.config, orders=(0,),
+                                            a=a),
+                  empirical=full[:, None], gap_empirical=gap[:, None],
+                  exact=exact[:, None], k_hat=np.zeros(len(full), int),
+                  k_tilde=np.zeros(len(full), int))
+    on_full = event_table(run)
+    on_burn = event_table(replace(run, empirical=gap[:, None]))
+    pairs = [(on_full["shifted_abs_dev[g0]"], on_full["gap_abs_dev[g0]"]),
+             (on_full["gap_scaled_over[g0]"], on_burn["scaled_over[g0]"]),
+             (on_full["gap_scaled_under[g0]"], on_burn["scaled_under[g0]"])]
+    eps_grid = np.r_[np.linspace(0.0, 1.0, 201), rng.random(50)]
+    for shifted, burn_in in pairs:
+        assert shifted.shift == pytest.approx(b / m, rel=1e-15)
+        fired = 0
+        for eps in eps_grid:
+            full_event = shifted.stats > eps + shifted.shift
+            assert not np.any(full_event & ~(burn_in.stats > eps)), \
+                (shifted.event_id, eps)
+            fired += int(full_event.sum())
+        assert fired > 0, shifted.event_id
 
 
 def test_abs_dev_statistics_match_run_arrays(small_run):
