@@ -1,10 +1,18 @@
 """Exact diagnostics for finite-state Markov chains.
 
 A chain is a row-stochastic matrix over a finite state space.  Everything
-in this module is computed densely and exactly (up to float64 round-off):
-stationary law, total variation distance to stationarity, mixing profile
-and mixing time, time reversal, pseudo-spectral gap, and the embedding of
+in this module is computed exactly (up to float64 round-off): stationary
+law, total variation distance to stationarity, mixing profile and mixing
+time, time reversal, pseudo-spectral gap, and the embedding of
 higher-order chains as first-order chains on tuple states.
+
+A raw :class:`TransitionKernel` is handled densely, by S x S matrix
+powers.  For a :class:`MarkovizedChain` (an order-k chain embedded at
+order p), :func:`mixing_time` and :func:`pseudo_spectral_gap` work on the
+context quotient instead: row x of K^j depends on x only through its top
+max(k, p+1-j) symbols, so they keep one row of K^j per class of states
+and advance those rows by summing over the oldest symbol, with no S x S
+product.
 """
 
 from __future__ import annotations
@@ -204,10 +212,70 @@ class MixingProfile:
         return self.certificate_c * self.certificate_rho ** t
 
 
-def mixing_time(kernel: TransitionKernel, level: float = 0.25,
-                q: np.ndarray | None = None,
+def _law(kernel, q):
+    # the caller's Q, else the chain's own, else the solved one
+    if q is not None:
+        return q
+    if isinstance(kernel, MarkovizedChain):
+        return kernel.stationary
+    return stationary_distribution(kernel)
+
+
+def _append_step(chain: "MarkovizedChain", summed: np.ndarray) -> np.ndarray:
+    # rows P K from their oldest-symbol sums summed[:, u] = sum_a P[:, u*s + a]:
+    # the s predecessors u*s + a of column y*s^p + u all append y with
+    # weight conditional[u // s^(p-k), y]
+    s, k, p = chain.symbols, chain.base.order, chain.embedding_order
+    weights = chain.base.conditional[np.arange(s ** p) // s ** (p - k)].T
+    return (summed[:, None, :] * weights[None]).reshape(len(summed), -1)
+
+
+def _class_rows(chain: "MarkovizedChain", q: np.ndarray):
+    """Yield (C_j, W_j) for j = 1, 2, ...: the distinct rows of K^j.
+
+    Row x of K^j depends on x only through its top r_j = max(k, p+1-j)
+    symbols: the p+1-j it still keeps and the k that set the first draw.
+    C_j holds one row per class c = x // s^(p+1-r_j), taken at the
+    representative c * s^(p+1-r_j), and W_j the class masses of ``q``.
+    The representatives of step j+1 are every s^(r_j - r_{j+1})-th of
+    step j, and each step is one :func:`_append_step`: O(R_j * S) work.
+    """
+    s, k, p = chain.symbols, chain.base.order, chain.embedding_order
+    digits = p
+    # oldest-symbol sums of the rows c * s of K^0 = I, one per class of K
+    summed = np.eye(s ** p)
+    j = 1
+    while True:
+        rows = _append_step(chain, summed)
+        yield rows, q.reshape(len(rows), -1).sum(axis=1)
+        nxt = max(k, p - j)
+        summed = rows[::s ** (digits - nxt)].reshape(-1, s ** p, s).sum(axis=2)
+        digits = nxt
+        j += 1
+
+
+def _distances(kernel, q: np.ndarray):
+    # d(t) for t = 0, 1, ...: the worst start's TV distance to q
+    if isinstance(kernel, MarkovizedChain):
+        # row x of K^0 is the point mass at x
+        yield 0.5 * float(np.max((1.0 - q) + (q.sum() - q)))
+        for rows, _ in _class_rows(kernel, q):
+            yield 0.5 * np.abs(rows - q[None, :]).sum(axis=1).max()
+    else:
+        power = np.eye(kernel.size)
+        while True:
+            yield 0.5 * np.abs(power - q[None, :]).sum(axis=1).max()
+            power = power @ kernel.matrix
+
+
+def mixing_time(kernel: TransitionKernel | MarkovizedChain,
+                level: float = 0.25, q: np.ndarray | None = None,
                 horizon: int | None = None) -> MixingProfile:
     """Mixing profile up to max(t_mix, horizon) at threshold ``level``.
+
+    A raw kernel advances the dense power K^t; a :class:`MarkovizedChain`
+    takes d(t) as the maximum over the class rows of K^t (see
+    :func:`_class_rows`), which is the same maximum.
 
     Parameters
     ----------
@@ -223,16 +291,14 @@ def mixing_time(kernel: TransitionKernel, level: float = 0.25,
     """
     if not 0.0 < level < 1.0:
         raise RangeError("level must lie in (0, 1)")
-    if q is None:
-        q = stationary_distribution(kernel)
+    q = _law(kernel, q)
     cap = 10 * kernel.size ** 2
-    k = kernel.matrix
-    power = np.eye(kernel.size)
+    distances = _distances(kernel, q)
     d_values = []
     t_mix = None
     t = 0
     while True:
-        d = 0.5 * np.abs(power - q[None, :]).sum(axis=1).max()
+        d = next(distances)
         d_values.append(d)
         if t_mix is None and d <= level:
             t_mix = t
@@ -241,7 +307,6 @@ def mixing_time(kernel: TransitionKernel, level: float = 0.25,
         if t_mix is None and t >= cap:
             raise HorizonExceededError(
                 f"d(t) > {level} for all t <= {cap}")
-        power = power @ k
         t += 1
     # d(0) = 1 - min(Q) >= 1/2 for S >= 2, so t_mix >= 1 at any level <= 1/2;
     # guard anyway for exotic levels
@@ -250,7 +315,7 @@ def mixing_time(kernel: TransitionKernel, level: float = 0.25,
                          epsilon_level=level)
 
 
-def _check_stationary(kernel: TransitionKernel, q) -> np.ndarray:
+def _check_stationary(kernel, q) -> np.ndarray:
     # the checks that make K* well defined for a caller-supplied Q; row x of
     # K* sums to (QK)(x) / Q(x), which is 1 exactly when Q is stationary
     q = np.asarray(q, dtype=float)
@@ -260,7 +325,12 @@ def _check_stationary(kernel: TransitionKernel, q) -> np.ndarray:
         raise ZeroStationaryMassError(
             f"stationary mass <= {ZERO_MASS_TOL:.1e} at state "
             f"{int(np.argmin(q))}")
-    if np.any(np.abs((q @ kernel.matrix) / q - 1.0) > REVERSAL_ROW_SUM_TOL):
+    if isinstance(kernel, MarkovizedChain):
+        summed = q.reshape(1, -1, kernel.symbols).sum(axis=2)
+        qk = _append_step(kernel, summed)[0]
+    else:
+        qk = q @ kernel.matrix
+    if np.any(np.abs(qk / q - 1.0) > REVERSAL_ROW_SUM_TOL):
         raise NumericalFailureError("reversed rows do not sum to 1")
     return q
 
@@ -302,17 +372,42 @@ class SpectralDiagnostics:
     k_stop: int
 
 
-def pseudo_spectral_gap(kernel: TransitionKernel,
+def _gram_matrices(kernel, q: np.ndarray):
+    """Yield, for k = 1, 2, ..., a symmetric PSD matrix G_k whose nonzero
+    eigenvalues are those of (M^k)^T M^k, M = D K D^{-1}, D = diag(sqrt(Q)).
+
+    A raw kernel gives (M^k)^T M^k itself.  A :class:`MarkovizedChain`
+    gives the R_k x R_k matrix W^(1/2) C diag(1/Q) C^T W^(1/2) of its class
+    rows C and class masses W: with E the S x R_k class indicator,
+    K^k = E C and E^T D^2 E = W, so (M^k)^T M^k = B^T B with
+    B = W^(1/2) C D^{-1}, and B B^T is the matrix above.  It is formed as
+    H (H diag(1/Q))^T with H = W^(1/2) C.
+    """
+    if isinstance(kernel, MarkovizedChain):
+        for rows, masses in _class_rows(kernel, q):
+            h = np.sqrt(masses)[:, None] * rows
+            yield h @ (h / q[None, :]).T
+    else:
+        sqrt_q = np.sqrt(q)
+        m_mat = sqrt_q[:, None] * kernel.matrix / sqrt_q[None, :]
+        power = np.eye(kernel.size)
+        while True:
+            power = power @ m_mat
+            yield power.T @ power
+
+
+def pseudo_spectral_gap(kernel: TransitionKernel | MarkovizedChain,
                         q: np.ndarray | None = None) -> SpectralDiagnostics:
     """Pseudo-spectral gap gamma_ps = max_k gamma((K*)^k K^k) / k.
 
     With D = diag(sqrt(Q)) and M = D K D^{-1}, the reversiblization
     satisfies D (K*)^k K^k D^{-1} = (M^k)^T M^k, which is symmetric by
-    construction, so each k takes one product to advance M^k, one to form
-    (M^k)^T M^k, and a symmetric eigensolver.  Early k can give gamma_k = 0
-    (a repeated eigenvalue 1 at small k happens for embedded higher-order
-    chains); the stop rule k >= 1/max only engages once the running max is
-    positive.
+    construction.  Each k takes lambda_2 from a symmetric eigensolver on
+    :func:`_gram_matrices`: the dense (M^k)^T M^k for a raw kernel, or its
+    class-row form for a :class:`MarkovizedChain`, whose other eigenvalues
+    are 0.  Early k can give gamma_k = 0 (a repeated eigenvalue 1 at small
+    k happens for embedded higher-order chains); the stop rule k >= 1/max
+    only engages once the running max is positive.
 
     Raises
     ------
@@ -326,20 +421,15 @@ def pseudo_spectral_gap(kernel: TransitionKernel,
     """
     if kernel.size < 2:
         raise DimensionMismatchError("need at least 2 states for a spectral gap")
-    if q is None:
-        q = stationary_distribution(kernel)
-    sqrt_q = np.sqrt(_check_stationary(kernel, q))
-    m_mat = sqrt_q[:, None] * kernel.matrix / sqrt_q[None, :]
-    power = np.eye(kernel.size)
+    grams = _gram_matrices(kernel, _check_stationary(kernel, _law(kernel, q)))
     gammas = []
     best = 0.0
     best_k = 0
     k = 0
     while k < GAP_K_CAP:
         k += 1
-        power = power @ m_mat
         try:
-            eigenvalues = np.linalg.eigvalsh(power.T @ power)
+            eigenvalues = np.linalg.eigvalsh(next(grams))
         except np.linalg.LinAlgError as exc:
             raise EigensolverFailureError(str(exc)) from exc
         lam2 = eigenvalues[-2]
@@ -432,6 +522,11 @@ class MarkovizedChain:
     @property
     def symbols(self) -> int:
         return self.base.symbols
+
+    @property
+    def size(self) -> int:
+        """State count, as :attr:`TransitionKernel.size`."""
+        return self.n_states
 
     def decode(self, label: int) -> tuple[int, ...]:
         """Composite label -> (Y_t, Y_{t-1}, ..., Y_{t-p})."""

@@ -26,6 +26,7 @@ import numpy as np
 from . import __version__
 from . import bounds as bnd
 from .chains import (
+    MarkovizedChain,
     MixingProfile,
     SpectralDiagnostics,
     TransitionKernel,
@@ -141,8 +142,8 @@ def _mixing_fields(profile: MixingProfile,
     }
 
 
-def _diagnostics_payload(kernel: TransitionKernel, q: np.ndarray,
-                         level: float, horizon: int) -> dict:
+def _diagnostics_payload(kernel: TransitionKernel | MarkovizedChain,
+                         q: np.ndarray, level: float, horizon: int) -> dict:
     profile = mixing_time(kernel, level=level, q=q, horizon=horizon)
     spectral = pseudo_spectral_gap(kernel, q)
     return {"states": kernel.size, "stationary": q,
@@ -164,8 +165,8 @@ def cmd_diagnose(cfg: dict, out_dir: Path, config_path: str) -> int:
         payload["embedded"] = False
     else:
         chain = build_chain(chain_obj)
-        payload = _diagnostics_payload(chain.kernel, chain.stationary,
-                                       level, horizon)
+        payload = _diagnostics_payload(chain, chain.stationary, level,
+                                       horizon)
         payload["embedded"] = True
         payload["embedding_order"] = chain.embedding_order
         payload["symbol_marginal"] = chain.symbol_marginal()
@@ -192,8 +193,8 @@ def cmd_bounds(cfg: dict, out_dir: Path, config_path: str) -> int:
     chain = None
     if "chain" in cfg:
         chain = build_chain(cfg["chain"])
-        profile = mixing_time(chain.kernel, q=chain.stationary)
-        spectral = pseudo_spectral_gap(chain.kernel, chain.stationary)
+        profile = mixing_time(chain, q=chain.stationary)
+        spectral = pseudo_spectral_gap(chain, chain.stationary)
         params.setdefault("t_mix", profile.t_mix)
         params.setdefault("gamma_ps", spectral.gamma_ps)
     noise = parse_noise(cfg.get("noise"), chain)

@@ -235,8 +235,8 @@ def run_replications(config: ExperimentConfig) -> RunResult:
     select through :func:`holdout_select` and :func:`oracle_select`.
     """
     chain = config.chain
-    mixing = mixing_time(chain.kernel, q=chain.stationary)
-    spectral = pseudo_spectral_gap(chain.kernel, chain.stationary)
+    mixing = mixing_time(chain, q=chain.stationary)
+    spectral = pseudo_spectral_gap(chain, chain.stationary)
     if spectral.gamma_ps < 1.0 / (2.0 * mixing.t_mix) - 1e-12:
         raise NumericalFailureError(
             f"gamma_ps {spectral.gamma_ps} below 1/(2 t_mix) "
@@ -508,7 +508,7 @@ def coupling_check(chain: MarkovizedChain, predictor: PredictorTable,
     if b_max < 0:
         raise RangeError("b_max must be >= 0")
     if profile is None:
-        profile = mixing_time(chain.kernel, q=chain.stationary)
+        profile = mixing_time(chain, q=chain.stationary)
     t_mix = profile.t_mix
     ell = state_losses(predictor, chain, loss)
     stationary_risk = float(chain.stationary @ ell)

@@ -191,7 +191,12 @@ def conditional_risk(predictor: PredictorTable, chain: MarkovizedChain,
 
 def disagreement_variance(g: PredictorTable, g_star: PredictorTable,
                           chain: MarkovizedChain) -> float:
-    """Variance D(1-D) of the disagreement indicator under the tuple law."""
+    """Variance D(1-D) of the disagreement indicator under the tuple law.
+
+    D is a probability, clamped to [0, 1]: a stationary law that sums to
+    1 + 1 ulp would otherwise give D > 1 and a negative variance.
+    """
     d = float(chain.stationary @ (g.predictions(chain) !=
                                   g_star.predictions(chain)))
+    d = min(max(d, 0.0), 1.0)
     return d * (1.0 - d)

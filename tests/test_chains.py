@@ -313,6 +313,67 @@ def test_gap_never_exceeds_one_over_k():
 
 
 # ---------------------------------------------------------------------------
+# diagnostics of markovized chains on the context quotient
+
+
+@pytest.mark.parametrize("symbols,order", [(2, 1), (2, 2), (3, 1), (3, 2)])
+def test_quotient_diagnostics_match_dense_path(symbols, order):
+    # the quotient path (chain) against the dense path (chain.kernel) on
+    # seeded random strictly positive chains embedded at p = k .. k+3,
+    # three per p where the state space is small
+    rng = np.random.default_rng(1000 * symbols + order)
+    for p in range(order, order + 4):
+        if symbols ** (p + 1) > 1024:
+            continue
+        for _ in range(3 if symbols ** (p + 1) <= 64 else 1):
+            spec = HigherOrderChainSpec(symbols, order, rng.dirichlet(
+                np.ones(symbols), size=symbols ** order))
+            chain = markovize(spec, p)
+            q = chain.stationary
+            try:
+                dense = pseudo_spectral_gap(chain.kernel, q)
+            except NumericalFailureError:
+                # the solved Q can fail the 1e-10 reversed-row rule at a
+                # state of tiny mass; the quotient path applies that rule too
+                with pytest.raises(NumericalFailureError):
+                    pseudo_spectral_gap(chain, q)
+                continue
+            quotient = pseudo_spectral_gap(chain, q)
+            assert quotient.k_stop == dense.k_stop
+            assert quotient.argmax_k == dense.argmax_k
+            assert quotient.gammas == pytest.approx(dense.gammas, rel=0,
+                                                    abs=1e-12)
+            dense_mix = mixing_time(chain.kernel, q=q)
+            horizon = dense_mix.t_mix + 2 * p + 3
+            dense_d = mixing_time(chain.kernel, q=q, horizon=horizon).d_values
+            quotient_mix = mixing_time(chain)
+            quotient_d = mixing_time(chain, horizon=horizon)
+            assert quotient_mix.t_mix == quotient_d.t_mix == dense_mix.t_mix
+            assert len(quotient_d.d_values) == len(dense_d) == horizon + 1
+            assert quotient_d.d_values == pytest.approx(dense_d, rel=0,
+                                                        abs=1e-15)
+
+
+def test_quotient_path_rejects_bad_stationary_law(order2_chain):
+    uniform = np.full(order2_chain.size, 1.0 / order2_chain.size)
+    with pytest.raises(NumericalFailureError):
+        pseudo_spectral_gap(order2_chain, uniform)
+    with pytest.raises(NumericalFailureError):
+        pseudo_spectral_gap(order2_chain.kernel, uniform)
+    zero = order2_chain.stationary.copy()
+    zero[3] = 0.0
+    with pytest.raises(ZeroStationaryMassError):
+        pseudo_spectral_gap(order2_chain, zero)
+    with pytest.raises(DimensionMismatchError):
+        pseudo_spectral_gap(order2_chain, np.full(4, 0.25))
+
+
+def test_markovized_chain_answers_size(order2_spec):
+    chain = markovize(order2_spec, 3)
+    assert chain.size == chain.kernel.size == chain.n_states == 16
+
+
+# ---------------------------------------------------------------------------
 # higher-order specs and markovization
 
 

@@ -7,6 +7,7 @@ pytest temporary directories.
 import csv
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +15,8 @@ import pytest
 from markov_holdout import event_table, run_replications
 from markov_holdout.cli import main
 from markov_holdout.config import experiment_from_dict
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 TWO_STATE = {"chain": {"kernel": [[0.9, 0.1], [0.2, 0.8]]}}
 
@@ -373,6 +376,25 @@ def test_verify_small_run_passes(tmp_path):
     assert all(r["verdict"] in ("dominated", "vacuous-bound") for r in rows)
 
 
+def test_diagnose_and_verify_report_the_same_diagnostics(tmp_path):
+    # both commands take the embedded chain's diagnostics from one path
+    chain = json.loads((CONFIGS / "order2_binary.json").read_text())["chain"]
+    diag_out, verify_out = tmp_path / "diag", tmp_path / "verify"
+    assert main(["diagnose", "--config", str(CONFIGS / "order2_binary.json"),
+                 "--out", str(diag_out), "--quiet"]) == 0
+    cfg = write_config(tmp_path, {**VERIFY_BASE, "chain": chain,
+                                  "orders": [0, 2], "replications": 100})
+    assert main(["verify", "--config", cfg, "--out", str(verify_out),
+                 "--quiet"]) in (0, 1)
+    diag = read_json(diag_out, "diagnostics.json")
+    verify = read_json(verify_out, "report.json")["diagnostics"]
+    for key in ("gammas", "gamma_ps", "argmax_k", "k_stop", "t_mix"):
+        assert verify[key] == diag[key], key
+    # verify stops the profile at t_mix, diagnose runs on to its horizon
+    assert len(diag["d_values"]) == 51
+    assert verify["d_values"] == diag["d_values"][:len(verify["d_values"])]
+
+
 def test_verify_accepts_and_drops_delta(tmp_path):
     # no verify event form reads delta: the key is ignored like any other
     cfg = write_config(tmp_path, {**VERIFY_BASE, "delta": 0.1})
@@ -522,6 +544,23 @@ def test_noise_subcommand(tmp_path):
     assert taus[100] == pytest.approx(1 / 60, rel=1e-12)
     assert taus[400] == pytest.approx(1 / 240, rel=1e-12)
     assert payload["condition_check"]["passed"] is True
+
+
+def test_noise_check_survives_stationary_law_past_one(tmp_path):
+    # the tuple law of this chain sums to 1 + 1 ulp, so a table that
+    # disagrees with the Bayes predictor everywhere has D = 1 + 1 ulp and
+    # D(1 - D) < 0; the square root raised a math domain error
+    cfg = write_config(tmp_path, {
+        "chain": {"symbols": 2, "order": 1, "embedding_order": 1,
+                  "conditional": [[0.7692440247430239, 0.23075597525697616],
+                                  [0.7167588402855686, 0.2832411597144315]]},
+        "noise_check_order": 1})
+    out = tmp_path / "out"
+    assert main(["noise", "--config", cfg, "--out", str(out),
+                 "--quiet"]) == 0
+    check = read_json(out, "noise.json")["condition_check"]
+    assert check["n_tables"] == 4
+    assert check["passed"] is True
 
 
 def test_noise_zero_margin_chain(tmp_path):
