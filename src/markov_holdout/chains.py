@@ -7,9 +7,10 @@ time, time reversal, pseudo-spectral gap, and the embedding of
 higher-order chains as first-order chains on tuple states.
 
 A raw :class:`TransitionKernel` is handled densely, by S x S matrix
-powers.  For a :class:`MarkovizedChain` (an order-k chain embedded at
-order p), :func:`mixing_time` and :func:`pseudo_spectral_gap` work on the
-context quotient instead: row x of K^j depends on x only through its top
+powers.  A :class:`MarkovizedChain` (an order-k chain embedded at order
+p) is solved on its (k+1)-tuple chain and builds no dense kernel unless
+asked; :func:`mixing_time` and :func:`pseudo_spectral_gap` work on its
+context quotient: row x of K^j depends on x only through its top
 max(k, p+1-j) symbols, so they keep one row of K^j per class of states
 and advance those rows by summing over the oldest symbol, with no S x S
 product.
@@ -19,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -221,12 +223,12 @@ def _law(kernel, q):
     return stationary_distribution(kernel)
 
 
-def _append_step(chain: "MarkovizedChain", summed: np.ndarray) -> np.ndarray:
-    # rows P K from their oldest-symbol sums summed[:, u] = sum_a P[:, u*s + a]:
-    # the s predecessors u*s + a of column y*s^p + u all append y with
-    # weight conditional[u // s^(p-k), y]
-    s, k, p = chain.symbols, chain.base.order, chain.embedding_order
-    weights = chain.base.conditional[np.arange(s ** p) // s ** (p - k)].T
+def _append_step(base: HigherOrderChainSpec, p: int, summed: np.ndarray):
+    # rows P K of the (p+1)-tuple chain from their oldest-symbol sums
+    # summed[:, u] = sum_a P[:, u*s + a]: the s predecessors u*s + a of
+    # column y*s^p + u all append y with weight conditional[u // s^(p-k), y]
+    s, k = base.symbols, base.order
+    weights = base.conditional[np.arange(s ** p) // s ** (p - k)].T
     return (summed[:, None, :] * weights[None]).reshape(len(summed), -1)
 
 
@@ -246,7 +248,7 @@ def _class_rows(chain: "MarkovizedChain", q: np.ndarray):
     summed = np.eye(s ** p)
     j = 1
     while True:
-        rows = _append_step(chain, summed)
+        rows = _append_step(chain.base, p, summed)
         yield rows, q.reshape(len(rows), -1).sum(axis=1)
         nxt = max(k, p - j)
         summed = rows[::s ** (digits - nxt)].reshape(-1, s ** p, s).sum(axis=2)
@@ -327,7 +329,7 @@ def _check_stationary(kernel, q) -> np.ndarray:
             f"{int(np.argmin(q))}")
     if isinstance(kernel, MarkovizedChain):
         summed = q.reshape(1, -1, kernel.symbols).sum(axis=2)
-        qk = _append_step(kernel, summed)[0]
+        qk = _append_step(kernel.base, kernel.embedding_order, summed)[0]
     else:
         qk = q @ kernel.matrix
     if np.any(np.abs(qk / q - 1.0) > REVERSAL_ROW_SUM_TOL):
@@ -506,18 +508,21 @@ class MarkovizedChain:
     """
 
     def __init__(self, base: HigherOrderChainSpec, embedding_order: int,
-                 kernel: TransitionKernel, stationary: np.ndarray):
+                 stationary: np.ndarray):
         self.base = base
         self.embedding_order = embedding_order
-        self.kernel = kernel
         self.stationary = stationary
         s = base.symbols
         p = embedding_order
-        n = kernel.size
-        self.n_states = n
+        self.n_states = n = s ** (p + 1)
         xs = np.arange(n)
         self.targets = xs // s ** p
         self.feature_index = xs % s ** p
+
+    @cached_property
+    def kernel(self) -> TransitionKernel:
+        """Dense S x S kernel, built on first access only."""
+        return _tuple_kernel(self.base, self.embedding_order, False)
 
     @property
     def symbols(self) -> int:
@@ -565,9 +570,27 @@ class MarkovizedChain:
         return out
 
 
+def _tuple_kernel(base: HigherOrderChainSpec, p: int,
+                  require_primitive: bool) -> TransitionKernel:
+    # (p+1)-tuple chain: x -> y*s^p + x // s, weight cond[x // s^(p+1-k), y]
+    s = base.symbols
+    xs = np.arange(s ** (p + 1))
+    matrix = np.zeros((len(xs), len(xs)))
+    for y in range(s):
+        matrix[xs, y * s ** p + xs // s] = base.conditional[
+            xs // s ** (p + 1 - base.order), y]
+    return TransitionKernel(matrix, require_primitive=require_primitive)
+
+
 def markovize(base: HigherOrderChainSpec, embedding_order: int,
               require_primitive: bool = True) -> MarkovizedChain:
     """Embed an order-k chain as a first-order chain on (p+1)-tuples.
+
+    Only the s^(k+1)-state (k+1)-tuple chain is checked for primitivity
+    (equivalent for p >= k: both hold exactly when ``conditional > 0``)
+    and solved; the append rule Q_(j+1)(y*s^j + u) = Q_j(u) *
+    conditional[u // s^(j-k), y] extends its law to (p+1)-tuples.  The
+    S x S kernel is built lazily, by :attr:`MarkovizedChain.kernel`.
 
     Parameters
     ----------
@@ -595,17 +618,13 @@ def markovize(base: HigherOrderChainSpec, embedding_order: int,
     if n > MARKOVIZE_STATE_CAP:
         raise SizeOverflowError(
             f"composite space needs {n} states, cap is {MARKOVIZE_STATE_CAP}")
-    xs = np.arange(n)
-    shifted = xs // s
-    ctx = xs // s ** (p + 1 - k)
-    matrix = np.zeros((n, n))
-    for y in range(s):
-        matrix[xs, y * s ** p + shifted] = base.conditional[ctx, y]
-    kernel = TransitionKernel(matrix, require_primitive=require_primitive)
+    kernel = _tuple_kernel(base, k, require_primitive)
     if kernel.primitive:
         stationary = stationary_distribution(kernel)
+        for j in range(k + 1, p + 1):
+            stationary = _append_step(base, j, stationary[None])[0]
     else:
         # no unique stationary law; use a uniform placeholder so sampling
         # from explicit starts still works
         stationary = np.full(n, 1.0 / n)
-    return MarkovizedChain(base, p, kernel, stationary)
+    return MarkovizedChain(base, p, stationary)

@@ -38,8 +38,8 @@ from .config import (
     ENV_SEED,
     _field,
     _float_array,
+    _int,
     _int_list,
-    _optional_int,
     _resolve_env_int,
     build_chain,
     experiment_from_dict,
@@ -387,7 +387,7 @@ def cmd_noise(cfg: dict, out_dir: Path, config_path: str) -> int:
     if noise is not None:
         tau_table = [{"m": m, "tau_star": noise.tau_star(m)} for m in m_grid]
     check = None
-    order = _optional_int(cfg.get("noise_check_order"), "noise_check_order")
+    order = _int(cfg.get("noise_check_order"), "noise_check_order", null=True)
     if order is not None:
         check = asdict(noise_condition_check(chain, order, noise=noise))
     payload = {"margin": h, "zero_margin": zero_margin,

@@ -53,10 +53,10 @@ def _int_list(value, key: str) -> tuple[int, ...]:
     return tuple(value)
 
 
-def _optional_int(value, key: str) -> int | None:
+def _int(value, key: str, null: bool = False) -> int | None:
     # type(), not isinstance: JSON false must not read as 0
-    if value is not None and type(value) is not int:
-        raise ConfigError(f"{key!r} must be an integer or null")
+    if type(value) is not int and not (null and value is None):
+        raise ConfigError(f"{key!r} must be an integer{' or null' * null}")
     return value
 
 
@@ -83,8 +83,8 @@ def parse_base_chain(obj: dict) -> tuple[HigherOrderChainSpec, int]:
         if "kernel" in obj:
             base = HigherOrderChainSpec.from_kernel(obj["kernel"])
         else:
-            symbols = int(obj["symbols"])
-            order = int(obj["order"])
+            symbols = _int(obj["symbols"], "symbols")
+            order = _int(obj["order"], "order")
             cond = obj["conditional"]
             if isinstance(cond, dict):
                 rows = np.zeros((symbols ** order, symbols))
@@ -102,7 +102,7 @@ def parse_base_chain(obj: dict) -> tuple[HigherOrderChainSpec, int]:
                                         conditional=np.asarray(cond, dtype=float))
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad chain spec: {exc}") from exc
-    embedding = int(obj.get("embedding_order", base.order))
+    embedding = _int(obj.get("embedding_order", base.order), "embedding_order")
     return base, embedding
 
 
@@ -218,8 +218,8 @@ def experiment_from_dict(d: dict, seed_override: int | None = None,
             bound_scale=float(d.get("bound_scale", 1.0)),
             threads=int(threads),
             coupling_b_max=int(d.get("coupling_b_max", 20)),
-            noise_check_order=_optional_int(d.get("noise_check_order"),
-                                            "noise_check_order"),
+            noise_check_order=_int(d.get("noise_check_order"),
+                                   "noise_check_order", null=True),
             run_oracle_checks=oracle_checks,
         )
     except KeyError as exc:

@@ -28,7 +28,11 @@ from markov_holdout import (
     time_reversal,
     total_variation,
 )
-from markov_holdout.chains import _stationary_by_power_iteration, is_primitive
+from markov_holdout.chains import (
+    _check_stationary,
+    _stationary_by_power_iteration,
+    is_primitive,
+)
 
 from conftest import random_primitive_binary_kernel
 
@@ -330,14 +334,7 @@ def test_quotient_diagnostics_match_dense_path(symbols, order):
                 np.ones(symbols), size=symbols ** order))
             chain = markovize(spec, p)
             q = chain.stationary
-            try:
-                dense = pseudo_spectral_gap(chain.kernel, q)
-            except NumericalFailureError:
-                # the solved Q can fail the 1e-10 reversed-row rule at a
-                # state of tiny mass; the quotient path applies that rule too
-                with pytest.raises(NumericalFailureError):
-                    pseudo_spectral_gap(chain, q)
-                continue
+            dense = pseudo_spectral_gap(chain.kernel, q)
             quotient = pseudo_spectral_gap(chain, q)
             assert quotient.k_stop == dense.k_stop
             assert quotient.argmax_k == dense.argmax_k
@@ -468,11 +465,34 @@ def test_context_index_views(order2_chain):
         order2_chain.context_index(3)
 
 
+@pytest.mark.parametrize("symbols,order", [(2, 1), (2, 2), (3, 1), (3, 2)])
+def test_markovize_stationary_law_extends_the_tuple_chain(symbols, order):
+    # Q built by the append rule from the (k+1)-tuple chain against the
+    # solve and power iteration on the dense (p+1)-tuple kernel
+    rng = np.random.default_rng(2000 * symbols + order)
+    for p in range(order, order + 4):
+        if symbols ** (p + 1) > 1024:
+            continue
+        spec = HigherOrderChainSpec(symbols, order, rng.dirichlet(
+            np.ones(symbols), size=symbols ** order))
+        chain = markovize(spec, p)
+        q = chain.stationary
+        assert is_primitive(chain.kernel.matrix)
+        assert np.abs(q - stationary_distribution(chain.kernel)).sum() <= 1e-12
+        oracle = _stationary_by_power_iteration(chain.kernel.matrix)
+        assert np.abs(q - oracle).sum() <= 1e-12
+        _check_stationary(chain, q)  # raises on a failed reversed-row rule
+
+
 def test_markovize_structural_zeros_need_escape_hatch():
-    # deterministic base symbols make many composite pairs unreachable
-    spec = HigherOrderChainSpec(
-        2, 1, np.array([[0.0, 1.0], [1.0, 0.0]]))
-    with pytest.raises(NonPrimitiveError):
-        markovize(spec, 1)
-    chain = markovize(spec, 1, require_primitive=False)
-    assert chain.n_states == 4
+    for order, conditional, p in [
+            # deterministic base symbols make many composite pairs unreachable
+            (1, [[0.0, 1.0], [1.0, 0.0]], 1),
+            # one zero conditional leaves tuple columns with no mass at p = k+1
+            (2, [[0.9, 0.1], [0.0, 1.0], [0.4, 0.6], [0.2, 0.8]], 3)]:
+        spec = HigherOrderChainSpec(2, order, np.array(conditional))
+        with pytest.raises(NonPrimitiveError):
+            markovize(spec, p)
+        chain = markovize(spec, p, require_primitive=False)
+        assert chain.n_states == 2 ** (p + 1)
+        assert not is_primitive(chain.kernel.matrix)

@@ -12,9 +12,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from markov_holdout import event_table, run_replications
+from markov_holdout import event_table, pseudo_spectral_gap, run_replications
 from markov_holdout.cli import main
-from markov_holdout.config import experiment_from_dict
+from markov_holdout.config import build_chain, experiment_from_dict
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -97,6 +97,21 @@ def test_diagnose_higher_order_spec(tmp_path):
     assert payload["t_mix"] == 6
 
 
+def test_diagnose_accepts_solved_law_with_small_mass_states(tmp_path):
+    # S = 81, smallest conditional 0.0127: a Q solved on all 81 states
+    # failed the 1e-10 reversed-row rule at its small-mass states
+    kernel = np.random.default_rng(9).dirichlet(np.ones(3), size=3)
+    cfg = write_config(tmp_path, {"chain": {"kernel": kernel.tolist(),
+                                            "embedding_order": 3}})
+    out = tmp_path / "out"
+    assert main(["diagnose", "--config", cfg, "--out", str(out),
+                 "--quiet"]) == 0
+    chain = build_chain({"kernel": kernel.tolist(), "embedding_order": 3})
+    dense = pseudo_spectral_gap(chain.kernel, chain.stationary)
+    assert read_json(out, "diagnostics.json")["gamma_ps"] == pytest.approx(
+        dense.gamma_ps, rel=0, abs=1e-12)
+
+
 def test_diagnose_rejects_bad_kernel(tmp_path, capsys):
     cfg = write_config(tmp_path, {"chain": {"kernel": [[0.9, 0.3],
                                                        [0.2, 0.8]]}})
@@ -143,6 +158,11 @@ def test_malformed_json(tmp_path, capsys):
     ("noise", {**TWO_STATE, "noise_check_order": False}),
     ("verify", {**VERIFY_BASE, "oracle_checks": "false"}),
     ("verify", {**VERIFY_BASE, "noise_check_order": False}),
+    ("diagnose", {"chain": {**TWO_STATE["chain"], "embedding_order": "x"}}),
+    ("diagnose", {"chain": {**TWO_STATE["chain"], "embedding_order": None}}),
+    ("diagnose", {"chain": {**TWO_STATE["chain"], "embedding_order": 1.7}}),
+    ("diagnose", {"chain": {"symbols": 2, "order": 1.9,
+                            "conditional": [[0.9, 0.1], [0.2, 0.8]]}}),
 ])
 def test_malformed_config_values_exit_two(tmp_path, capsys, command, payload):
     cfg = write_config(tmp_path, payload)

@@ -5,7 +5,10 @@ Runs here are deliberately small (about a hundred replications) so the whole
 module stays fast; statistical power comes from the acceptance suite.
 """
 
+import json
+import pickle
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -35,8 +38,11 @@ from markov_holdout import (
     verify_bounds,
     wilson_upper,
 )
+from markov_holdout.config import experiment_from_dict
 from markov_holdout.errors import UnknownEventError
 from markov_holdout.harness import WILSON_Z_99
+
+WORKLOADS = Path(__file__).resolve().parent.parent / "benchmarks" / "workloads"
 
 
 # ---------------------------------------------------------------------------
@@ -480,16 +486,38 @@ def test_coupling_check_iid_deviation_is_zero(iid_chain, zero_one_loss):
         assert lhs < 1e-14
 
 
-def test_coupling_check_worst_start_is_exact(two_state_chain, zero_one_loss):
+def test_coupling_check_worst_start_is_exact(two_state_chain, order2_spec,
+                                             zero_one_loss):
+    # class rows against the dense matrix power of conditional_risk, on
+    # chains embedded at p = k, at p = k + 1 and on three symbols
     from markov_holdout import conditional_risk
-    g = bayes_predictor(two_state_chain, zero_one_loss)
-    stationary = exact_risk(g, two_state_chain, zero_one_loss)
-    report = coupling_check(two_state_chain, g, zero_one_loss, b_max=6)
-    for b, lhs, _ in report.entries:
-        manual = max(abs(conditional_risk(g, two_state_chain, x, b,
-                                          zero_one_loss) - stationary)
-                     for x in range(4))
-        assert lhs == pytest.approx(manual, abs=1e-15)
+    three = HigherOrderChainSpec.from_kernel(
+        np.random.default_rng(3).dirichlet(np.ones(3), size=3))
+    for chain, loss in [(two_state_chain, zero_one_loss),
+                        (markovize(order2_spec, 3), zero_one_loss),
+                        (markovize(three, 2), LossSpec.misclassification(3))]:
+        g = bayes_predictor(chain, loss)
+        stationary = exact_risk(g, chain, loss)
+        report = coupling_check(chain, g, loss, b_max=6)
+        assert len(report.entries) == 7
+        for b, lhs, _ in report.entries:
+            manual = max(abs(conditional_risk(g, chain, x, b, loss)
+                             - stationary) for x in range(chain.n_states))
+            assert lhs == pytest.approx(manual, abs=1e-15)
+
+
+def test_verify_path_never_builds_the_dense_kernel(order2_spec,
+                                                   zero_one_loss):
+    chain = markovize(order2_spec, 3)
+    run_replications(_config(chain, orders=(0, 1, 3)))
+    coupling_check(chain, bayes_predictor(chain, zero_one_loss),
+                   zero_one_loss)
+    assert "kernel" not in vars(chain)
+    # so a pool job ships the conditional table and Q, not an S x S matrix
+    with open(WORKLOADS / "verify-cond-s1024.json") as fh:
+        config = experiment_from_dict(json.load(fh))
+    assert config.chain.n_states == 1024
+    assert len(pickle.dumps(config)) < 100_000
 
 
 # ---------------------------------------------------------------------------
