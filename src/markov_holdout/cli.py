@@ -35,17 +35,13 @@ from .chains import (
     stationary_distribution,
 )
 from .config import (
-    ENV_SEED,
-    _field,
-    _float_array,
-    _int,
-    _int_list,
-    _resolve_env_int,
     build_chain,
     experiment_from_dict,
     experiment_to_dict,
     parse_epsilon_grid,
     parse_noise,
+    read,
+    run_setting,
 )
 from .errors import BinaryOnlyError, ConfigError, HoldoutError
 from .harness import (
@@ -151,15 +147,11 @@ def _diagnostics_payload(kernel: TransitionKernel | MarkovizedChain,
 
 
 def cmd_diagnose(cfg: dict, out_dir: Path, config_path: str) -> int:
-    chain_obj = cfg.get("chain")
-    if chain_obj is None:
-        raise ConfigError("config needs a 'chain'")
-    level = _field(cfg, "level", 0.25, float)
-    horizon = _field(cfg, "horizon", 50, int)
-    if (isinstance(chain_obj, dict) and "kernel" in chain_obj
-            and "embedding_order" not in chain_obj):
-        kernel = TransitionKernel(_field(
-            chain_obj, "kernel", None, _float_array))
+    chain_obj = read(cfg, "chain", "object")
+    level = read(cfg, "level", "number", 0.25)
+    horizon = read(cfg, "horizon", "int", 50)
+    if "kernel" in chain_obj and "embedding_order" not in chain_obj:
+        kernel = TransitionKernel(read(chain_obj, "kernel", "array"))
         payload = _diagnostics_payload(
             kernel, stationary_distribution(kernel), level, horizon)
         payload["embedded"] = False
@@ -189,25 +181,26 @@ def cmd_bounds(cfg: dict, out_dir: Path, config_path: str) -> int:
     if (not isinstance(requested, list) or not requested
             or not all(isinstance(b, str) for b in requested)):
         raise ConfigError("'bounds' must be a non-empty list of bound ids")
-    params = _field(cfg, "params", {}, dict)
+    params = read(cfg, "params", "object", {})
+    # null means unset
+    params = {k: v for k in params
+              if (v := read(params, k, "number", null=True)) is not None}
     chain = None
     if "chain" in cfg:
-        chain = build_chain(cfg["chain"])
+        chain = build_chain(read(cfg, "chain", "object"))
         profile = mixing_time(chain, q=chain.stationary)
         spectral = pseudo_spectral_gap(chain, chain.stationary)
         params.setdefault("t_mix", profile.t_mix)
         params.setdefault("gamma_ps", spectral.gamma_ps)
-    noise = parse_noise(cfg.get("noise"), chain)
-    if not isinstance(cfg.get("delta_grid", []), list):
-        raise ConfigError("'delta_grid' must be a list of numbers")
+    noise = parse_noise(cfg, chain)
+    delta_grid = read(cfg, "delta_grid", "numbers",
+                      (params.get("delta", 0.05),))
+    eps_grid = (parse_epsilon_grid(cfg) if "epsilon_grid" in cfg
+                else (params.get("epsilon"),))
     rows = []
     try:
-        if noise is not None and "m" in params:
-            params.setdefault("tau_star", noise.tau_star(int(params["m"])))
-        eps_grid = (parse_epsilon_grid(cfg["epsilon_grid"])
-                    if "epsilon_grid" in cfg else (params.get("epsilon"),))
-        delta_grid = (tuple(float(v) for v in cfg["delta_grid"])
-                      if "delta_grid" in cfg else (params.get("delta", 0.05),))
+        if noise is not None and params.get("m") is not None:
+            params.setdefault("tau_star", noise.tau_star(params["m"]))
         for bound_id in requested:
             if bound_id not in bnd.BOUND_FORMS:
                 raise ConfigError(f"unknown bound id {bound_id!r}")
@@ -219,12 +212,9 @@ def cmd_bounds(cfg: dict, out_dir: Path, config_path: str) -> int:
             else:
                 grid = [(None, None)]
             for name, value in grid:
-                p = dict(params)
-                if name is not None:
-                    if value is None:
-                        raise ConfigError(
-                            f"bound {bound_id!r} needs a {name} grid")
-                    p[name] = value
+                if name is not None and value is None:
+                    raise ConfigError(f"bound {bound_id!r} needs a {name} grid")
+                p = params if name is None else {**params, name: value}
                 rep = bnd.evaluate_bound(bound_id, p)
                 # m, b, t_mix and gamma_ps are echoed even for forms that
                 # do not take them; the other parameter columns show inputs
@@ -249,16 +239,11 @@ def cmd_bounds(cfg: dict, out_dir: Path, config_path: str) -> int:
 
 def cmd_simulate(cfg: dict, out_dir: Path, config_path: str,
                  seed_override: int | None) -> int:
-    chain = build_chain(cfg["chain"]) if "chain" in cfg else None
-    if chain is None:
-        raise ConfigError("config needs a 'chain'")
-    n = _field(cfg, "n", 1, int)
-    m = _field(cfg, "m", 0, int)
-    # same precedence as verify: --seed flag > env > config > default
-    seed = _resolve_env_int(ENV_SEED, _field(cfg, "seed", 0, int))
-    if seed_override is not None:
-        seed = seed_override
-    replication = _field(cfg, "replication", 0, int)
+    chain = build_chain(read(cfg, "chain", "object"))
+    n = read(cfg, "n", "int", 1)
+    m = read(cfg, "m", "int", 0)
+    seed = run_setting(cfg, "seed", seed_override)
+    replication = read(cfg, "replication", "int", 0)
     traj = sample_stationary_trajectory(chain, n, m, SeedSpec(seed, replication))
     log.info("[simulate] drew %d states (n=%d, m=%d) seed=(%d, %d)",
              len(traj.states), n, m, seed, replication)
@@ -312,7 +297,8 @@ def cmd_verify(cfg: dict, out_dir: Path, config_path: str,
 
     noise_report = None
     if exp.noise_check_order is not None:
-        noise_report = noise_condition_check(exp.chain, exp.noise_check_order)
+        noise_report = noise_condition_check(exp.chain, exp.noise_check_order,
+                                             noise=exp.noise)
         log.info("[verify] noise condition at order %d over %d tables: %s",
                  noise_report.order, noise_report.n_tables,
                  "ok" if noise_report.passed else "FAIL")
@@ -370,24 +356,22 @@ def cmd_verify(cfg: dict, out_dir: Path, config_path: str,
 
 
 def cmd_noise(cfg: dict, out_dir: Path, config_path: str) -> int:
-    if "chain" not in cfg:
-        raise ConfigError("config needs a 'chain'")
-    chain = build_chain(cfg["chain"])
+    chain = build_chain(read(cfg, "chain", "object"))
     try:
         h = bnd.margin(chain)
         zero_margin = h <= 1e-12
     except BinaryOnlyError:
         h = None
         zero_margin = None
-    noise = parse_noise(cfg.get("noise"), chain)
+    noise = parse_noise(cfg, chain)
     if noise is None and h is not None and not zero_margin:
         noise = bnd.MammenTsybakovNoise(alpha=1.0, h=h)
-    m_grid = _int_list(cfg.get("m_grid", [100, 1000, 10000]), "m_grid")
+    m_grid = read(cfg, "m_grid", "ints", (100, 1000, 10000))
     tau_table = None
     if noise is not None:
         tau_table = [{"m": m, "tau_star": noise.tau_star(m)} for m in m_grid]
     check = None
-    order = _int(cfg.get("noise_check_order"), "noise_check_order", null=True)
+    order = read(cfg, "noise_check_order", "int", None, null=True)
     if order is not None:
         check = asdict(noise_condition_check(chain, order, noise=noise))
     payload = {"margin": h, "zero_margin": zero_margin,

@@ -13,56 +13,103 @@ one before it 1):
 Either form takes an optional "embedding_order" (default: the base order)
 controlling how many past symbols the composite states carry.
 
-Seed and thread count resolve in precedence order: CLI flag, then the
-environment (MARKOV_HOLDOUT_SEED / MARKOV_HOLDOUT_THREADS), then the
-config file, then defaults.
+Every config field is read by :func:`read` as one JSON kind, without
+coercion: an integer is a JSON integer (not true/false, not 2.0); a number
+is a finite JSON integer or float (not true/false, NaN or Infinity) and
+reads as a float; a bool, string or object is exactly that; a list of
+integers or of numbers holds only such items; an array is a list of
+numbers or of equal-length such lists.  JSON null is accepted only where
+a field documents it.  Anything else is a one-line ConfigError naming the
+key.
+
+Seed and thread count resolve in precedence order (:func:`run_setting`):
+CLI flag, then the environment (MARKOV_HOLDOUT_SEED /
+MARKOV_HOLDOUT_THREADS), then the config file, then defaults.
 """
 
 from __future__ import annotations
 
 import os
+import sys
 
 import numpy as np
 
 from .bounds import MammenTsybakovNoise, TabulatedNoise, margin
 from .chains import HigherOrderChainSpec, MarkovizedChain, markovize
-from .errors import ConfigError, HoldoutError
+from .errors import ConfigError
 from .harness import ExperimentConfig
 from .predictors import LossSpec
 
-ENV_SEED = "MARKOV_HOLDOUT_SEED"
-ENV_THREADS = "MARKOV_HOLDOUT_THREADS"
+REQUIRED = object()
 
 
-def _field(obj: dict, key: str, default, convert):
-    """``convert(obj.get(key, default))``; a value it rejects is a ConfigError."""
-    try:
-        return convert(obj.get(key, default))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad value for {key!r}: {exc}") from exc
+def _finite(value) -> bool:
+    # type(), not isinstance: JSON true must not read as 1
+    return type(value) in (int, float) and abs(value) <= sys.float_info.max
 
 
-def _float_array(value) -> np.ndarray:
-    return np.asarray(value, dtype=float)
+def _nested(value) -> bool:
+    return isinstance(value, list) and all(
+        _finite(v) or _nested(v) for v in value)
 
 
-def _int_list(value, key: str) -> tuple[int, ...]:
-    # a JSON string is iterable too: "01" must not read as [0, 1]
-    if not isinstance(value, list) or any(type(q) is not int for q in value):
-        raise ConfigError(f"{key!r} must be a list of integers")
-    return tuple(value)
+# kind -> (accepts the JSON value, converts it, what the error says)
+_KINDS = {
+    "int": (lambda v: type(v) is int, None, "an integer"),
+    "number": (_finite, float, "a finite number"),
+    "bool": (lambda v: type(v) is bool, None, "true or false"),
+    "str": (lambda v: type(v) is str, None, "a string"),
+    "object": (lambda v: isinstance(v, dict), None, "an object"),
+    "ints": (lambda v: isinstance(v, list)
+             and all(type(q) is int for q in v), tuple, "a list of integers"),
+    "numbers": (lambda v: isinstance(v, list) and all(map(_finite, v)),
+                lambda v: tuple(map(float, v)), "a list of numbers"),
+    # np.array rejects ragged lists with a ValueError
+    "array": (_nested, lambda v: np.array(v, dtype=float),
+              "an array of numbers"),
+}
 
 
-def _int(value, key: str, null: bool = False) -> int | None:
-    # type(), not isinstance: JSON false must not read as 0
-    if type(value) is not int and not (null and value is None):
-        raise ConfigError(f"{key!r} must be an integer{' or null' * null}")
-    return value
+def read(obj: dict, key: str, kind: str, default=REQUIRED,
+         null: bool = False):
+    """``obj[key]`` checked as one JSON kind of the module docstring.
+
+    A missing key gives ``default`` (a ConfigError when there is none);
+    JSON null reads as None only when ``null`` is set.
+    """
+    if key not in obj:
+        if default is REQUIRED:
+            raise ConfigError(f"missing {key!r}")
+        return default
+    value = obj[key]
+    if null and value is None:
+        return None
+    accepts, convert, what = _KINDS[kind]
+    if accepts(value):
+        try:
+            return value if convert is None else convert(value)
+        except ValueError:
+            pass
+    raise ConfigError(f"{key!r} must be {what}{' or null' * null}")
+
+
+def run_setting(d: dict, key: str, flag: int | None) -> int:
+    """Resolve "seed" or "threads": flag, then environment, then ``d``."""
+    env, default = {"seed": ("MARKOV_HOLDOUT_SEED", 0),
+                    "threads": ("MARKOV_HOLDOUT_THREADS", 1)}[key]
+    value = read(d, key, "int", default)
+    raw = os.environ.get(env)
+    if raw is not None:
+        try:
+            value = int(raw)
+        except ValueError as exc:
+            raise ConfigError(f"{env}={raw!r} is not an integer") from exc
+    return value if flag is None else flag
 
 
 def _context_index(key: str, symbols: int, order: int) -> int:
     parts = [p.strip() for p in key.split(",")]
-    if len(parts) != order:
+    if len(parts) != order or not all(p.isdecimal() for p in parts):
         raise ConfigError(
             f"context {key!r} must list exactly {order} symbols")
     index = 0
@@ -76,34 +123,25 @@ def _context_index(key: str, symbols: int, order: int) -> int:
 
 
 def parse_base_chain(obj: dict) -> tuple[HigherOrderChainSpec, int]:
-    """Chain dict -> (base spec, embedding order)."""
-    if not isinstance(obj, dict):
-        raise ConfigError("chain must be a JSON object")
-    try:
-        if "kernel" in obj:
-            base = HigherOrderChainSpec.from_kernel(obj["kernel"])
-        else:
-            symbols = _int(obj["symbols"], "symbols")
-            order = _int(obj["order"], "order")
-            cond = obj["conditional"]
-            if isinstance(cond, dict):
-                rows = np.zeros((symbols ** order, symbols))
-                filled = np.zeros(symbols ** order, dtype=bool)
-                for key, row in cond.items():
-                    idx = _context_index(key, symbols, order)
-                    rows[idx] = row
-                    filled[idx] = True
-                if not filled.all():
-                    missing = int(np.nonzero(~filled)[0][0])
-                    raise ConfigError(
-                        f"conditional is missing context index {missing}")
-                cond = rows
-            base = HigherOrderChainSpec(symbols=symbols, order=order,
-                                        conditional=np.asarray(cond, dtype=float))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad chain spec: {exc}") from exc
-    embedding = _int(obj.get("embedding_order", base.order), "embedding_order")
-    return base, embedding
+    """Chain object -> (base spec, embedding order)."""
+    if "kernel" in obj:
+        base = HigherOrderChainSpec.from_kernel(read(obj, "kernel", "array"))
+    else:
+        symbols = read(obj, "symbols", "int")
+        order = read(obj, "order", "int")
+        if isinstance(obj.get("conditional"), dict):
+            rows = {_context_index(key, symbols, order): row
+                    for key, row in obj["conditional"].items()}
+            # a gap is a missing context; too few rows fail the shape check
+            gaps = [i for i in range(len(rows)) if i not in rows]
+            if gaps:
+                raise ConfigError(
+                    f"conditional is missing context index {gaps[0]}")
+            obj = {**obj, "conditional": [rows[i] for i in range(len(rows))]}
+        base = HigherOrderChainSpec(
+            symbols=symbols, order=order,
+            conditional=read(obj, "conditional", "array"))
+    return base, read(obj, "embedding_order", "int", base.order)
 
 
 def build_chain(obj: dict) -> MarkovizedChain:
@@ -111,68 +149,52 @@ def build_chain(obj: dict) -> MarkovizedChain:
     return markovize(base, embedding)
 
 
-def parse_loss(obj, symbols: int) -> LossSpec:
-    if obj is None or obj == "misclassification":
+def parse_loss(d: dict, key: str, symbols: int) -> LossSpec:
+    spec = d.get(key)
+    if spec is None or spec == "misclassification":
         return LossSpec.misclassification(symbols)
-    if isinstance(obj, dict) and "table" in obj:
-        return LossSpec(table=_field(obj, "table", None, _float_array),
-                        name=str(obj.get("name", "loss")))
-    raise ConfigError(f"cannot parse loss spec {obj!r}")
+    if not isinstance(spec, dict):
+        raise ConfigError(
+            f"{key!r} must be \"misclassification\" or an object")
+    return LossSpec(table=read(spec, "table", "array"),
+                    name=read(spec, "name", "str", "loss"))
 
 
-def parse_noise(obj, chain: MarkovizedChain | None):
-    if obj is None:
+def parse_noise(d: dict, chain: MarkovizedChain | None):
+    spec = read(d, "noise", "object", None, null=True)
+    if spec is None:
         return None
-    if not isinstance(obj, dict) or "kind" not in obj:
-        raise ConfigError("noise spec must be an object with a 'kind'")
-    kind = obj["kind"]
+    kind = read(spec, "kind", "str")
     if kind == "mammen-tsybakov":
-        if obj.get("h") is not None:
-            h = _field(obj, "h", None, float)
-        elif chain is None:
-            raise ConfigError("noise h omitted and no chain to take a "
-                              "margin from")
-        else:
+        h = read(spec, "h", "number", None, null=True)
+        if h is None:
+            if chain is None:
+                raise ConfigError("noise h omitted and no chain to take a "
+                                  "margin from")
             h = margin(chain)
-        return MammenTsybakovNoise(alpha=_field(obj, "alpha", 1.0, float), h=h)
+        return MammenTsybakovNoise(alpha=read(spec, "alpha", "number", 1.0),
+                                   h=h)
     if kind == "tabulated":
-        missing = [k for k in ("radii", "values") if k not in obj]
-        if missing:
-            raise ConfigError(f"tabulated noise needs {missing[0]!r}")
-        return TabulatedNoise(radii=_field(obj, "radii", None, _float_array),
-                              values=_field(obj, "values", None, _float_array))
+        return TabulatedNoise(radii=read(spec, "radii", "array"),
+                              values=read(spec, "values", "array"))
     raise ConfigError(f"unknown noise kind {kind!r}")
 
 
-def parse_epsilon_grid(obj) -> tuple[float, ...]:
-    if isinstance(obj, (list, tuple)):
-        return tuple(float(v) for v in obj)
-    if isinstance(obj, dict):
-        try:
-            start = float(obj["start"])
-            stop = float(obj["stop"])
-            step = float(obj["step"])
-        except KeyError as exc:
-            raise ConfigError(f"epsilon grid needs {exc}") from exc
-        if step <= 0:
-            raise ConfigError("epsilon grid step must be positive")
-        count = int(round((stop - start) / step)) + 1
-        grid = tuple(round(start + i * step, 12) for i in range(count)
-                     if start + i * step <= stop + 1e-12)
-        if not grid:
-            raise ConfigError("epsilon grid is empty")
-        return grid
-    raise ConfigError(f"cannot parse epsilon grid {obj!r}")
-
-
-def _resolve_env_int(name: str, current):
-    raw = os.environ.get(name)
-    if raw is None:
-        return current
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise ConfigError(f"{name}={raw!r} is not an integer") from exc
+def parse_epsilon_grid(d: dict) -> tuple[float, ...]:
+    """``d["epsilon_grid"]``: a list, or {"start", "stop", "step"}."""
+    spec = d.get("epsilon_grid")
+    if not isinstance(spec, dict):
+        return read(d, "epsilon_grid", "numbers")
+    start, stop, step = (read(spec, k, "number")
+                         for k in ("start", "stop", "step"))
+    if step <= 0:
+        raise ConfigError("epsilon grid step must be positive")
+    count = round((stop - start) / step) + 1
+    grid = tuple(round(start + i * step, 12) for i in range(count)
+                 if start + i * step <= stop + 1e-12)
+    if not grid:
+        raise ConfigError("epsilon grid is empty")
+    return grid
 
 
 def experiment_from_dict(d: dict, seed_override: int | None = None,
@@ -180,54 +202,30 @@ def experiment_from_dict(d: dict, seed_override: int | None = None,
     """Build a validated ExperimentConfig from a parsed JSON object."""
     if not isinstance(d, dict):
         raise ConfigError("config must be a JSON object")
-    try:
-        chain = build_chain(d["chain"])
-    except KeyError as exc:
-        raise ConfigError("config needs a 'chain'") from exc
-    loss = parse_loss(d.get("loss"), chain.symbols)
-    train = d.get("train_loss")
-    train_loss = parse_loss(train, chain.symbols) if train is not None else None
-    noise = parse_noise(d.get("noise"), chain)
-    seed = d.get("seed", 0)
-    seed = _resolve_env_int(ENV_SEED, seed)
-    if seed_override is not None:
-        seed = seed_override
-    oracle_checks = d.get("oracle_checks", True)
-    if type(oracle_checks) is not bool:
-        raise ConfigError("'oracle_checks' must be true or false")
-    threads = d.get("threads", 1)
-    threads = _resolve_env_int(ENV_THREADS, threads)
-    if threads_override is not None:
-        threads = threads_override
-    try:
-        return ExperimentConfig(
-            chain=chain,
-            orders=_int_list(d["orders"], "orders"),
-            loss=loss,
-            train_loss=train_loss,
-            n=int(d["n"]),
-            m=int(d["m"]),
-            replications=int(d["replications"]),
-            epsilon_grid=parse_epsilon_grid(d["epsilon_grid"]),
-            mode=str(d.get("mode", "conditional")),
-            gap_b=int(d.get("gap_b", 0)),
-            a=float(d.get("a", 0.5)),
-            theta=float(d.get("theta", 0.5)),
-            noise=noise,
-            master_seed=int(seed),
-            bound_scale=float(d.get("bound_scale", 1.0)),
-            threads=int(threads),
-            coupling_b_max=int(d.get("coupling_b_max", 20)),
-            noise_check_order=_int(d.get("noise_check_order"),
-                                   "noise_check_order", null=True),
-            run_oracle_checks=oracle_checks,
-        )
-    except KeyError as exc:
-        raise ConfigError(f"config is missing {exc}") from exc
-    except (TypeError, ValueError) as exc:
-        if isinstance(exc, HoldoutError):
-            raise
-        raise ConfigError(f"bad config value: {exc}") from exc
+    chain = build_chain(read(d, "chain", "object"))
+    return ExperimentConfig(
+        chain=chain,
+        orders=read(d, "orders", "ints"),
+        loss=parse_loss(d, "loss", chain.symbols),
+        train_loss=(None if d.get("train_loss") is None
+                    else parse_loss(d, "train_loss", chain.symbols)),
+        n=read(d, "n", "int"),
+        m=read(d, "m", "int"),
+        replications=read(d, "replications", "int"),
+        epsilon_grid=parse_epsilon_grid(d),
+        mode=read(d, "mode", "str", "conditional"),
+        gap_b=read(d, "gap_b", "int", 0),
+        a=read(d, "a", "number", 0.5),
+        theta=read(d, "theta", "number", 0.5),
+        noise=parse_noise(d, chain),
+        master_seed=run_setting(d, "seed", seed_override),
+        bound_scale=read(d, "bound_scale", "number", 1.0),
+        threads=run_setting(d, "threads", threads_override),
+        coupling_b_max=read(d, "coupling_b_max", "int", 20),
+        noise_check_order=read(d, "noise_check_order", "int", None,
+                               null=True),
+        run_oracle_checks=read(d, "oracle_checks", "bool", True),
+    )
 
 
 def chain_to_dict(chain: MarkovizedChain) -> dict:

@@ -531,7 +531,7 @@ class NoiseCheckReport:
 
     order: int
     margin: float
-    alpha: float
+    alpha: float | None  # None for a model without an alpha
     n_tables: int
     worst_slack: float
     passed: bool
@@ -556,7 +556,6 @@ def noise_condition_check(chain: MarkovizedChain, order_q: int,
     if h <= 1e-12:
         raise ZeroMarginError(f"margin {h!r} is numerically zero")
     model = noise if noise is not None else bnd.MammenTsybakovNoise(1.0, h)
-    alpha = getattr(model, "alpha", float("nan"))
     loss = LossSpec.misclassification(2)
     g_star = bayes_predictor(chain, loss)
     risk_star = exact_risk(g_star, chain, loss)
@@ -569,6 +568,7 @@ def noise_condition_check(chain: MarkovizedChain, order_q: int,
         slack = lhs - model.omega(excess)
         worst = max(worst, slack)
         n_tables += 1
-    return NoiseCheckReport(order=order_q, margin=h, alpha=float(alpha),
+    return NoiseCheckReport(order=order_q, margin=h,
+                            alpha=getattr(model, "alpha", None),
                             n_tables=n_tables, worst_slack=worst,
                             passed=worst <= 1e-12)

@@ -163,6 +163,51 @@ def test_malformed_json(tmp_path, capsys):
     ("diagnose", {"chain": {**TWO_STATE["chain"], "embedding_order": 1.7}}),
     ("diagnose", {"chain": {"symbols": 2, "order": 1.9,
                             "conditional": [[0.9, 0.1], [0.2, 0.8]]}}),
+    # integer fields given a float, a bool or a string
+    ("verify", {**VERIFY_BASE, "n": 200.7}),
+    ("verify", {**VERIFY_BASE, "m": 150.9}),
+    ("verify", {**VERIFY_BASE, "gap_b": True}),
+    ("verify", {**VERIFY_BASE, "seed": 3.9}),
+    ("verify", {**VERIFY_BASE, "threads": True}),
+    ("verify", {**VERIFY_BASE, "replications": "150"}),
+    ("verify", {**VERIFY_BASE, "coupling_b_max": 2.0}),
+    ("simulate", {**TWO_STATE, "m": True}),
+    ("simulate", {**TWO_STATE, "replication": 2.5}),
+    ("simulate", {**TWO_STATE, "seed": "7"}),
+    ("diagnose", {**TWO_STATE, "horizon": 5.9}),
+    ("noise", {**TWO_STATE, "m_grid": [100.5]}),
+    ("noise", {**TWO_STATE, "noise_check_order": 1.0}),
+    # number fields given a bool, a string, NaN or Infinity
+    ("verify", {**VERIFY_BASE, "epsilon_grid": [True, "0.2"]}),
+    ("verify", {**VERIFY_BASE, "bound_scale": float("inf")}),
+    ("verify", {**VERIFY_BASE, "theta": float("nan")}),
+    ("diagnose", {**TWO_STATE, "level": "0.3"}),
+    ("bounds", {"bounds": ["hoeffding"], "params": {"m": 100, "t_mix": True},
+                "epsilon_grid": [0.5]}),
+    ("bounds", {"bounds": ["bernstein_radius"],
+                "params": {"m": 1000, "t_mix": 3, "gamma_ps": 0.51,
+                           "variance": 0.25, "n_candidates": 2},
+                "delta_grid": [True]}),
+    ("noise", {**TWO_STATE, "noise": {"kind": "mammen-tsybakov",
+                                      "alpha": True, "h": 0.5}}),
+    ("noise", {**TWO_STATE, "noise": {"kind": "mammen-tsybakov",
+                                      "h": "0.5"}}),
+    # string entries in a kernel, conditional rows and a loss table
+    ("diagnose", {"chain": {"kernel": [[0.9, "0.1"], [0.2, 0.8]]}}),
+    ("diagnose", {"chain": {"symbols": 2, "order": 1, "conditional": {
+        "0": [0.9, "0.1"], "1": [0.2, 0.8]}}}),
+    ("verify", {**VERIFY_BASE, "loss": {"table": [[0, "1"], [1, 0]]}}),
+    ("verify", {**VERIFY_BASE, "loss": {"table": [[0, 1], [1, 0]],
+                                        "name": 5}}),
+    # params given as a list of pairs
+    ("bounds", {"bounds": ["hoeffding"],
+                "params": [["m", 100], ["epsilon", 0.5], ["t_mix", 1]]}),
+    # an epsilon grid that stops at Infinity
+    ("verify", {**VERIFY_BASE, "epsilon_grid": {
+        "start": 0.1, "stop": float("inf"), "step": 0.1}}),
+    ("bounds", {"bounds": ["hoeffding"], "params": {"m": 100, "t_mix": 1},
+                "epsilon_grid": {"start": 0.1, "stop": float("inf"),
+                                 "step": 0.1}}),
 ])
 def test_malformed_config_values_exit_two(tmp_path, capsys, command, payload):
     cfg = write_config(tmp_path, payload)
@@ -475,6 +520,42 @@ def test_verify_reports_oracle_checks_and_noise(tmp_path):
     event_ids = {r["event_id"] for r in read_csv(out, "report.csv")}
     assert "excess_vs_best" in event_ids
     assert "gap_abs_dev[g0]" in event_ids
+
+
+def strict_json(path):
+    def reject(constant):
+        raise ValueError(f"{path.name} holds {constant}, which is not JSON")
+    return json.loads(path.read_text(), parse_constant=reject)
+
+
+@pytest.mark.parametrize("noise, alpha", [
+    ({"kind": "mammen-tsybakov", "alpha": 0.5, "h": 0.6}, 0.5),
+    ({"kind": "tabulated", "radii": [0.0, 1e-6, 1.0],
+      "values": [0.0, 0.01, 0.1]}, None),
+])
+def test_verify_checks_the_configured_noise_model(tmp_path, noise, alpha):
+    # verify used to check the default alpha = 1 modulus whatever the config
+    # said, and a tabulated modulus wrote "alpha": NaN into noise.json
+    payload = {**VERIFY_BASE, "noise": noise, "noise_check_order": 1}
+    cfg = write_config(tmp_path, payload)
+    verify_out, noise_out = tmp_path / "verify", tmp_path / "noise"
+    assert main(["verify", "--config", cfg, "--out", str(verify_out),
+                 "--quiet"]) in (0, 1)
+    assert main(["noise", "--config", cfg, "--out", str(noise_out),
+                 "--quiet"]) in (0, 1)
+    reported = strict_json(verify_out / "report.json")["noise_condition"]
+    assert reported["alpha"] == alpha
+    assert reported == strict_json(noise_out / "noise.json")["condition_check"]
+
+
+def test_verify_echoes_integer_valued_numbers_as_floats(tmp_path):
+    cfg = write_config(tmp_path, {**VERIFY_BASE, "bound_scale": 1})
+    out = tmp_path / "out"
+    assert main(["verify", "--config", cfg, "--out", str(out),
+                 "--quiet"]) == 0
+    echo = read_json(out, "report.json")["config"]
+    assert type(echo["bound_scale"]) is float and echo["bound_scale"] == 1.0
+    assert (out / "report.json").read_text().count('"bound_scale": 1.0') == 1
 
 
 def test_verify_exit_one_on_forced_violation(tmp_path):
