@@ -28,6 +28,7 @@ from .errors import (
     DivisionGuardError,
     KeyMismatchError,
     NoSolutionError,
+    NumericalFailureError,
     RangeError,
 )
 
@@ -490,6 +491,12 @@ def evaluate_bound(bound_id: str, params: dict) -> BoundReport:
         raise KeyMismatchError(
             f"bound {bound_id!r} missing parameters {missing}")
     inputs = {k: filled[k] for k in names}
-    raw = func(*inputs.values())
+    try:
+        raw = func(*inputs.values())
+    except ArithmeticError as exc:
+        raise NumericalFailureError(
+            f"bound {bound_id!r} failed to evaluate: {exc}") from exc
+    if math.isnan(raw):  # +inf stays: it is a vacuous bound
+        raise NumericalFailureError(f"bound {bound_id!r} evaluated to NaN")
     return BoundReport(bound_id=bound_id, raw=raw, clamped=min(raw, 1.0),
                        vacuous=raw >= 1.0, inputs=inputs)

@@ -45,6 +45,7 @@ from .config import (
 )
 from .errors import BinaryOnlyError, ConfigError, HoldoutError
 from .harness import (
+    ORACLE_MIN_REPLICATIONS,
     coupling_check,
     noise_condition_check,
     oracle_gap_check,
@@ -280,7 +281,7 @@ def cmd_verify(cfg: dict, out_dir: Path, config_path: str,
              verification.vacuous)
 
     oracle_reports = []
-    if exp.run_oracle_checks and exp.replications >= 1000:
+    if exp.run_oracle_checks and exp.replications >= ORACLE_MIN_REPLICATIONS:
         kinds = ["hoeffding", "bernstein"] + (
             ["noise"] if exp.noise is not None else [])
         for kind in kinds:
@@ -337,8 +338,7 @@ def cmd_verify(cfg: dict, out_dir: Path, config_path: str,
         "verdict_summary": {
             "violations": verification.violations,
             "vacuous": verification.vacuous,
-            "dominated": (len(verification.estimates)
-                          - verification.violations - verification.vacuous),
+            "dominated": verification.dominated,
             "passed": all_passed,
         },
     }
@@ -346,9 +346,8 @@ def cmd_verify(cfg: dict, out_dir: Path, config_path: str,
     _write_json(report_json, report)
     report_csv = out_dir / "report.csv"
     _write_csv(report_csv, _REPORT_COLUMNS,
-               [[e.event_id, e.bound_id, e.epsilon, e.threshold, e.count,
-                 e.trials, e.p_hat, e.wilson_upper, e.bound_raw, e.bound,
-                 e.vacuous, e.verdict] for e in verification.estimates])
+               [[getattr(e, c) for c in _REPORT_COLUMNS]
+                for e in verification.estimates])
     _write_manifest(out_dir, "verify", config_path, echo,
                     [report_json, report_csv])
     log.info("[verify] %s", "PASS" if all_passed else "FAIL")

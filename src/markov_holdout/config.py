@@ -29,6 +29,7 @@ MARKOV_HOLDOUT_THREADS), then the config file, then defaults.
 
 from __future__ import annotations
 
+import math
 import os
 import sys
 
@@ -41,6 +42,8 @@ from .harness import ExperimentConfig
 from .predictors import LossSpec
 
 REQUIRED = object()
+# most points a {start, stop, step} epsilon grid may expand to
+EPSILON_GRID_MAX_POINTS = 10_000
 
 
 def _finite(value) -> bool:
@@ -189,7 +192,11 @@ def parse_epsilon_grid(d: dict) -> tuple[float, ...]:
                          for k in ("start", "stop", "step"))
     if step <= 0:
         raise ConfigError("epsilon grid step must be positive")
-    count = round((stop - start) / step) + 1
+    steps = (stop - start) / step  # inf when stop - start overflows
+    if not math.isfinite(steps) or round(steps) + 1 > EPSILON_GRID_MAX_POINTS:
+        raise ConfigError("epsilon grid start/stop/step gives more than "
+                          f"{EPSILON_GRID_MAX_POINTS} points")
+    count = round(steps) + 1
     grid = tuple(round(start + i * step, 12) for i in range(count)
                  if start + i * step <= stop + 1e-12)
     if not grid:

@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -56,10 +56,12 @@ from .sampling import (
 
 # two-sided 99% normal quantile used by the Wilson score interval
 WILSON_Z_99 = 2.5758293035489004
+# fewest replications at which an oracle-gap check's mean is read as stable
+ORACLE_MIN_REPLICATIONS = 1000
 
 
-def wilson_upper(count: int, trials: int, z: float = WILSON_Z_99) -> float:
-    """Upper end of the Wilson score interval for a binomial proportion.
+def wilson_upper(count: int, trials: int) -> float:
+    """Upper end of the Wilson 99% score interval for a binomial proportion.
 
     At count = 0 this is z^2 / (trials + z^2), which is what makes "the
     event never fired" still carry quantified evidence.
@@ -69,6 +71,7 @@ def wilson_upper(count: int, trials: int, z: float = WILSON_Z_99) -> float:
     if not 0 <= count <= trials:
         raise RangeError(f"count {count} outside [0, {trials}]")
     p_hat = count / trials
+    z = WILSON_Z_99
     z2 = z * z
     center = p_hat + z2 / (2.0 * trials)
     radius = z * math.sqrt(p_hat * (1.0 - p_hat) / trials
@@ -338,7 +341,7 @@ def event_table(run: RunResult) -> dict[str, EventSpec]:
 
 @dataclass(frozen=True)
 class TailEstimate:
-    """Estimated tail of one event at one epsilon, with its bound verdict."""
+    """One (event, epsilon) cell: estimated tail, scaled bound and verdict."""
 
     event_id: str
     epsilon: float
@@ -347,41 +350,11 @@ class TailEstimate:
     trials: int
     p_hat: float
     wilson_upper: float
-    bound_id: str | None = None
-    bound_raw: float | None = None
-    bound: float | None = None
-    vacuous: bool | None = None
-    verdict: str | None = None
-
-
-def tail_probability(run: RunResult, event_id: str,
-                     epsilon_grid=None) -> list[TailEstimate]:
-    """Event frequencies over the epsilon grid with Wilson 99% uppers."""
-    events = event_table(run)
-    if event_id not in events:
-        raise UnknownEventError(f"unknown event {event_id!r}")
-    spec = events[event_id]
-    grid = run.config.epsilon_grid if epsilon_grid is None else tuple(epsilon_grid)
-    out = []
-    trials = run.replications
-    for eps in grid:
-        threshold = eps + spec.shift
-        count = int(np.sum(spec.stats > threshold))
-        out.append(TailEstimate(
-            event_id=event_id, epsilon=float(eps), threshold=float(threshold),
-            count=count, trials=trials, p_hat=count / trials,
-            wilson_upper=wilson_upper(count, trials)))
-    return out
-
-
-@dataclass(frozen=True)
-class VerificationReport:
-    """All tail estimates with verdicts; passes iff no VIOLATION."""
-
-    estimates: tuple[TailEstimate, ...]
-    violations: int
-    vacuous: int
-    passed: bool
+    bound_id: str
+    bound_raw: float
+    bound: float
+    vacuous: bool
+    verdict: str
 
 
 def _bound_params(run: RunResult) -> dict:
@@ -393,37 +366,64 @@ def _bound_params(run: RunResult) -> dict:
     }
 
 
-def verify_bounds(run: RunResult) -> VerificationReport:
-    """Compare every event's estimated tail with its scaled bound.
+def tail_probability(run: RunResult, event_id: str) -> list[TailEstimate]:
+    """Judge one event's cells over the run's epsilon grid.
 
-    A VIOLATION requires the Wilson upper limit to exceed a bound that is
-    actually informative (scaled value < 1); bounds >= 1 are counted as
-    vacuous and claim nothing.
+    Each cell counts the replications whose statistic exceeds epsilon plus
+    the event's shift, takes the Wilson 99% upper limit of that frequency
+    and compares it with the bound times ``bound_scale``.  A scaled bound
+    >= 1 claims nothing and is "vacuous-bound"; below 1 the cell is a
+    "VIOLATION" when the Wilson upper limit exceeds it, else "dominated".
     """
+    events = event_table(run)
+    if event_id not in events:
+        raise UnknownEventError(f"unknown event {event_id!r}")
+    spec = events[event_id]
     params = _bound_params(run)
     scale = run.config.bound_scale
-    estimates = []
-    violations = 0
-    vacuous_count = 0
-    for event_id, spec in event_table(run).items():
-        for est in tail_probability(run, event_id):
-            rep = bnd.evaluate_bound(spec.bound_id,
-                                     {**params, "epsilon": est.epsilon})
-            scaled = rep.raw * scale
-            if scaled >= 1.0:
-                verdict = "vacuous-bound"
-                vacuous_count += 1
-            elif est.wilson_upper > scaled:
-                verdict = "VIOLATION"
-                violations += 1
-            else:
-                verdict = "dominated"
-            estimates.append(replace(
-                est, bound_id=spec.bound_id, bound_raw=rep.raw,
-                bound=min(scaled, 1.0), vacuous=scaled >= 1.0,
-                verdict=verdict))
-    return VerificationReport(estimates=tuple(estimates),
-                              violations=violations, vacuous=vacuous_count,
+    trials = run.replications
+    out = []
+    for eps in map(float, run.config.epsilon_grid):
+        threshold = eps + spec.shift
+        count = int(np.sum(spec.stats > threshold))
+        upper = wilson_upper(count, trials)
+        raw = bnd.evaluate_bound(spec.bound_id, {**params, "epsilon": eps}).raw
+        scaled = raw * scale
+        if scaled >= 1.0:
+            verdict = "vacuous-bound"
+        elif upper > scaled:
+            verdict = "VIOLATION"
+        else:
+            verdict = "dominated"
+        out.append(TailEstimate(
+            event_id=event_id, epsilon=eps, threshold=float(threshold),
+            count=count, trials=trials, p_hat=count / trials,
+            wilson_upper=upper, bound_id=spec.bound_id, bound_raw=raw,
+            bound=min(scaled, 1.0), vacuous=scaled >= 1.0, verdict=verdict))
+    return out
+
+
+@dataclass(frozen=True)
+class VerificationReport:
+    """All judged cells and their verdict counts; passes iff no VIOLATION."""
+
+    estimates: tuple[TailEstimate, ...]
+    violations: int
+    vacuous: int
+    dominated: int
+    passed: bool
+
+
+def verify_bounds(run: RunResult) -> VerificationReport:
+    """Collect the cells of every event in :func:`event_table` and count
+    their verdicts."""
+    estimates = tuple(est for event_id in event_table(run)
+                      for est in tail_probability(run, event_id))
+    verdicts = [est.verdict for est in estimates]
+    violations = verdicts.count("VIOLATION")
+    return VerificationReport(estimates=estimates, violations=violations,
+                              vacuous=verdicts.count("vacuous-bound"),
+                              dominated=verdicts.count("dominated"),
                               passed=violations == 0)
 
 
@@ -448,28 +448,20 @@ def oracle_gap_check(run: RunResult, kind: str) -> OracleGapReport:
 
     Kinds: "hoeffding" and "bernstein" bound E[risk(selected) - risk(best)];
     "noise" bounds E[risk(selected) - bayes] against the leniency-weighted
-    best excess.  Requires R >= 1000 so the mean is stable.
+    best excess.  Needs R >= ``ORACLE_MIN_REPLICATIONS`` for a stable mean.
     """
-    if run.replications < 1000:
-        raise RangeError("oracle gap checks need >= 1000 replications")
+    if run.replications < ORACLE_MIN_REPLICATIONS:
+        raise RangeError(f"oracle gap checks need >= {ORACLE_MIN_REPLICATIONS}"
+                         " replications")
     cfg = run.config
-    params = _bound_params(run)
     risk_best = float(run.exact_tilde.mean())
-    if kind in ("hoeffding", "bernstein"):
-        gaps = run.exact_hat - run.exact_tilde
-    elif kind == "noise":
-        if run.tau_star is None:
-            raise RangeError("noise oracle check needs a noise model")
-        gaps = run.exact_hat - run.bayes_risk
-    else:
-        raise UnknownEventError(f"unknown oracle check kind {kind!r}")
-    mean_gap = float(gaps.mean())
-    std_error = float(gaps.std(ddof=1) / math.sqrt(len(gaps)))
     details: dict = {"risk_best": risk_best, "bayes_risk": run.bayes_risk}
     if kind == "hoeffding":
+        gaps = run.exact_hat - run.exact_tilde
         rhs = bnd.oracle_gap_hoeffding(cfg.n_candidates, cfg.m,
                                        run.mixing.t_mix)
     elif kind == "bernstein":
+        gaps = run.exact_hat - run.exact_tilde
         rhs = bnd.oracle_gap_bernstein(cfg.n_candidates, cfg.m, cfg.a,
                                        run.mixing.t_mix,
                                        run.spectral.gamma_ps, risk_best)
@@ -477,12 +469,19 @@ def oracle_gap_check(run: RunResult, kind: str) -> OracleGapReport:
             cfg.n_candidates, cfg.m, cfg.a, run.mixing.t_mix,
             run.spectral.gamma_ps, risk_best, run.bayes_risk)
         details["not_strictly_oracle"] = True
-    else:
+    elif kind == "noise":
+        if run.tau_star is None:
+            raise RangeError("noise oracle check needs a noise model")
+        gaps = run.exact_hat - run.bayes_risk
         excess_best = risk_best - run.bayes_risk
         rhs = bnd.nc_oracle_rhs(cfg.n_candidates, cfg.m, cfg.theta,
                                 run.spectral.gamma_ps, run.mixing.t_mix,
                                 run.tau_star, max(excess_best, 0.0))
         details["excess_best"] = excess_best
+    else:
+        raise UnknownEventError(f"unknown oracle check kind {kind!r}")
+    mean_gap = float(gaps.mean())
+    std_error = float(gaps.std(ddof=1) / math.sqrt(len(gaps)))
     passed = mean_gap + 3.0 * std_error <= rhs
     return OracleGapReport(kind=kind, mean_gap=mean_gap,
                            std_error=std_error, rhs=float(rhs),

@@ -367,6 +367,13 @@ def test_evaluate_bound_clamps_and_flags_vacuous():
     assert rep.raw > 1.0
     assert rep.clamped == 1.0
     assert rep.vacuous
+    # a form that overflows to +inf is still just a vacuous bound
+    rep = evaluate_bound("bernstein_radius",
+                         {"m": 100, "delta": 0.05, "gamma_ps": 1e-160,
+                          "variance": 0.25})
+    assert rep.raw == float("inf")
+    assert rep.clamped == 1.0
+    assert rep.vacuous
 
 
 def test_evaluate_bound_unknown_id():

@@ -6,6 +6,7 @@ pytest temporary directories.
 
 import csv
 import json
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -14,7 +15,12 @@ import pytest
 
 from markov_holdout import event_table, pseudo_spectral_gap, run_replications
 from markov_holdout.cli import main
-from markov_holdout.config import build_chain, experiment_from_dict
+from markov_holdout.config import (
+    EPSILON_GRID_MAX_POINTS,
+    build_chain,
+    experiment_from_dict,
+    parse_epsilon_grid,
+)
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -208,6 +214,16 @@ def test_malformed_json(tmp_path, capsys):
     ("bounds", {"bounds": ["hoeffding"], "params": {"m": 100, "t_mix": 1},
                 "epsilon_grid": {"start": 0.1, "stop": float("inf"),
                                  "step": 0.1}}),
+    # bound forms that overflow, divide by zero or evaluate to NaN
+    ("bounds", {"bounds": ["bernstein_raw"],
+                "params": {"m": 100, "gamma_ps": 0.5, "variance": 0.25},
+                "epsilon_grid": [1e308]}),
+    ("bounds", {"bounds": ["bernstein_radius"],
+                "params": {"m": 100, "gamma_ps": 5e-324, "variance": 0.25},
+                "delta_grid": [0.05]}),
+    ("bounds", {"bounds": ["bernstein_raw"],
+                "params": {"m": 100, "gamma_ps": 5e-324, "variance": 0},
+                "epsilon_grid": [0.1]}),
 ])
 def test_malformed_config_values_exit_two(tmp_path, capsys, command, payload):
     cfg = write_config(tmp_path, payload)
@@ -216,6 +232,27 @@ def test_malformed_config_values_exit_two(tmp_path, capsys, command, payload):
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("grid", [
+    {"start": -1e308, "stop": 1e308, "step": 0.1},   # stop - start overflows
+    {"start": 0.1, "stop": 0.5, "step": 1e-300},     # 4e299 points
+])
+def test_epsilon_grid_point_count_is_capped(tmp_path, capsys, grid):
+    cfg = write_config(tmp_path, {"bounds": ["hoeffding"],
+                                  "params": {"m": 100, "t_mix": 1},
+                                  "epsilon_grid": grid})
+    start = time.perf_counter()
+    code = main(["bounds", "--config", cfg, "--out", str(tmp_path / "out"),
+                 "--quiet"])
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    # the cap itself is reachable
+    at_cap = {"start": 0.0, "stop": 0.9999, "step": 1e-4}
+    assert (len(parse_epsilon_grid({"epsilon_grid": at_cap}))
+            == EPSILON_GRID_MAX_POINTS)
 
 
 # ---------------------------------------------------------------------------

@@ -351,8 +351,13 @@ def test_abs_dev_statistics_match_run_arrays(small_run):
     assert events["abs_dev[g0]"].stats == pytest.approx(manual)
 
 
+def _with_grid(run, grid):
+    return replace(run, config=replace(run.config, epsilon_grid=grid))
+
+
 def test_tail_probability_counts(small_run):
-    estimates = tail_probability(small_run, "abs_dev[g1]", (0.1, 0.2, 0.4))
+    run = _with_grid(small_run, (0.1, 0.2, 0.4))
+    estimates = tail_probability(run, "abs_dev[g1]")
     stats_ = np.abs(small_run.empirical[:, 1] - small_run.exact[:, 1])
     for est, eps in zip(estimates, (0.1, 0.2, 0.4)):
         assert est.count == int((stats_ > eps).sum())
@@ -365,7 +370,31 @@ def test_tail_probability_counts(small_run):
 
 def test_tail_probability_unknown_event(small_run):
     with pytest.raises(UnknownEventError):
-        tail_probability(small_run, "no_such_event", (0.1,))
+        tail_probability(_with_grid(small_run, (0.1,)), "no_such_event")
+
+
+@pytest.fixture(scope="module")
+def negative_control_run(two_state_chain):
+    # every bound scaled by 1e-9: informative and below any tail estimate
+    return run_replications(ExperimentConfig(
+        chain=two_state_chain, orders=(0, 1),
+        loss=LossSpec.misclassification(2), n=200, m=150, replications=120,
+        epsilon_grid=(0.1, 0.3), master_seed=5, bound_scale=1e-9))
+
+
+@pytest.mark.parametrize("run_name", ["small_run", "negative_control_run"])
+def test_verify_bounds_joins_tail_probability_cells(request, run_name):
+    run = request.getfixturevalue(run_name)
+    report = verify_bounds(run)
+    joined = [est for event_id in event_table(run)
+              for est in tail_probability(run, event_id)]
+    assert list(report.estimates) == joined
+    assert (report.violations + report.vacuous + report.dominated
+            == len(report.estimates))
+    verdicts = [e.verdict for e in report.estimates]
+    assert report.violations == verdicts.count("VIOLATION")
+    assert report.vacuous == verdicts.count("vacuous-bound")
+    assert report.passed == (report.violations == 0)
 
 
 def test_verify_bounds_dominated_verdicts(small_run):
@@ -382,12 +411,8 @@ def test_verify_bounds_dominated_verdicts(small_run):
             assert est.vacuous
 
 
-def test_verify_bounds_flags_forced_violations(two_state_chain):
-    config = ExperimentConfig(
-        chain=two_state_chain, orders=(0, 1),
-        loss=LossSpec.misclassification(2), n=200, m=150, replications=120,
-        epsilon_grid=(0.1, 0.3), master_seed=5, bound_scale=1e-9)
-    report = verify_bounds(run_replications(config))
+def test_verify_bounds_flags_forced_violations(negative_control_run):
+    report = verify_bounds(negative_control_run)
     assert report.violations > 0
     assert not report.passed
     assert any(e.verdict == "VIOLATION" for e in report.estimates)
