@@ -3,14 +3,28 @@
 Streams are drawn with a counter-based generator (Philox) keyed by
 (master_seed, replication_index), so replication r is reproducible in
 isolation and independent of how many other replications ran before it.
-A step appends a symbol y, x -> y * S^p + x // S, drawn by inverse CDF from
-per-call cumulative tables, one per row of ``chain.base.conditional`` and
-set to 1.0 from the entry where the row reaches its total, so zero mass is
-never drawn.
+A step appends a symbol y, x -> y * S^p + x // S.  y is drawn by inverse
+CDF: it is the number of entries <= u (what ``bisect_right`` returns) of the
+cumulative row of ``chain.base.conditional`` for the context
+x // S^(p+1-k), set to 1.0 from the entry where the row reaches its total,
+so zero mass is never drawn.
+
+Uniforms are drawn _WINDOW at a time, which yields the doubles of one draw
+of the whole length, so a walk holds its states plus O(_WINDOW * s^k) more.
+Two walks give the same states from them:
+
+- the chunked walk (:class:`_ChunkedWalk`) follows all s^k contexts of
+  every chunk of a block at once, one numpy ``take`` per chunk step, and
+  rebuilds the states from the drawn symbols;
+- the bisect loop draws one state per Python step.  It runs for chains
+  with more than _MAX_CONTEXTS contexts: the chunked walk's cost per step
+  grows with s^k and the loop's does not, and the constant is their
+  measured crossover.
 """
 
 from __future__ import annotations
 
+import itertools
 from bisect import bisect_right
 from dataclasses import dataclass
 
@@ -20,6 +34,15 @@ from .chains import MarkovizedChain
 from .errors import DimensionMismatchError, EmptySegmentError, RangeError
 
 _UINT64_CEIL = 2 ** 64
+# uniforms per generator call
+_WINDOW = 3072
+# steps per chunk of the chunked walk
+_CHUNK = 32
+# (step, context) cells per block of the chunked walk: a block's work arrays
+# then stay small enough to be reused from the heap rather than paged in anew
+_CELLS = 4 * _WINDOW
+# chains with more contexts s^k than this walk by bisect (measured crossover)
+_MAX_CONTEXTS = 16
 
 
 @dataclass(frozen=True)
@@ -64,25 +87,128 @@ class Trajectory:
         return self.states[self.n_learning:]
 
 
-def _cumulative(law: np.ndarray) -> list[float]:
-    # cumulative sums set to 1.0 from the first entry at the final total (a
-    # positive-mass entry) on, so a law summing to just under 1 cannot send
-    # u < 1 to a trailing zero-mass state
-    c = np.cumsum(law)
-    c[c.searchsorted(c[-1]):] = 1.0
-    return c.tolist()
+def _cumulative(law: np.ndarray) -> np.ndarray:
+    # cumulative sums along the last axis, set to 1.0 from the first entry at
+    # the final total (a positive-mass entry) on, so a law summing to just
+    # under 1 cannot send u < 1 to a trailing zero-mass state; the sums of a
+    # nonnegative law never decrease, so those are the entries >= the total
+    c = np.cumsum(law, axis=-1)
+    c[c >= c[..., -1:]] = 1.0
+    return c
 
 
-def _walk(chain, state: int, uniforms, out: np.ndarray, offset: int) -> None:
+def _uniform_windows(gen: np.random.Generator, count: int):
+    # Philox draws of consecutive sizes give the doubles of one large draw
+    for start in range(0, count, _WINDOW):
+        yield gen.random(min(_WINDOW, count - start))
+
+
+def _walk(chain, state: int, windows, out: np.ndarray) -> None:
+    # fill out with the states after `state`, one per uniform of `windows`
+    if chain.base.symbols ** chain.base.order > _MAX_CONTEXTS:
+        _bisect_walk(chain, state, windows, out)
+        return
+    walk = _ChunkedWalk(chain)
+    size = max(_CHUNK, _CELLS // walk.contexts)
+    done = 0
+    for u in windows:
+        for start in range(0, len(u), size):
+            part = u[start:start + size]
+            state = walk.block(part, state, out[done:done + len(part)])
+            done += len(part)
+
+
+def _bisect_walk(chain, state: int, windows, out: np.ndarray) -> None:
     # the context x // S^(p+1-k) is constant over runs of S^(p+1-k) states,
-    # so rows[x] is its table; bisect on small python lists beats numpy here
+    # so rows[x] is its table
     s, p, k = chain.base.symbols, chain.embedding_order, chain.base.order
-    tables = [_cumulative(row) for row in chain.base.conditional]
+    tables = _cumulative(chain.base.conditional).tolist()
     rows = [t for t in tables for _ in range(s ** (p + 1 - k))]
     high = s ** p
-    for i, u in enumerate(uniforms):
-        state = bisect_right(rows[state], u) * high + state // s
-        out[offset + i] = state
+    i = 0
+    for u in windows:
+        for v in u.tolist():
+            state = bisect_right(rows[state], v) * high + state // s
+            out[i] = state
+            i += 1
+
+
+class _ChunkedWalk:
+    """The walk of one chain, computed a block of uniforms at a time.
+
+    The next-symbol law reads only the context c = x // S^(p+1-k), and the
+    context moves by c -> y * S^(k-1) + c // S.  The symbol y drawn from c
+    is the number of entries <= u of c's clamped cumulative row (what
+    bisect_right returns), so it changes only where u crosses an entry of
+    some row.  Bucket b holds the u with exactly b of the sorted entries of
+    all rows <= u, and moves[b] is the context map of every u in it.  A
+    block of steps is cut into chunks of at most _CHUNK steps; one walker
+    per (chunk, start context) follows that chunk's maps with one take per
+    step, the chunks are chained from the known start context, and the
+    states are rebuilt from the drawn symbols.
+    """
+
+    def __init__(self, chain):
+        s, k = chain.base.symbols, chain.base.order
+        self.symbols, self.embedding_order = s, chain.embedding_order
+        self.contexts = contexts = s ** k
+        self.context_unit = s ** (chain.embedding_order + 1 - k)
+        self.symbol_unit = s ** (k - 1)
+        cum = _cumulative(chain.base.conditional)
+        # u < 1 never reaches an entry >= 1.0; a repeated edge only leaves
+        # a bucket that no u falls in
+        self.thresholds = edges = np.sort(cum[cum < 1.0])
+        # entry e of row c is <= u from bucket searchsorted(edges, e) + 1 on
+        first = np.searchsorted(edges, cum) + 1
+        buckets = len(edges) + 1
+        cells = (first * contexts + np.arange(contexts)[:, None]).reshape(-1)
+        drawn = np.bincount(cells, minlength=(buckets + 1) * contexts)
+        drawn = drawn.reshape(-1, contexts).cumsum(axis=0)[:buckets]
+        context = np.arange(contexts)
+        # the extra last row is the identity, for steps past a block's end
+        self.moves = np.vstack([drawn * self.symbol_unit + context // s,
+                                context]).astype(np.intp)
+        self.identity = buckets
+
+    def block(self, u: np.ndarray, state: int, out: np.ndarray) -> int:
+        """Write the len(u) states after `state` into out; return the last."""
+        s, p, contexts = self.symbols, self.embedding_order, self.contexts
+        w = len(u)
+        chunks = -(-w // _CHUNK)
+        length = -(-w // chunks)
+        steps = np.full((chunks, length), self.identity, dtype=np.intp)
+        steps.reshape(-1)[:w] = np.searchsorted(self.thresholds, u,
+                                                side="right")
+        # slab i of maps holds step i of every chunk.  Walker (j, c) has the
+        # value j * contexts + c, its own index into the slab, so chunk j's
+        # copy of the context maps is biased by j * contexts
+        bias = np.arange(chunks) * contexts
+        moves = (self.moves + bias[:, None, None]).reshape(-1, contexts)
+        steps += (np.arange(chunks) * len(self.moves))[:, None]
+        maps = moves.take(steps.T, axis=0).reshape(length, -1)
+        walkers = np.empty_like(maps)
+        here = np.arange(chunks * contexts)
+        # every index is in range; mode="clip" only spares the copy that
+        # take makes of `out` under the default mode="raise"
+        for table, after in zip(maps, walkers):
+            here = table.take(here, out=after, mode="clip")
+        ends = (here % contexts).tolist()
+        start = state // self.context_unit
+        starts = [start]
+        for j in range(chunks - 1):
+            start = ends[j * contexts + start]
+            starts.append(start)
+        path = walkers.take(bias + starts, axis=1)
+        # the newest symbol of context c is y
+        symbol = np.arange(chunks * contexts) % contexts // self.symbol_unit
+        y = symbol.take(path.T.reshape(-1)[:w])
+        # x_t = sum_j y_(t-j) S^(p-j), with the digits of `state` for t <= p
+        np.multiply(y, s ** p, out=out)
+        for j in range(1, p + 1):
+            out[j:] += y[:-j] * s ** (p - j)
+        for t in range(1, min(p, w) + 1):
+            out[t - 1] += state // s ** t
+        return int(out[-1])
 
 
 def sample_stationary_trajectory(chain: MarkovizedChain, n: int, m: int,
@@ -92,12 +218,12 @@ def sample_stationary_trajectory(chain: MarkovizedChain, n: int, m: int,
         raise RangeError("need n >= 1 learning states")
     if m < 0:
         raise RangeError("validation length must be >= 0")
-    gen = seed.generator()
-    uniforms = gen.random(n + m).tolist()
+    windows = _uniform_windows(seed.generator(), n + m)
+    head = next(windows)
     states = np.empty(n + m, dtype=np.int64)
-    first = bisect_right(_cumulative(chain.stationary), uniforms[0])
+    first = bisect_right(_cumulative(chain.stationary).tolist(), head[0])
     states[0] = first
-    _walk(chain, first, uniforms[1:], states, 1)
+    _walk(chain, first, itertools.chain([head[1:]], windows), states[1:])
     return Trajectory(states=states, n_learning=n, m_validation=m)
 
 
@@ -112,8 +238,6 @@ def sample_conditional_continuation(chain: MarkovizedChain, x_last: int,
         raise RangeError(f"state {x_last} outside [0, {chain.n_states})")
     if m < 1:
         raise EmptySegmentError("continuation needs m >= 1 states")
-    gen = seed.generator()
-    uniforms = gen.random(m).tolist()
     states = np.empty(m, dtype=np.int64)
-    _walk(chain, x_last, uniforms, states, 0)
+    _walk(chain, x_last, _uniform_windows(seed.generator(), m), states)
     return states

@@ -20,6 +20,7 @@ from markov_holdout import (
     markovize,
     sample_conditional_continuation,
     sample_stationary_trajectory,
+    sampling,
 )
 
 
@@ -130,10 +131,10 @@ def _clamped_cumsum(law):
     return c.tolist()
 
 
-def _dense_reference_walk(chain, state, uniforms):
+def _dense_reference_walk(rows, state, uniforms):
     # reference sampler: bisect on the clamped cumulative sums of each dense
-    # kernel row, the S x S form the base-conditional tables must reproduce
-    rows = [_clamped_cumsum(row) for row in chain.kernel.matrix]
+    # kernel row (rows = _dense_rows(chain)), the S x S form the walks on
+    # base-conditional tables must reproduce
     path = []
     for u in uniforms:
         state = bisect_right(rows[state], u)
@@ -141,7 +142,13 @@ def _dense_reference_walk(chain, state, uniforms):
     return path
 
 
+def _dense_rows(chain):
+    return [_clamped_cumsum(row) for row in chain.kernel.matrix]
+
+
 def _reference_chains():
+    # (chain, grid): a grid g rounds the chain's uniforms down to multiples
+    # of 1/g
     rng = np.random.default_rng(20260825)
     chains = []
     for s in (2, 3):
@@ -157,40 +164,74 @@ def _reference_chains():
     short[2] = [0.6, 0.4 - 4e-13, 0.0]
     chains.append(markovize(HigherOrderChainSpec(3, 2, short), 2,
                             require_primitive=False))
-    return chains
+    # binary chains with 16 and 32 contexts, either side of _MAX_CONTEXTS
+    for k, p in ((4, 4), (4, 5), (5, 5)):
+        cond = rng.dirichlet(np.ones(2), size=2 ** k)
+        chains.append(markovize(HigherOrderChainSpec(2, k, cond), p))
+    pairs = [(chain, None) for chain in chains]
+    # dyadic rows on a grid of quarters: uniforms equal to cumulative entries
+    # must draw the next symbol up, as bisect_right does
+    dyadic = HigherOrderChainSpec(2, 1, [[0.5, 0.5], [0.25, 0.75]])
+    pairs.append((markovize(dyadic, 2), 4))
+    return pairs
 
 
 @pytest.mark.parametrize("top_every", [None, 3])
 def test_sampler_matches_dense_row_reference(monkeypatch, top_every):
-    # both entry points against the dense-row reference on the same uniforms;
-    # with top_every set, every third uniform is the largest double below 1,
-    # which reaches the clamped end of each table
-    if top_every is not None:
-        real = SeedSpec.generator
+    # both entry points of both walks against the dense-row reference on the
+    # same uniforms; with top_every set, every third uniform is the largest
+    # double below 1, which reaches the clamped end of each table.  The
+    # injection restarts at each draw of a window, so the window length must
+    # be a multiple of 3.
+    chunk, window = sampling._CHUNK, sampling._WINDOW
+    assert top_every is None or window % top_every == 0
+    real = SeedSpec.generator
 
-        class TopInjected:
-            def __init__(self, gen):
-                self.gen = gen
+    class Injected:
+        grid = None
 
-            def random(self, k):
-                u = self.gen.random(k)
+        def __init__(self, gen):
+            self.gen = gen
+
+        def random(self, k):
+            u = self.gen.random(k)
+            if Injected.grid is not None:
+                u = np.floor(u * Injected.grid) / Injected.grid
+            if top_every is not None:
                 u[::top_every] = np.nextafter(1.0, 0.0)
-                return u
+            return u
 
-        monkeypatch.setattr(SeedSpec, "generator",
-                            lambda self: TopInjected(real(self)))
-    for c, chain in enumerate(_reference_chains()):
+    monkeypatch.setattr(SeedSpec, "generator",
+                        lambda self: Injected(real(self)))
+    lengths = [1, chunk - 1, chunk, chunk + 1, window - 1, window,
+               window + 1, 2 * window + chunk + 3]
+    for max_contexts in (2 ** 64, 0):
+        with monkeypatch.context() as patch:
+            patch.setattr(sampling, "_MAX_CONTEXTS", max_contexts)
+            for c, (chain, grid) in enumerate(_reference_chains()):
+                Injected.grid = grid
+                _check_against_reference(chain, c, lengths)
+
+
+def _check_against_reference(chain, c, lengths):
+    rows = _dense_rows(chain)
+    for length in lengths:
         seed = SeedSpec(41, c)
-        uniforms = seed.generator().random(300).tolist()
-        traj = sample_stationary_trajectory(chain, 250, 50, seed)
+        uniforms = seed.generator().random(length).tolist()
+        traj = sample_stationary_trajectory(chain, 1, length - 1, seed)
         first = bisect_right(_clamped_cumsum(chain.stationary), uniforms[0])
-        expected = [first, *_dense_reference_walk(chain, first, uniforms[1:])]
+        expected = [first, *_dense_reference_walk(rows, first, uniforms[1:])]
         assert traj.states.tolist() == expected
-        for start in range(chain.n_states):
+    # every start for lengths up to p + 1, where the first states still
+    # carry the start's digits, and a few starts for the long lengths
+    short = range(1, chain.embedding_order + 2)
+    for start in range(chain.n_states):
+        few = start in (0, 1, chain.n_states // 2, chain.n_states - 1)
+        for m in sorted({*short, *(lengths if few else [40])}):
             seed = SeedSpec(43 + c, start)
-            uniforms = seed.generator().random(40).tolist()
-            states = sample_conditional_continuation(chain, start, 40, seed)
-            assert states.tolist() == _dense_reference_walk(chain, start,
+            uniforms = seed.generator().random(m).tolist()
+            states = sample_conditional_continuation(chain, start, m, seed)
+            assert states.tolist() == _dense_reference_walk(rows, start,
                                                             uniforms)
 
 
