@@ -6,21 +6,21 @@ law, total variation distance to stationarity, mixing profile and mixing
 time, time reversal, pseudo-spectral gap, and the embedding of
 higher-order chains as first-order chains on tuple states.
 
-A raw :class:`TransitionKernel` is handled densely, by S x S matrix
-powers.  A :class:`MarkovizedChain` (an order-k chain embedded at order
-p) is solved on its (k+1)-tuple chain and builds no dense kernel unless
-asked; :func:`mixing_time` and :func:`pseudo_spectral_gap` work on its
-context quotient: row x of K^j depends on x only through its top
-max(k, p+1-j) symbols, so they keep one row of K^j per class of states
-and advance those rows by summing over the oldest symbol, with no S x S
-product.
+A :class:`MarkovizedChain` (an order-k chain embedded at order p) is
+solved on its (k+1)-tuple chain and builds no dense kernel unless asked.
+The mixing profile, the reversed-row check and the pseudo-spectral gap
+read the powers K^j from one generator, :func:`_power_rows`, which alone
+knows how they are held: the dense K^j of a raw :class:`TransitionKernel`,
+or one row per class of the context quotient of a chain (row x of K^j
+depends on x only through its top max(k, p+1-j) symbols).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
+from typing import ClassVar
 
 import numpy as np
 
@@ -192,11 +192,11 @@ class MixingProfile:
     = (2, 2^(-1/t_mix)) dominates the profile: d(t) <= C * rho^t.
     """
 
+    certificate_c: ClassVar[float] = 2.0
+
     d_values: np.ndarray
     t_mix: int
     epsilon_level: float = 0.25
-    certificate_c: float = 2.0
-    certificate_rho: float = field(default=0.0)
 
     def __post_init__(self):
         if self.t_mix < 1:
@@ -205,9 +205,10 @@ class MixingProfile:
         if np.any(d[1:] - d[:-1] > MONOTONE_SLACK):
             raise NumericalFailureError("distance profile is not non-increasing")
         object.__setattr__(self, "d_values", d)
-        if self.certificate_rho == 0.0:
-            object.__setattr__(self, "certificate_rho",
-                               math.exp(-LN2 / self.t_mix))
+
+    @property
+    def certificate_rho(self) -> float:
+        return math.exp(-LN2 / self.t_mix)
 
     def certificate_curve(self, horizon: int) -> np.ndarray:
         t = np.arange(horizon + 1)
@@ -232,23 +233,33 @@ def _append_step(base: HigherOrderChainSpec, p: int, summed: np.ndarray):
     return (summed[:, None, :] * weights[None]).reshape(len(summed), -1)
 
 
-def _class_rows(chain: "MarkovizedChain", q: np.ndarray):
-    """Yield (C_j, W_j) for j = 1, 2, ...: the distinct rows of K^j.
+def _power_rows(kernel, q: np.ndarray):
+    """Yield (C_j, W_j) for j = 1, 2, ...: K^j as one row per class.
 
-    Row x of K^j depends on x only through its top r_j = max(k, p+1-j)
-    symbols: the p+1-j it still keeps and the k that set the first draw.
-    C_j holds one row per class c = x // s^(p+1-r_j), taken at the
-    representative c * s^(p+1-r_j), and W_j the class masses of ``q``.
+    K^j = E_j C_j for the S x R_j indicator E_j of a partition of the
+    states into R_j classes of equal rows, and W_j = E_j^T q holds the
+    class masses of ``q``.  A raw kernel has one class per state: C_j is
+    the dense K^j, one S x S product per step, and W_j = q.
+
+    For a :class:`MarkovizedChain`, row x of K^j depends on x only through
+    its top r_j = max(k, p+1-j) symbols: the p+1-j it still keeps and the
+    k that set the first draw.  C_j holds one row per class
+    c = x // s^(p+1-r_j), taken at the representative c * s^(p+1-r_j).
     The representatives of step j+1 are every s^(r_j - r_{j+1})-th of
     step j, and each step is one :func:`_append_step`: O(R_j * S) work.
     """
-    s, k, p = chain.symbols, chain.base.order, chain.embedding_order
+    if not isinstance(kernel, MarkovizedChain):
+        power = kernel.matrix
+        while True:
+            yield power, q
+            power = power @ kernel.matrix
+    s, k, p = kernel.symbols, kernel.base.order, kernel.embedding_order
     digits = p
     # oldest-symbol sums of the rows c * s of K^0 = I, one per class of K
     summed = np.eye(s ** p)
     j = 1
     while True:
-        rows = _append_step(chain.base, p, summed)
+        rows = _append_step(kernel.base, p, summed)
         yield rows, q.reshape(len(rows), -1).sum(axis=1)
         nxt = max(k, p - j)
         summed = rows[::s ** (digits - nxt)].reshape(-1, s ** p, s).sum(axis=2)
@@ -257,17 +268,11 @@ def _class_rows(chain: "MarkovizedChain", q: np.ndarray):
 
 
 def _distances(kernel, q: np.ndarray):
-    # d(t) for t = 0, 1, ...: the worst start's TV distance to q
-    if isinstance(kernel, MarkovizedChain):
-        # row x of K^0 is the point mass at x
-        yield 0.5 * float(np.max((1.0 - q) + (q.sum() - q)))
-        for rows, _ in _class_rows(kernel, q):
-            yield 0.5 * np.abs(rows - q[None, :]).sum(axis=1).max()
-    else:
-        power = np.eye(kernel.size)
-        while True:
-            yield 0.5 * np.abs(power - q[None, :]).sum(axis=1).max()
-            power = power @ kernel.matrix
+    # d(t) for t = 0, 1, ...: the worst start's TV distance to q; row x of
+    # K^0 is the point mass at x
+    yield 0.5 * float(np.max((1.0 - q) + (q.sum() - q)))
+    for rows, _ in _power_rows(kernel, q):
+        yield 0.5 * np.abs(rows - q[None, :]).sum(axis=1).max()
 
 
 def mixing_time(kernel: TransitionKernel | MarkovizedChain,
@@ -275,9 +280,8 @@ def mixing_time(kernel: TransitionKernel | MarkovizedChain,
                 horizon: int | None = None) -> MixingProfile:
     """Mixing profile up to max(t_mix, horizon) at threshold ``level``.
 
-    A raw kernel advances the dense power K^t; a :class:`MarkovizedChain`
-    takes d(t) as the maximum over the class rows of K^t (see
-    :func:`_class_rows`), which is the same maximum.
+    d(t) is the maximum TV distance to Q over the distinct rows of K^t
+    (see :func:`_power_rows`), which is the maximum over all rows.
 
     Parameters
     ----------
@@ -327,11 +331,8 @@ def _check_stationary(kernel, q) -> np.ndarray:
         raise ZeroStationaryMassError(
             f"stationary mass <= {ZERO_MASS_TOL:.1e} at state "
             f"{int(np.argmin(q))}")
-    if isinstance(kernel, MarkovizedChain):
-        summed = q.reshape(1, -1, kernel.symbols).sum(axis=2)
-        qk = _append_step(kernel.base, kernel.embedding_order, summed)[0]
-    else:
-        qk = q @ kernel.matrix
+    rows, masses = next(_power_rows(kernel, q))
+    qk = masses @ rows
     if np.any(np.abs(qk / q - 1.0) > REVERSAL_ROW_SUM_TOL):
         raise NumericalFailureError("reversed rows do not sum to 1")
     return q
@@ -378,24 +379,15 @@ def _gram_matrices(kernel, q: np.ndarray):
     """Yield, for k = 1, 2, ..., a symmetric PSD matrix G_k whose nonzero
     eigenvalues are those of (M^k)^T M^k, M = D K D^{-1}, D = diag(sqrt(Q)).
 
-    A raw kernel gives (M^k)^T M^k itself.  A :class:`MarkovizedChain`
-    gives the R_k x R_k matrix W^(1/2) C diag(1/Q) C^T W^(1/2) of its class
-    rows C and class masses W: with E the S x R_k class indicator,
-    K^k = E C and E^T D^2 E = W, so (M^k)^T M^k = B^T B with
-    B = W^(1/2) C D^{-1}, and B B^T is the matrix above.  It is formed as
-    H (H diag(1/Q))^T with H = W^(1/2) C.
+    G_k = H (H diag(1/Q))^T with H = W^(1/2) C, from the rows C and masses
+    W of :func:`_power_rows`.  With K^k = E C and E^T D^2 E = W,
+    (M^k)^T M^k = B^T B for B = W^(1/2) C D^{-1}, and G_k = B B^T has the
+    same nonzero eigenvalues.  A raw kernel has E = I and B = M^k; a
+    chain gives an R_k x R_k matrix, and the other eigenvalues are 0.
     """
-    if isinstance(kernel, MarkovizedChain):
-        for rows, masses in _class_rows(kernel, q):
-            h = np.sqrt(masses)[:, None] * rows
-            yield h @ (h / q[None, :]).T
-    else:
-        sqrt_q = np.sqrt(q)
-        m_mat = sqrt_q[:, None] * kernel.matrix / sqrt_q[None, :]
-        power = np.eye(kernel.size)
-        while True:
-            power = power @ m_mat
-            yield power.T @ power
+    for rows, masses in _power_rows(kernel, q):
+        h = np.sqrt(masses)[:, None] * rows
+        yield h @ (h / q[None, :]).T
 
 
 def pseudo_spectral_gap(kernel: TransitionKernel | MarkovizedChain,
@@ -405,9 +397,8 @@ def pseudo_spectral_gap(kernel: TransitionKernel | MarkovizedChain,
     With D = diag(sqrt(Q)) and M = D K D^{-1}, the reversiblization
     satisfies D (K*)^k K^k D^{-1} = (M^k)^T M^k, which is symmetric by
     construction.  Each k takes lambda_2 from a symmetric eigensolver on
-    :func:`_gram_matrices`: the dense (M^k)^T M^k for a raw kernel, or its
-    class-row form for a :class:`MarkovizedChain`, whose other eigenvalues
-    are 0.  Early k can give gamma_k = 0 (a repeated eigenvalue 1 at small
+    :func:`_gram_matrices`, one matrix per k with the eigenvalues of
+    (M^k)^T M^k (and zeros for a :class:`MarkovizedChain`).  Early k can give gamma_k = 0 (a repeated eigenvalue 1 at small
     k happens for embedded higher-order chains); the stop rule k >= 1/max
     only engages once the running max is positive.
 

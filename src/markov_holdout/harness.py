@@ -26,7 +26,7 @@ from .chains import (
     MarkovizedChain,
     MixingProfile,
     SpectralDiagnostics,
-    _class_rows,
+    _power_rows,
     mixing_time,
     pseudo_spectral_gap,
 )
@@ -500,10 +500,11 @@ class CouplingReport:
 def coupling_check(chain: MarkovizedChain, predictor: PredictorTable,
                    loss: LossSpec, b_max: int = 20,
                    profile: MixingProfile | None = None) -> CouplingReport:
-    """Verify max_x |risk after b+1 steps from x - stationary risk| <= 2 * 2^(-b/t_mix).
+    """Verify max_x |risk after b+1 steps from x - stationary risk| <= C * 2^(-b/t_mix).
 
-    Both sides exact: the left from the class rows of K^(b+1), which are
-    all its distinct rows, the right from the mixing certificate.
+    Both sides exact: the left from the rows of K^(b+1) that
+    :func:`_power_rows` yields, which are all its distinct rows, the right
+    from the mixing certificate (C = ``profile.certificate_c``).
     """
     if b_max < 0:
         raise RangeError("b_max must be >= 0")
@@ -515,9 +516,9 @@ def coupling_check(chain: MarkovizedChain, predictor: PredictorTable,
     entries = []
     ok = True
     for b, (rows, _) in zip(range(b_max + 1),
-                            _class_rows(chain, chain.stationary)):
+                            _power_rows(chain, chain.stationary)):
         deviation = float(np.abs(rows @ ell - stationary_risk).max())
-        bound = 2.0 * math.exp(-b * LN2 / t_mix)
+        bound = profile.certificate_c * math.exp(-b * LN2 / t_mix)
         entries.append((b, deviation, bound))
         if deviation > bound + 1e-12:
             ok = False

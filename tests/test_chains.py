@@ -157,6 +157,35 @@ def test_distance_profile_is_non_increasing_on_random_kernels():
         assert (np.diff(d) <= 1e-12).all()
 
 
+def test_distance_profile_matches_matrix_power_oracle(order2_spec):
+    # d(t) = max_x TV(row x of K^t, Q) from np.linalg.matrix_power and
+    # total_variation, t = 0 .. t_mix + 4, on seeded non-reversible raw
+    # kernels and on embedded chains diagnosed on their context quotient
+    rng = np.random.default_rng(59)
+    subjects = []
+    for size in (3, 4, 5, 6):
+        matrix = rng.uniform(0.05, 1.0, size=(size, size))
+        kernel = TransitionKernel(matrix / matrix.sum(axis=1)[:, None])
+        q = stationary_distribution(kernel)
+        flow = q[:, None] * kernel.matrix
+        assert np.abs(flow - flow.T).max() > 1e-3  # not reversible
+        subjects.append((kernel, kernel.matrix, q))
+    specs = [(order2_spec, (2, 3, 4)),
+             (HigherOrderChainSpec(3, 1, rng.dirichlet(np.ones(3), size=3)),
+              (1, 2, 3))]
+    for spec, orders in specs:
+        for p in orders:
+            chain = markovize(spec, p)
+            subjects.append((chain, chain.kernel.matrix, chain.stationary))
+    for subject, matrix, q in subjects:
+        horizon = mixing_time(subject, q=q).t_mix + 4
+        d = mixing_time(subject, q=q, horizon=horizon).d_values
+        oracle = [max(total_variation(row, q)
+                      for row in np.linalg.matrix_power(matrix, t))
+                  for t in range(horizon + 1)]
+        assert d == pytest.approx(oracle, rel=0, abs=1e-13)
+
+
 # ---------------------------------------------------------------------------
 # mixing time
 
@@ -278,17 +307,20 @@ def test_gap_matches_dense_eigensolver_oracle(order2_chain):
     # recompute gamma_k from the unsymmetrized product (K*)^k K^k with a
     # general eigensolver and compare; two-state chains are all reversible,
     # so larger random kernels and the order-2 embedding (structural zeros)
-    # make the oracle tell K from K*
+    # make the oracle tell K from K*; the embedding is diagnosed both as its
+    # dense kernel and as the chain itself, on the context quotient
     rng = np.random.default_rng(37)
     kernels = [random_primitive_binary_kernel(rng) for _ in range(20)]
     for size in (3, 4, 5, 6):
         matrix = rng.uniform(0.05, 1.0, size=(size, size))
         kernels.append(TransitionKernel(matrix / matrix.sum(axis=1)[:, None]))
-    kernels.append(order2_chain.kernel)
-    for kernel in kernels:
+    subjects = [(kernel, kernel) for kernel in kernels]
+    subjects += [(order2_chain.kernel, order2_chain.kernel),
+                 (order2_chain, order2_chain.kernel)]
+    for subject, kernel in subjects:
         q = stationary_distribution(kernel)
         rev = time_reversal(kernel, q).matrix
-        diag = pseudo_spectral_gap(kernel)
+        diag = pseudo_spectral_gap(subject)
         for k in range(1, len(diag.gammas) + 1):
             a_k = np.linalg.matrix_power(rev, k) @ np.linalg.matrix_power(
                 kernel.matrix, k)
