@@ -128,29 +128,33 @@ def is_primitive(matrix: np.ndarray) -> bool:
 def stationary_distribution(kernel: TransitionKernel) -> np.ndarray:
     """Stationary law Q solving QK = Q, sum(Q) = 1.
 
-    Direct linear solve with the last balance equation replaced by the
-    normalization constraint; for a primitive kernel the solution is unique
-    and strictly positive.
+    GTH state reduction (Grassmann, Taksar & Heyman, Oper. Res. 1985):
+    censor the states from the last down to the first, then rebuild Q
+    from the first up.  Every step adds, multiplies or divides
+    nonnegative numbers only, so each Q(x) is accurate relative to its
+    own size, however small; a dense linear solve is accurate only to
+    about 1e-16 absolute, which the relative reversed-row rule of
+    :func:`time_reversal` rejects on states of small mass.
 
     Raises
     ------
     NumericalFailureError
-        Singular system, negative mass beyond round-off, or residual
-        ||QK - Q||_1 above ``STATIONARY_RESIDUAL_TOL``.
+        A state with no outflow to the states not yet censored (the kernel
+        is not irreducible), or residual ||QK - Q||_1 above
+        ``STATIONARY_RESIDUAL_TOL``.
     """
     k = kernel.matrix
-    s = kernel.size
-    a = k.T - np.eye(s)
-    a[-1, :] = 1.0
-    rhs = np.zeros(s)
-    rhs[-1] = 1.0
-    try:
-        q = np.linalg.solve(a, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailureError(f"stationary solve failed: {exc}") from exc
-    if np.any(q < -1e-12):
-        raise NumericalFailureError("stationary solve produced negative mass")
-    q = np.clip(q, 0.0, None)
+    a = np.array(k)
+    for n in range(kernel.size - 1, 0, -1):
+        outflow = a[n, :n].sum()
+        if not outflow > 0.0:
+            raise NumericalFailureError(
+                f"stationary solve: state {n} has no outflow")
+        a[:n, n] /= outflow
+        a[:n, :n] += np.outer(a[:n, n], a[n, :n])
+    q = np.ones(kernel.size)
+    for n in range(1, kernel.size):
+        q[n] = q[:n] @ a[:n, n]
     q /= q.sum()
     residual = np.abs(q @ k - q).sum()
     if residual > STATIONARY_RESIDUAL_TOL:
@@ -162,7 +166,7 @@ def stationary_distribution(kernel: TransitionKernel) -> np.ndarray:
 
 def _stationary_by_power_iteration(matrix: np.ndarray, tol: float = 1e-13,
                                    max_steps: int = 10 ** 6) -> np.ndarray:
-    # slow independent oracle for the direct solve; used by tests
+    # slow independent oracle for the GTH solve; used by tests
     s = matrix.shape[0]
     q = np.full(s, 1.0 / s)
     for _ in range(max_steps):

@@ -118,6 +118,30 @@ def test_diagnose_accepts_solved_law_with_small_mass_states(tmp_path):
         dense.gamma_ps, rel=0, abs=1e-12)
 
 
+@pytest.mark.parametrize("chain", [
+    {"kernel": [[0.999999999, 0.000000001, 0.0], [0.5, 0.0, 0.5],
+                [0.5, 0.25, 0.25]]},
+    {"kernel": [[0.999999999, 0.000000001], [0.5, 0.5]],
+     "embedding_order": 1}], ids=["raw", "embedded"])
+def test_diagnose_accepts_chains_with_stationary_mass_near_1e9(tmp_path,
+                                                                chain):
+    # a dense linear solve is accurate to about 1e-16 absolute, so at
+    # states of mass about 1e-9 its Q failed the relative 1e-10
+    # reversed-row rule (exit 2); the GTH solve is accurate relative to
+    # each entry
+    cfg = write_config(tmp_path, {"chain": chain})
+    out = tmp_path / "out"
+    assert main(["diagnose", "--config", cfg, "--out", str(out),
+                 "--quiet"]) == 0
+    payload = read_json(out, "diagnostics.json")
+    assert min(payload["stationary"]) < 1e-8
+    if "embedding_order" in chain:
+        # two-state base: Q(1) = K(0, 1) / (K(0, 1) + K(1, 0)) exactly
+        a, b = Fraction(chain["kernel"][0][1]), Fraction(chain["kernel"][1][0])
+        assert payload["symbol_marginal"][1] == pytest.approx(
+            float(a / (a + b)), rel=1e-12, abs=0)
+
+
 def test_diagnose_rejects_bad_kernel(tmp_path, capsys):
     cfg = write_config(tmp_path, {"chain": {"kernel": [[0.9, 0.3],
                                                        [0.2, 0.8]]}})
