@@ -284,8 +284,8 @@ def mixing_time(kernel: TransitionKernel | MarkovizedChain,
                 horizon: int | None = None) -> MixingProfile:
     """Mixing profile up to max(t_mix, horizon) at threshold ``level``.
 
-    d(t) is the maximum TV distance to Q over the distinct rows of K^t
-    (see :func:`_power_rows`), which is the maximum over all rows.
+    d(t) is the maximum TV distance to Q over the rows of K^t that
+    :func:`_power_rows` yields, which include every distinct row.
 
     Parameters
     ----------
@@ -402,9 +402,10 @@ def pseudo_spectral_gap(kernel: TransitionKernel | MarkovizedChain,
     satisfies D (K*)^k K^k D^{-1} = (M^k)^T M^k, which is symmetric by
     construction.  Each k takes lambda_2 from a symmetric eigensolver on
     :func:`_gram_matrices`, one matrix per k with the eigenvalues of
-    (M^k)^T M^k (and zeros for a :class:`MarkovizedChain`).  Early k can give gamma_k = 0 (a repeated eigenvalue 1 at small
-    k happens for embedded higher-order chains); the stop rule k >= 1/max
-    only engages once the running max is positive.
+    (M^k)^T M^k (and zeros for a :class:`MarkovizedChain`).  Early k can
+    give gamma_k = 0 (a repeated eigenvalue 1 at small k happens for
+    embedded higher-order chains); the stop rule k >= 1/max only engages
+    once the running max is positive.
 
     Raises
     ------
