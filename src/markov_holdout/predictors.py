@@ -120,29 +120,47 @@ def bayes_predictor(chain: MarkovizedChain, loss: LossSpec) -> PredictorTable:
                           table=np.argmin(expected, axis=1))
 
 
+def _states(states, n_states: int) -> np.ndarray:
+    """``states`` as a 1-D intp array, each an integer in [0, n_states).
+
+    Indexing would wrap a negative state around to the end, and counting
+    would reject it with a bare numpy error, so both get RangeError here.
+    """
+    states = np.asarray(states)
+    if states.ndim != 1:
+        raise DimensionMismatchError(
+            f"states must be a 1-D sequence, got shape {states.shape}")
+    if states.dtype.kind not in "iu":
+        raise RangeError(f"states must be integers, got dtype {states.dtype}")
+    if len(states) and (states.min() < 0 or states.max() >= n_states):
+        raise RangeError(f"states must lie in [0, {n_states})")
+    return states.astype(np.intp, copy=False)
+
+
 def erm_fit(chain: MarkovizedChain, order_q: int, learn: np.ndarray,
             loss: LossSpec) -> PredictorTable:
     """Per-context empirical risk minimizer over the learning states.
 
-    Every learning state contributes one (context, target) pair; each seen
-    context predicts the symbol minimizing the summed training loss against
-    the observed targets (ties to the lowest symbol).  Contexts never seen
-    fall back to the globally most frequent target.
+    Every learning state contributes one (context, target) pair, and one
+    ``bincount`` of context·s + target (s symbols) tallies them into a
+    table of counts; each seen context predicts the symbol minimizing the
+    summed training loss against its targets (ties to the lowest symbol).
+    Contexts never seen fall back to the globally most frequent target.
+    Learning states must be integers in [0, chain.n_states) (RangeError).
     """
-    learn = np.asarray(learn)
     if len(learn) < 1:
         raise EmptySegmentError("cannot fit on an empty learning segment")
+    learn = _states(learn, chain.n_states)
     s = chain.symbols
     contexts = chain.context_index(order_q)[learn]
     targets = chain.targets[learn]
-    counts = np.zeros((s ** order_q, s))
-    np.add.at(counts, (contexts, targets), 1.0)
+    counts = np.bincount(contexts * s + targets,
+                         minlength=s ** (order_q + 1)).reshape(-1, s)
     cost = counts @ loss.table.T
     table = np.argmin(cost, axis=1)
-    seen = counts.sum(axis=1) > 0
+    seen = counts.any(axis=1)
     if not seen.all():
-        global_counts = np.bincount(targets, minlength=s)
-        table[~seen] = int(np.argmax(global_counts))
+        table[~seen] = int(np.argmax(counts.sum(axis=0)))
     return PredictorTable(order=order_q, symbols=s, table=table)
 
 
@@ -152,18 +170,25 @@ def holdout_select(loss_matrix: np.ndarray, segment: np.ndarray,
 
     Row k of ``loss_matrix`` is candidate k's :func:`state_losses`; its
     empirical risk is their mean over segment[burn:], which must not be
-    empty (EmptySegmentError).  Returns (index, empirical risks); ties go
-    to the lowest index.
+    empty (EmptySegmentError).  The mean depends on the segment only
+    through its state-visit counts, so it is computed as
+    ``loss_matrix @ counts / (len(segment) - burn)``: for 0/1 losses every
+    sum is an exact integer and the risks equal the gathered mean bit for
+    bit; other loss tables may differ from it in the last digits.  States
+    must be integers in [0, S) (RangeError).  Returns (index, empirical
+    risks); ties go to the lowest index.
     """
     if len(loss_matrix) < 1:
         raise RangeError("need at least one candidate")
-    segment = np.asarray(segment)
     if burn < 0:
         raise RangeError("burn-in must be >= 0")
     if len(segment) - burn < 1:
         raise EmptySegmentError(
             f"segment of {len(segment)} states with burn-in {burn} is empty")
-    risks = loss_matrix[:, segment[burn:]].mean(axis=1)
+    n_states = loss_matrix.shape[1]
+    counts = np.bincount(_states(segment, n_states)[burn:],
+                         minlength=n_states)
+    risks = loss_matrix @ counts / (len(segment) - burn)
     return int(np.argmin(risks)), risks
 
 

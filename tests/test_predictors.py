@@ -14,6 +14,7 @@ import pytest
 from markov_holdout import (
     DimensionMismatchError,
     EmptySegmentError,
+    HigherOrderChainSpec,
     LossSpec,
     PredictorTable,
     RangeError,
@@ -25,6 +26,7 @@ from markov_holdout import (
     exact_risk,
     holdout_select,
     loss_variance,
+    markovize,
     oracle_select,
     sample_stationary_trajectory,
     state_losses,
@@ -228,6 +230,53 @@ def test_erm_matches_brute_force_on_random_streams(two_state_chain,
         assert achieved == pytest.approx(best, abs=1e-12)
 
 
+def erm_oracle(chain, order_q, learn, loss):
+    """ERM table tallied with np.add.at, the form the count table replaced."""
+    s = chain.symbols
+    contexts = chain.context_index(order_q)[learn]
+    targets = chain.targets[learn]
+    counts = np.zeros((s ** order_q, s))
+    np.add.at(counts, (contexts, targets), 1.0)
+    table = np.argmin(counts @ loss.table.T, axis=1)
+    seen = counts.sum(axis=1) > 0
+    table[~seen] = int(np.argmax(np.bincount(targets, minlength=s)))
+    return table, bool((~seen).any())
+
+
+@pytest.mark.parametrize("symbols,order,embedding", [(2, 2, 3), (3, 1, 2)])
+def test_erm_count_table_matches_add_at_oracle(symbols, order, embedding):
+    rng = np.random.default_rng(1307 + symbols)
+    spec = HigherOrderChainSpec(
+        symbols=symbols, order=order,
+        conditional=rng.dirichlet(np.ones(symbols), size=symbols ** order))
+    chain = markovize(spec, embedding)
+    table = rng.random((symbols, symbols))
+    np.fill_diagonal(table, 0.0)
+    losses = [LossSpec.misclassification(symbols), LossSpec(table)]
+    assert not np.allclose(table, table.T)      # asymmetric training loss
+    fallbacks = 0
+    for _ in range(40):
+        # short segments leave high-order contexts unseen
+        learn = rng.integers(0, chain.n_states,
+                             size=int(rng.integers(1, 3 * symbols ** order)))
+        for q in range(embedding + 1):
+            for loss in losses:
+                expected, unseen = erm_oracle(chain, q, learn, loss)
+                fallbacks += unseen
+                assert erm_fit(chain, q, learn, loss).table.tolist() == \
+                    expected.tolist()
+    assert fallbacks > 0
+
+
+def test_erm_rejects_states_outside_range(two_state_chain, zero_one_loss):
+    top = two_state_chain.n_states - 1
+    assert erm_fit(two_state_chain, 1, np.array([0, top]),
+                   zero_one_loss).table.tolist() == [0, 1]
+    for bad in ([0, 3, -1, -1, -1], [0, top + 1], [0.0, 3.0]):
+        with pytest.raises(RangeError):
+            erm_fit(two_state_chain, 1, np.array(bad), zero_one_loss)
+
+
 # ---------------------------------------------------------------------------
 # selection rules
 
@@ -276,6 +325,41 @@ def test_holdout_select_invariant_under_affine_loss_rescale(two_state_chain):
         idx_b, _ = holdout_select(
             losses_of(cands, two_state_chain, scaled), traj.validation)
         assert idx_a == idx_b
+
+
+@pytest.mark.parametrize("zero_one", [True, False])
+def test_holdout_count_form_matches_gathered_mean(zero_one):
+    # risks from visit counts against the K x m gather they replaced: exact
+    # for 0/1 losses, within the last digits for other loss tables
+    rng = np.random.default_rng(1311)
+    for _ in range(30):
+        n_states = int(rng.integers(2, 40))
+        losses = rng.random((4, n_states))
+        if zero_one:
+            losses = np.round(losses)
+        segment = rng.integers(0, n_states, size=int(rng.integers(1, 5000)))
+        for burn in (0, 1, len(segment) - 1):
+            if burn >= len(segment):
+                continue
+            gathered = losses[:, segment[burn:]].mean(axis=1)
+            _, risks = holdout_select(losses, segment, burn)
+            if zero_one:
+                assert (risks == gathered).all()
+            else:
+                assert risks == pytest.approx(gathered, rel=1e-12, abs=0.0)
+
+
+def test_holdout_select_rejects_states_outside_range():
+    losses = np.array([[0.0, 1.0, 1.0], [1.0, 0.0, 1.0]])
+    assert holdout_select(losses, [0, 2, 2])[1].tolist() == \
+        pytest.approx([2.0 / 3.0, 1.0])
+    # a state in the burn-in is still a state of the segment
+    for bad in ([0, 1, -1], [0, 1, 3], [-1, 0, 1], [0.0, 1.0], [True, False]):
+        for burn in (0, 1):
+            with pytest.raises(RangeError):
+                holdout_select(losses, bad, burn)
+    with pytest.raises(DimensionMismatchError):
+        holdout_select(losses, [[0, 1], [1, 2]])
 
 
 def test_oracle_select_returns_exact_minimizer(two_state_chain, zero_one_loss):
