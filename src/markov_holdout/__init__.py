@@ -98,7 +98,6 @@ from .predictors import (
 )
 from .sampling import (
     SeedSpec,
-    Trajectory,
     sample_conditional_continuation,
     sample_stationary_trajectory,
 )

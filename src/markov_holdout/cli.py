@@ -57,25 +57,18 @@ from .sampling import SeedSpec, sample_stationary_trajectory
 log = logging.getLogger("markov_holdout")
 
 
-def _jsonable(value):
-    if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
+def _json_default(value):
+    # arrays and numpy scalars; np.float64 is a float and never reaches here
     if isinstance(value, np.ndarray):
-        return [_jsonable(v) for v in value.tolist()]
-    if isinstance(value, (np.floating,)):
-        return float(value)
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, (np.bool_,)):
-        return bool(value)
-    return value
+        return value.tolist()
+    if isinstance(value, np.generic):
+        return value.item()
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
 def _write_json(path: Path, obj) -> None:
     with open(path, "w") as fh:
-        json.dump(_jsonable(obj), fh, sort_keys=True, indent=2)
+        json.dump(obj, fh, sort_keys=True, indent=2, default=_json_default)
         fh.write("\n")
 
 
@@ -245,13 +238,14 @@ def cmd_simulate(cfg: dict, out_dir: Path, config_path: str,
     m = read(cfg, "m", "int", 0)
     seed = run_setting(cfg, "seed", seed_override)
     replication = read(cfg, "replication", "int", 0)
-    traj = sample_stationary_trajectory(chain, n, m, SeedSpec(seed, replication))
+    states = sample_stationary_trajectory(chain, n, m,
+                                          SeedSpec(seed, replication))
     log.info("[simulate] drew %d states (n=%d, m=%d) seed=(%d, %d)",
-             len(traj.states), n, m, seed, replication)
+             len(states), n, m, seed, replication)
     p = chain.embedding_order
     header = ["t", "state", "segment"] + [f"y_lag{i}" for i in range(p + 1)]
     rows = []
-    for t, state in enumerate(traj.states, start=1):
+    for t, state in enumerate(states, start=1):
         symbols = chain.decode(int(state))
         rows.append([t, int(state),
                      "learning" if t <= n else "validation", *symbols])

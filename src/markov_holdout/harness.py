@@ -142,6 +142,8 @@ class ExperimentConfig:
             raise RangeError("threads must be >= 1")
         if self.coupling_b_max < 0:
             raise RangeError("coupling_b_max must be >= 0")
+        if self.noise_check_order is not None:
+            _noise_check_margin(self.chain, self.noise_check_order)
 
     @property
     def effective_train_loss(self) -> LossSpec:
@@ -216,9 +218,10 @@ def _replication_rows(args):
     for i, r in enumerate(indices):
         seed = SeedSpec(config.master_seed, int(r))
         if loss_matrix is None:
-            traj = sample_stationary_trajectory(chain, config.n, config.m, seed)
-            losses = _fit_candidates(config, traj.learning)[1]
-            seg = traj.validation
+            states = sample_stationary_trajectory(chain, config.n, config.m,
+                                                  seed)
+            losses = _fit_candidates(config, states[:config.n])[1]
+            seg = states[config.n:]
         else:
             losses = loss_matrix
             seg = sample_conditional_continuation(chain, x_last, config.m, seed)
@@ -253,8 +256,8 @@ def run_replications(config: ExperimentConfig) -> RunResult:
     if config.mode == "conditional":
         learn = sample_stationary_trajectory(
             chain, config.n, 0, SeedSpec(config.master_seed, 0))
-        candidates, loss_matrix = _fit_candidates(config, learn.learning)
-        x_last = int(learn.states[-1])
+        candidates, loss_matrix = _fit_candidates(config, learn)
+        x_last = int(learn[-1])
     indices = np.arange(1, config.replications + 1)
     n_chunks = min(config.replications, config.threads * 4)
     jobs = [(config, loss_matrix, x_last, chunk)
@@ -537,15 +540,8 @@ class NoiseCheckReport:
     passed: bool
 
 
-def noise_condition_check(chain: MarkovizedChain, order_q: int,
-                          noise=None) -> NoiseCheckReport:
-    """Check sqrt(Var(disagreement)) <= omega(excess risk) for every table.
-
-    Enumerates all binary memory-q predictors (2^(2^q) of them), computes
-    both sides exactly under the stationary law, and reports the worst
-    slack, which passes at <= 1e-12.  Default modulus: polynomial with
-    alpha = 1 and h = the chain's conditional margin.
-    """
+def _noise_check_margin(chain: MarkovizedChain, order_q: int) -> float:
+    """The chain's margin, once the exhaustive check at order_q can run."""
     if chain.symbols != 2:
         raise BinaryOnlyError("exhaustive noise check is binary-only")
     if not 0 <= order_q <= min(chain.embedding_order, 3):
@@ -555,6 +551,19 @@ def noise_condition_check(chain: MarkovizedChain, order_q: int,
     h = bnd.margin(chain)
     if h <= 1e-12:
         raise ZeroMarginError(f"margin {h!r} is numerically zero")
+    return h
+
+
+def noise_condition_check(chain: MarkovizedChain, order_q: int,
+                          noise=None) -> NoiseCheckReport:
+    """Check sqrt(Var(disagreement)) <= omega(excess risk) for every table.
+
+    Enumerates all binary memory-q predictors (2^(2^q) of them), computes
+    both sides exactly under the stationary law, and reports the worst
+    slack, which passes at <= 1e-12.  Default modulus: polynomial with
+    alpha = 1 and h = the chain's conditional margin.
+    """
+    h = _noise_check_margin(chain, order_q)
     model = noise if noise is not None else bnd.MammenTsybakovNoise(1.0, h)
     loss = LossSpec.misclassification(2)
     g_star = bayes_predictor(chain, loss)

@@ -9,38 +9,39 @@ cumulative row of ``chain.base.conditional`` for the context
 x // S^(p+1-k), set to 1.0 from the entry where the row reaches its total,
 so zero mass is never drawn.
 
-Uniforms are drawn _WINDOW at a time, which yields the doubles of one draw
-of the whole length, so a walk holds its states plus O(_WINDOW * s^k) more.
-Two walks give the same states from them:
+:func:`_walk` fills its output one block at a time, drawing each block's
+uniforms from the stream as it goes.  Philox draws of consecutive sizes
+give the doubles of one draw of the whole length, so the block size never
+changes a state, and a walk holds its states plus O(_CELLS) more.  Two
+walks give the same states from the same uniforms:
 
 - the chunked walk (:class:`_ChunkedWalk`) follows all s^k contexts of
   every chunk of a block at once, one numpy ``take`` per chunk step, and
   rebuilds the states from the drawn symbols;
-- the bisect loop draws one state per Python step.  It runs for chains
-  with more than _MAX_CONTEXTS contexts: the chunked walk's cost per step
-  grows with s^k and the loop's does not, and the constant is their
-  measured crossover.
+- the bisect walk (:class:`_BisectWalk`) draws one state per Python step.
+  It runs for chains with more than _MAX_CONTEXTS contexts: the chunked
+  walk's cost per step grows with s^k and the bisect walk's does not, and
+  the constant is their measured crossover.
 """
 
 from __future__ import annotations
 
-import itertools
 from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
 
 from .chains import MarkovizedChain
-from .errors import DimensionMismatchError, EmptySegmentError, RangeError
+from .errors import EmptySegmentError, RangeError
 
 _UINT64_CEIL = 2 ** 64
-# uniforms per generator call
-_WINDOW = 3072
 # steps per chunk of the chunked walk
 _CHUNK = 32
 # (step, context) cells per block of the chunked walk: a block's work arrays
-# then stay small enough to be reused from the heap rather than paged in anew
-_CELLS = 4 * _WINDOW
+# then stay small enough to be reused from the heap rather than paged in anew.
+# The bisect walk's cost per state does not depend on s^k, so its blocks
+# hold _CELLS states
+_CELLS = 12288
 # chains with more contexts s^k than this walk by bisect (measured crossover)
 _MAX_CONTEXTS = 16
 
@@ -64,29 +65,6 @@ class SeedSpec:
         return np.random.Generator(np.random.Philox(key=key))
 
 
-@dataclass(frozen=True)
-class Trajectory:
-    """A sampled composite-state path split into learning and validation parts."""
-
-    states: np.ndarray
-    n_learning: int
-    m_validation: int
-
-    def __post_init__(self):
-        if len(self.states) != self.n_learning + self.m_validation:
-            raise DimensionMismatchError(
-                f"{len(self.states)} states != {self.n_learning} + "
-                f"{self.m_validation}")
-
-    @property
-    def learning(self) -> np.ndarray:
-        return self.states[:self.n_learning]
-
-    @property
-    def validation(self) -> np.ndarray:
-        return self.states[self.n_learning:]
-
-
 def _cumulative(law: np.ndarray) -> np.ndarray:
     # cumulative sums along the last axis, set to 1.0 from the first entry at
     # the final total (a positive-mass entry) on, so a law summing to just
@@ -97,40 +75,39 @@ def _cumulative(law: np.ndarray) -> np.ndarray:
     return c
 
 
-def _uniform_windows(gen: np.random.Generator, count: int):
-    # Philox draws of consecutive sizes give the doubles of one large draw
-    for start in range(0, count, _WINDOW):
-        yield gen.random(min(_WINDOW, count - start))
-
-
-def _walk(chain, state: int, windows, out: np.ndarray) -> None:
-    # fill out with the states after `state`, one per uniform of `windows`
+def _walk(chain, state: int, gen: np.random.Generator,
+          out: np.ndarray) -> None:
+    # fill out with the states after `state`, one per uniform drawn from gen
     if chain.base.symbols ** chain.base.order > _MAX_CONTEXTS:
-        _bisect_walk(chain, state, windows, out)
-        return
-    walk = _ChunkedWalk(chain)
-    size = max(_CHUNK, _CELLS // walk.contexts)
-    done = 0
-    for u in windows:
-        for start in range(0, len(u), size):
-            part = u[start:start + size]
-            state = walk.block(part, state, out[done:done + len(part)])
-            done += len(part)
+        walk = _BisectWalk(chain)
+    else:
+        walk = _ChunkedWalk(chain)
+    for start in range(0, len(out), walk.size):
+        part = out[start:start + walk.size]
+        state = walk.block(gen.random(len(part)), state, part)
 
 
-def _bisect_walk(chain, state: int, windows, out: np.ndarray) -> None:
-    # the context x // S^(p+1-k) is constant over runs of S^(p+1-k) states,
-    # so rows[x] is its table
-    s, p, k = chain.base.symbols, chain.embedding_order, chain.base.order
-    tables = _cumulative(chain.base.conditional).tolist()
-    rows = [t for t in tables for _ in range(s ** (p + 1 - k))]
-    high = s ** p
-    i = 0
-    for u in windows:
-        for v in u.tolist():
+class _BisectWalk:
+    """The walk of one chain, one bisect of a cumulative table per state.
+
+    The context x // S^(p+1-k) is constant over runs of S^(p+1-k) states,
+    so rows[x] is its table.
+    """
+
+    def __init__(self, chain):
+        s, p, k = chain.base.symbols, chain.embedding_order, chain.base.order
+        tables = _cumulative(chain.base.conditional).tolist()
+        self.rows = [t for t in tables for _ in range(s ** (p + 1 - k))]
+        self.symbols, self.high = s, s ** p
+        self.size = _CELLS
+
+    def block(self, u: np.ndarray, state: int, out: np.ndarray) -> int:
+        """Write the len(u) states after `state` into out; return the last."""
+        rows, s, high = self.rows, self.symbols, self.high
+        for i, v in enumerate(u.tolist()):
             state = bisect_right(rows[state], v) * high + state // s
             out[i] = state
-            i += 1
+        return state
 
 
 class _ChunkedWalk:
@@ -152,6 +129,7 @@ class _ChunkedWalk:
         s, k = chain.base.symbols, chain.base.order
         self.symbols, self.embedding_order = s, chain.embedding_order
         self.contexts = contexts = s ** k
+        self.size = max(_CHUNK, _CELLS // contexts)
         self.context_unit = s ** (chain.embedding_order + 1 - k)
         self.symbol_unit = s ** (k - 1)
         cum = _cumulative(chain.base.conditional)
@@ -212,19 +190,22 @@ class _ChunkedWalk:
 
 
 def sample_stationary_trajectory(chain: MarkovizedChain, n: int, m: int,
-                                 seed: SeedSpec) -> Trajectory:
-    """Draw X_1 ~ Q and n + m - 1 transitions; first n states are learning."""
+                                 seed: SeedSpec) -> np.ndarray:
+    """Draw X_1 ~ Q and n + m - 1 transitions from one stream.
+
+    Returns the n + m states; the first n are the learning part and the
+    last m the validation part.
+    """
     if n < 1:
         raise RangeError("need n >= 1 learning states")
     if m < 0:
         raise RangeError("validation length must be >= 0")
-    windows = _uniform_windows(seed.generator(), n + m)
-    head = next(windows)
+    gen = seed.generator()
     states = np.empty(n + m, dtype=np.int64)
-    first = bisect_right(_cumulative(chain.stationary).tolist(), head[0])
+    first = bisect_right(_cumulative(chain.stationary).tolist(), gen.random())
     states[0] = first
-    _walk(chain, first, itertools.chain([head[1:]], windows), states[1:])
-    return Trajectory(states=states, n_learning=n, m_validation=m)
+    _walk(chain, first, gen, states[1:])
+    return states
 
 
 def sample_conditional_continuation(chain: MarkovizedChain, x_last: int,
@@ -239,5 +220,5 @@ def sample_conditional_continuation(chain: MarkovizedChain, x_last: int,
     if m < 1:
         raise EmptySegmentError("continuation needs m >= 1 states")
     states = np.empty(m, dtype=np.int64)
-    _walk(chain, x_last, _uniform_windows(seed.generator(), m), states)
+    _walk(chain, x_last, seed.generator(), states)
     return states

@@ -641,6 +641,30 @@ def test_verify_rejects_insufficient_replications(tmp_path, capsys):
     assert "100 replications" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("chain, order, message", [
+    ({"kernel": [[0.9, 0.1], [0.2, 0.8]], "embedding_order": 1}, 3,
+     "error: order must lie in [0, 1]"),
+    ({"kernel": [[0.8, 0.1, 0.1], [0.1, 0.8, 0.1], [0.1, 0.1, 0.8]],
+      "embedding_order": 1}, 1,
+     "error: exhaustive noise check is binary-only"),
+    ({"kernel": [[0.5, 0.5], [0.5, 0.5]], "embedding_order": 1}, 1,
+     "is numerically zero"),
+], ids=["order-range", "binary-only", "zero-margin"])
+def test_verify_rejects_noise_check_before_replicating(tmp_path, capsys,
+                                                        monkeypatch, chain,
+                                                        order, message):
+    def never(config):
+        raise AssertionError("replications ran before the noise check")
+
+    monkeypatch.setattr("markov_holdout.cli.run_replications", never)
+    cfg = write_config(tmp_path, {**VERIFY_BASE, "chain": chain,
+                                  "noise_check_order": order})
+    code = main(["verify", "--config", cfg, "--out", str(tmp_path / "out"),
+                 "--quiet"])
+    assert code == 2
+    assert message in capsys.readouterr().err
+
+
 def test_verify_byte_identical_reports(tmp_path):
     cfg = write_config(tmp_path, VERIFY_BASE)
     out_a, out_b = tmp_path / "a", tmp_path / "b"

@@ -162,7 +162,7 @@ def test_conditional_mode_freezes_candidates(small_run, two_state_chain,
     traj = sample_stationary_trajectory(two_state_chain, 200, 150,
                                         SeedSpec(5, 0))
     for order, cand in zip((0, 1), small_run.candidates):
-        refit = erm_fit(two_state_chain, order, traj.learning, zero_one_loss)
+        refit = erm_fit(two_state_chain, order, traj[:200], zero_one_loss)
         assert (cand.table == refit.table).all()
         assert exact_risk(refit, two_state_chain,
                           zero_one_loss) == pytest.approx(
@@ -224,7 +224,7 @@ def test_marginal_replication_matches_manual_refit(two_state_chain,
         traj = sample_stationary_trajectory(two_state_chain, 60, 80,
                                             SeedSpec(11, r))
         for j, order in enumerate((0, 1)):
-            refit = erm_fit(two_state_chain, order, traj.learning,
+            refit = erm_fit(two_state_chain, order, traj[:60],
                             zero_one_loss)
             assert exact_risk(refit, two_state_chain,
                               zero_one_loss) == pytest.approx(

@@ -170,7 +170,7 @@ def test_empirical_risk_concentrates_on_exact(two_state_chain, zero_one_loss):
     traj = sample_stationary_trajectory(two_state_chain, 1, 1_000_000,
                                         SeedSpec(4242))
     emp = holdout_select(losses_of([g], two_state_chain, zero_one_loss),
-                         traj.validation)[1][0]
+                         traj[1:])[1][0]
     # correlated Bernoulli mean; 0.003 is ~3 effective SEs at this length
     assert abs(emp - 2.0 / 15.0) < 0.003
 
@@ -286,9 +286,9 @@ def test_holdout_select_minimizes_empirical(two_state_chain, zero_one_loss):
              PredictorTable(1, 2, np.array([1, 0]))]   # anti-Bayes
     traj = sample_stationary_trajectory(two_state_chain, 1, 400, SeedSpec(61))
     losses = losses_of(cands, two_state_chain, zero_one_loss)
-    idx, risks = holdout_select(losses, traj.validation)
+    idx, risks = holdout_select(losses, traj[1:])
     assert idx == 0
-    assert risks[0] == pytest.approx(losses[0, traj.validation].mean())
+    assert risks[0] == pytest.approx(losses[0, traj[1:]].mean())
     assert risks[1] > risks[0]
 
 
@@ -298,7 +298,7 @@ def test_holdout_select_tie_prefers_lowest_index(two_state_chain,
     twin = PredictorTable(1, 2, np.array([0, 1]))
     traj = sample_stationary_trajectory(two_state_chain, 1, 100, SeedSpec(67))
     idx, risks = holdout_select(
-        losses_of([g, twin], two_state_chain, zero_one_loss), traj.validation)
+        losses_of([g, twin], two_state_chain, zero_one_loss), traj[1:])
     assert idx == 0
     assert risks[0] == risks[1]
 
@@ -321,9 +321,9 @@ def test_holdout_select_invariant_under_affine_loss_rescale(two_state_chain):
         traj = sample_stationary_trajectory(two_state_chain, 1, 301,
                                             SeedSpec(71, seed))
         idx_a, _ = holdout_select(
-            losses_of(cands, two_state_chain, base), traj.validation)
+            losses_of(cands, two_state_chain, base), traj[1:])
         idx_b, _ = holdout_select(
-            losses_of(cands, two_state_chain, scaled), traj.validation)
+            losses_of(cands, two_state_chain, scaled), traj[1:])
         assert idx_a == idx_b
 
 

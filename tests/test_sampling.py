@@ -16,7 +16,6 @@ from markov_holdout import (
     HigherOrderChainSpec,
     RangeError,
     SeedSpec,
-    Trajectory,
     markovize,
     sample_conditional_continuation,
     sample_stationary_trajectory,
@@ -25,7 +24,7 @@ from markov_holdout import (
 
 
 # ---------------------------------------------------------------------------
-# seeds and containers
+# seeds and arguments
 
 
 def test_seed_spec_validates_range():
@@ -35,18 +34,6 @@ def test_seed_spec_validates_range():
         SeedSpec(-1, 0)
     with pytest.raises(RangeError):
         SeedSpec(0, 2 ** 64)
-
-
-def test_trajectory_split_lengths():
-    states = np.arange(10)
-    traj = Trajectory(states, n_learning=6, m_validation=4)
-    assert traj.learning.tolist() == [0, 1, 2, 3, 4, 5]
-    assert traj.validation.tolist() == [6, 7, 8, 9]
-
-
-def test_trajectory_rejects_length_mismatch():
-    with pytest.raises(Exception):
-        Trajectory(np.arange(9), n_learning=6, m_validation=4)
 
 
 def test_sample_rejects_empty_segments(two_state_chain):
@@ -68,19 +55,19 @@ def test_continuation_rejects_bad_start_state(two_state_chain):
 def test_same_seed_reproduces_trajectory(two_state_chain):
     a = sample_stationary_trajectory(two_state_chain, 50, 50, SeedSpec(99, 3))
     b = sample_stationary_trajectory(two_state_chain, 50, 50, SeedSpec(99, 3))
-    assert (a.states == b.states).all()
+    assert (a == b).all()
 
 
 def test_replication_index_changes_stream(two_state_chain):
     a = sample_stationary_trajectory(two_state_chain, 200, 0, SeedSpec(99, 1))
     b = sample_stationary_trajectory(two_state_chain, 200, 0, SeedSpec(99, 2))
-    assert (a.states != b.states).any()
+    assert (a != b).any()
 
 
 def test_master_seed_changes_stream(two_state_chain):
     a = sample_stationary_trajectory(two_state_chain, 200, 0, SeedSpec(1, 0))
     b = sample_stationary_trajectory(two_state_chain, 200, 0, SeedSpec(2, 0))
-    assert (a.states != b.states).any()
+    assert (a != b).any()
 
 
 def test_continuation_matches_its_own_replay(two_state_chain):
@@ -98,8 +85,8 @@ def test_transitions_respect_structural_zeros(two_state_chain):
     # composite steps must satisfy next = y * S^p + x // S; all other
     # transitions have zero mass and must never be drawn
     traj = sample_stationary_trajectory(two_state_chain, 50_000, 0, SeedSpec(5))
-    x = traj.states[:-1]
-    nxt = traj.states[1:]
+    x = traj[:-1]
+    nxt = traj[1:]
     assert ((nxt == x // 2) | (nxt == x // 2 + 2)).all()
 
 
@@ -176,15 +163,21 @@ def _reference_chains():
     return pairs
 
 
+def _lengths(size, blocks):
+    # lengths around the chunk, around a walk's block of `size` states, and
+    # one that spans `blocks` blocks
+    chunk = sampling._CHUNK
+    return [1, chunk - 1, chunk, chunk + 1, size - 1, size, size + 1,
+            blocks * size + chunk + 3]
+
+
 @pytest.mark.parametrize("top_every", [None, 3])
 def test_sampler_matches_dense_row_reference(monkeypatch, top_every):
     # both entry points of both walks against the dense-row reference on the
-    # same uniforms; with top_every set, every third uniform is the largest
-    # double below 1, which reaches the clamped end of each table.  The
-    # injection restarts at each draw of a window, so the window length must
-    # be a multiple of 3.
-    chunk, window = sampling._CHUNK, sampling._WINDOW
-    assert top_every is None or window % top_every == 0
+    # same uniforms; with top_every set, every third uniform of the stream is
+    # the largest double below 1, which reaches the clamped end of each
+    # table.  The injection counts positions in the stream, not in one draw,
+    # so the walks may draw blocks of any length.
     real = SeedSpec.generator
 
     class Injected:
@@ -192,25 +185,34 @@ def test_sampler_matches_dense_row_reference(monkeypatch, top_every):
 
         def __init__(self, gen):
             self.gen = gen
+            self.drawn = 0
 
-        def random(self, k):
-            u = self.gen.random(k)
+        def random(self, k=None):
+            u = self.gen.random(1 if k is None else k)
             if Injected.grid is not None:
                 u = np.floor(u * Injected.grid) / Injected.grid
             if top_every is not None:
-                u[::top_every] = np.nextafter(1.0, 0.0)
-            return u
+                u[-self.drawn % top_every::top_every] = np.nextafter(1.0, 0.0)
+            self.drawn += len(u)
+            return u[0] if k is None else u
 
     monkeypatch.setattr(SeedSpec, "generator",
                         lambda self: Injected(real(self)))
-    lengths = [1, chunk - 1, chunk, chunk + 1, window - 1, window,
-               window + 1, 2 * window + chunk + 3]
-    for max_contexts in (2 ** 64, 0):
-        with monkeypatch.context() as patch:
-            patch.setattr(sampling, "_MAX_CONTEXTS", max_contexts)
-            for c, (chain, grid) in enumerate(_reference_chains()):
-                Injected.grid = grid
-                _check_against_reference(chain, c, lengths)
+    walks = ((2 ** 64, sampling._ChunkedWalk), (0, sampling._BisectWalk))
+
+    def check_both_walks(blocks):
+        for max_contexts, walk in walks:
+            with monkeypatch.context() as patch:
+                patch.setattr(sampling, "_MAX_CONTEXTS", max_contexts)
+                for c, (chain, grid) in enumerate(_reference_chains()):
+                    Injected.grid = grid
+                    lengths = _lengths(walk(chain).size, blocks)
+                    _check_against_reference(chain, c, lengths)
+
+    check_both_walks(2)
+    # blocks of a few states: a long draw spans many blocks of both walks
+    monkeypatch.setattr(sampling, "_CELLS", 3 * sampling._CHUNK)
+    check_both_walks(20)
 
 
 def _check_against_reference(chain, c, lengths):
@@ -221,7 +223,7 @@ def _check_against_reference(chain, c, lengths):
         traj = sample_stationary_trajectory(chain, 1, length - 1, seed)
         first = bisect_right(_clamped_cumsum(chain.stationary), uniforms[0])
         expected = [first, *_dense_reference_walk(rows, first, uniforms[1:])]
-        assert traj.states.tolist() == expected
+        assert traj.tolist() == expected
     # every start for lengths up to p + 1, where the first states still
     # carry the start's digits, and a few starts for the long lengths
     short = range(1, chain.embedding_order + 2)
@@ -268,14 +270,14 @@ def test_continuation_first_step_uses_start_row(two_state_chain):
 def test_stationary_symbol_frequencies_iid(iid_chain):
     # targets of an i.i.d. fair-coin chain are i.i.d. Bernoulli(1/2)
     traj = sample_stationary_trajectory(iid_chain, 1_000_000, 0, SeedSpec(17))
-    freq = (traj.states // 2).mean()
+    freq = (traj // 2).mean()
     assert abs(freq - 0.5) < 3 * np.sqrt(0.25 / 1_000_000)
 
 
 def test_stationary_state_frequencies_two_state(two_state_chain):
     traj = sample_stationary_trajectory(two_state_chain, 1_000_000, 0,
                                         SeedSpec(29))
-    counts = np.bincount(traj.states, minlength=4) / len(traj.states)
+    counts = np.bincount(traj, minlength=4) / len(traj)
     # correlated samples: allow 0.005 absolute (roughly 3.5 effective SE)
     assert counts == pytest.approx(two_state_chain.stationary, abs=0.005)
 
@@ -283,7 +285,7 @@ def test_stationary_state_frequencies_two_state(two_state_chain):
 def test_transition_frequencies_chi_square(two_state_chain):
     traj = sample_stationary_trajectory(two_state_chain, 100_000, 0,
                                         SeedSpec(31))
-    x, nxt = traj.states[:-1], traj.states[1:]
+    x, nxt = traj[:-1], traj[1:]
     observed = np.zeros((4, 4))
     np.add.at(observed, (x, nxt), 1.0)
     matrix = two_state_chain.kernel.matrix
@@ -324,7 +326,7 @@ def test_first_state_of_stationary_trajectory_has_stationary_law(two_state_chain
     for r in range(reps):
         traj = sample_stationary_trajectory(two_state_chain, 1, 0,
                                             SeedSpec(977, r))
-        counts[traj.states[0]] += 1.0
+        counts[traj[0]] += 1.0
     freq = counts / reps
     law = two_state_chain.stationary
     se = np.sqrt(law * (1 - law) / reps)
