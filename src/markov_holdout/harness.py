@@ -40,11 +40,11 @@ from .errors import (
 from .predictors import (
     LossSpec,
     PredictorTable,
+    _select_by_counts,
     bayes_predictor,
     disagreement_variance,
     erm_fit,
     exact_risk,
-    holdout_select,
     oracle_select,
     state_losses,
 )
@@ -202,8 +202,10 @@ def _fit_candidates(config: ExperimentConfig, learning: np.ndarray):
 def _replication_rows(args):
     """k_hat, k_tilde, empirical, gapped (None when gap_b = 0), exact rows.
 
-    Each replication selects through :func:`holdout_select` on its
-    validation segment and :func:`oracle_select` on the stationary law.
+    Each replication selects by the rule of :func:`holdout_select`, from
+    the state-visit counts of its validation segment (and of the part after
+    the first ``gap_b`` states), and through :func:`oracle_select` on the
+    stationary law.
     ``loss_matrix`` holds the frozen candidates' per-state losses in
     conditional mode, where each validation segment continues from
     ``x_last``.  It is None in marginal mode, where each replication draws
@@ -225,9 +227,13 @@ def _replication_rows(args):
         else:
             losses = loss_matrix
             seg = sample_conditional_continuation(chain, x_last, config.m, seed)
-        k_hat[i], emp[i] = holdout_select(losses, seg)
+        # the sampler's states lie in [0, S); the gapped counts are those
+        # of the whole segment less those of its first gap_b states
+        counts = np.bincount(seg, minlength=chain.n_states)
+        k_hat[i], emp[i] = _select_by_counts(losses, counts)
         if gap is not None:
-            gap[i] = holdout_select(losses, seg, gap_b)[1]
+            counts -= np.bincount(seg[:gap_b], minlength=chain.n_states)
+            gap[i] = _select_by_counts(losses, counts)[1]
         k_tilde[i], exact[i] = oracle_select(losses, chain.stationary)
     return k_hat, k_tilde, emp, gap, exact
 
@@ -239,7 +245,8 @@ def run_replications(config: ExperimentConfig) -> RunResult:
     not depend on thread count or completion order.  In conditional mode
     the candidates are fitted once on the learning draw with seed
     (master_seed, 0); ``threads`` worker processes serve both modes and
-    select through :func:`holdout_select` and :func:`oracle_select`.
+    select by the rule of :func:`holdout_select` and through
+    :func:`oracle_select`.
     """
     chain = config.chain
     mixing = mixing_time(chain, q=chain.stationary)

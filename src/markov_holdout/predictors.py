@@ -188,7 +188,13 @@ def holdout_select(loss_matrix: np.ndarray, segment: np.ndarray,
     n_states = loss_matrix.shape[1]
     counts = np.bincount(_states(segment, n_states)[burn:],
                          minlength=n_states)
-    risks = loss_matrix @ counts / (len(segment) - burn)
+    return _select_by_counts(loss_matrix, counts)
+
+
+def _select_by_counts(loss_matrix: np.ndarray, counts: np.ndarray):
+    # holdout_select on a segment given by its state-visit counts, which sum
+    # to its (positive) length
+    risks = loss_matrix @ counts / counts.sum()
     return int(np.argmin(risks)), risks
 
 

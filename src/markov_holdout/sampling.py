@@ -12,12 +12,17 @@ so zero mass is never drawn.
 :func:`_walk` fills its output one block at a time, drawing each block's
 uniforms from the stream as it goes.  Philox draws of consecutive sizes
 give the doubles of one draw of the whole length, so the block size never
-changes a state, and a walk holds its states plus O(_CELLS) more.  Two
-walks give the same states from the same uniforms:
+changes a state, and a walk holds its states plus O(_CELLS + _STEPS) more.
+Each chain's walk is built at its first draw and kept in a weak-keyed cache
+until the chain is collected; a change to a module constant the walk was
+built under builds it anew.  Two walks give the same states from the same
+uniforms:
 
-- the chunked walk (:class:`_ChunkedWalk`) follows all s^k contexts of
-  every chunk of a block at once, one numpy ``take`` per chunk step, and
-  rebuilds the states from the drawn symbols;
+- the chunked walk (:class:`_ChunkedWalk`) composes the one-step context
+  maps into tables over grams of g steps, finds each uniform's bucket with
+  a guide table, follows all s^k contexts of every chunk of grams of a
+  block at once, one numpy ``take`` per gram, and rebuilds the states from
+  the drawn symbols;
 - the bisect walk (:class:`_BisectWalk`) draws one state per Python step.
   It runs for chains with more than _MAX_CONTEXTS contexts: the chunked
   walk's cost per step grows with s^k and the bisect walk's does not, and
@@ -26,6 +31,7 @@ walks give the same states from the same uniforms:
 
 from __future__ import annotations
 
+import weakref
 from bisect import bisect_right
 from dataclasses import dataclass
 
@@ -35,15 +41,22 @@ from .chains import MarkovizedChain
 from .errors import EmptySegmentError, RangeError
 
 _UINT64_CEIL = 2 ** 64
-# steps per chunk of the chunked walk
+# grams per chunk of the chunked walk
 _CHUNK = 32
-# (step, context) cells per block of the chunked walk: a block's work arrays
-# then stay small enough to be reused from the heap rather than paged in anew.
-# The bisect walk's cost per state does not depend on s^k, so its blocks
-# hold _CELLS states
+# (gram, context) cells and steps per block of the chunked walk, at most: a
+# block's work arrays then stay small enough to be reused from the heap
+# rather than paged in anew.  The bisect walk's cost per state does not
+# depend on s^k, so its blocks hold _CELLS states
 _CELLS = 12288
+_STEPS = 2 ** 14
 # chains with more contexts s^k than this walk by bisect (measured crossover)
 _MAX_CONTEXTS = 16
+# bound on the (gram, context) rows B^g * s^k of the chunked walk's tables
+_GRAM_CELLS = 2 ** 14
+# cells of [0, 1) in the chunked walk's guide table, a power of two
+_GUIDE = 4096
+# each chain's walk, built at its first draw and dropped with the chain
+_WALKS = weakref.WeakKeyDictionary()
 
 
 @dataclass(frozen=True)
@@ -78,10 +91,15 @@ def _cumulative(law: np.ndarray) -> np.ndarray:
 def _walk(chain, state: int, gen: np.random.Generator,
           out: np.ndarray) -> None:
     # fill out with the states after `state`, one per uniform drawn from gen
-    if chain.base.symbols ** chain.base.order > _MAX_CONTEXTS:
-        walk = _BisectWalk(chain)
-    else:
-        walk = _ChunkedWalk(chain)
+    setting = (_CHUNK, _CELLS, _STEPS, _MAX_CONTEXTS, _GRAM_CELLS, _GUIDE)
+    cached = _WALKS.get(chain)
+    if cached is None or cached[0] != setting:
+        if chain.base.symbols ** chain.base.order > _MAX_CONTEXTS:
+            cached = setting, _BisectWalk(chain)
+        else:
+            cached = setting, _ChunkedWalk(chain)
+        _WALKS[chain] = cached
+    walk = cached[1]
     for start in range(0, len(out), walk.size):
         part = out[start:start + walk.size]
         state = walk.block(gen.random(len(part)), state, part)
@@ -117,11 +135,18 @@ class _ChunkedWalk:
     context moves by c -> y * S^(k-1) + c // S.  The symbol y drawn from c
     is the number of entries <= u of c's clamped cumulative row (what
     bisect_right returns), so it changes only where u crosses an entry of
-    some row.  Bucket b holds the u with exactly b of the sorted entries of
-    all rows <= u, and moves[b] is the context map of every u in it.  A
-    block of steps is cut into chunks of at most _CHUNK steps; one walker
-    per (chunk, start context) follows that chunk's maps with one take per
-    step, the chunks are chained from the known start context, and the
+    some row.  Bucket b holds the u with exactly b of the distinct entries
+    < 1 of all rows (the edges) <= u, so each of the B buckets has one
+    context map.  A uniform's bucket starts at the count of edges <= the
+    lower end of its cell among _GUIDE cells of [0, 1), and moves up one
+    edge per pass, as many passes as the most edges one cell holds.
+
+    A gram is g consecutive buckets, g the largest with B^g * s^k <=
+    _GRAM_CELLS: moves[G, c] is the context after gram G from c and
+    symbol_rows[G * s^k + c] the g symbols it draws, one byte each.  A
+    block is cut into chunks of at most _CHUNK grams; one walker per
+    (chunk, start context) follows that chunk's gram maps with one take per
+    gram, the chunks are chained from the known start context, and the
     states are rebuilt from the drawn symbols.
     """
 
@@ -129,45 +154,72 @@ class _ChunkedWalk:
         s, k = chain.base.symbols, chain.base.order
         self.symbols, self.embedding_order = s, chain.embedding_order
         self.contexts = contexts = s ** k
-        self.size = max(_CHUNK, _CELLS // contexts)
         self.context_unit = s ** (chain.embedding_order + 1 - k)
-        self.symbol_unit = s ** (k - 1)
         cum = _cumulative(chain.base.conditional)
-        # u < 1 never reaches an entry >= 1.0; a repeated edge only leaves
-        # a bucket that no u falls in
-        self.thresholds = edges = np.sort(cum[cum < 1.0])
+        # u < 1 never reaches an entry >= 1.0
+        edges = np.array(sorted(set(cum[cum < 1.0].tolist())))
+        self.buckets = buckets = len(edges) + 1
+        # u's cell is floor(u * _GUIDE), exact for a power of two; at most
+        # `passes` edges lie above a cell's lower end and below u, and the
+        # padded last edge is never <= u
+        lower = np.arange(_GUIDE) / _GUIDE
+        self.guide = np.searchsorted(edges, lower, side="right")
+        ahead = np.searchsorted(edges, lower + 1.0 / _GUIDE) - self.guide
+        self.passes = int(ahead.max())
+        self.edges = np.append(edges, 2.0)
         # entry e of row c is <= u from bucket searchsorted(edges, e) + 1 on
         first = np.searchsorted(edges, cum) + 1
-        buckets = len(edges) + 1
         cells = (first * contexts + np.arange(contexts)[:, None]).reshape(-1)
         drawn = np.bincount(cells, minlength=(buckets + 1) * contexts)
         drawn = drawn.reshape(-1, contexts).cumsum(axis=0)[:buckets]
         context = np.arange(contexts)
-        # the extra last row is the identity, for steps past a block's end
-        self.moves = np.vstack([drawn * self.symbol_unit + context // s,
-                                context]).astype(np.intp)
-        self.identity = buckets
+        step = (drawn * s ** (k - 1) + context // s).reshape(-1)
+        drawn = drawn.astype(np.min_scalar_type(s - 1)).reshape(-1)
+        # a single bucket (every row a point mass) still composes grams
+        g = 1
+        while max(buckets, 2) ** (g + 1) * contexts <= _GRAM_CELLS:
+            g += 1
+        self.gram = g
+        # digit i of gram G, most significant first, is the bucket of its
+        # step i; `after` holds the context after each prefix of i digits
+        symbol_rows = np.empty((buckets ** g, contexts, g), dtype=drawn.dtype)
+        after = context[None, :]
+        for i in range(g):
+            at = after[:, None, :] + (np.arange(buckets) * contexts)[:, None]
+            rows = symbol_rows.reshape(buckets ** i, buckets, -1, contexts, g)
+            rows[..., i] = drawn.take(at)[:, :, None, :]
+            after = step.take(at).reshape(-1, contexts)
+        self.moves = after
+        self.symbol_rows = symbol_rows.reshape(-1, g)
+        self.digit_weights = buckets ** np.arange(g - 1, -1, -1)
+        self.state_type = np.min_scalar_type(-chain.n_states)
+        self.size = g * max(_CHUNK, min(_CELLS // contexts, _STEPS // g))
 
     def block(self, u: np.ndarray, state: int, out: np.ndarray) -> int:
         """Write the len(u) states after `state` into out; return the last."""
-        s, p, contexts = self.symbols, self.embedding_order, self.contexts
+        s, p, contexts, g = (self.symbols, self.embedding_order,
+                             self.contexts, self.gram)
         w = len(u)
-        chunks = -(-w // _CHUNK)
-        length = -(-w // chunks)
-        steps = np.full((chunks, length), self.identity, dtype=np.intp)
-        steps.reshape(-1)[:w] = np.searchsorted(self.thresholds, u,
-                                                side="right")
-        # slab i of maps holds step i of every chunk.  Walker (j, c) has the
-        # value j * contexts + c, its own index into the slab, so chunk j's
-        # copy of the context maps is biased by j * contexts
-        bias = np.arange(chunks) * contexts
-        moves = (self.moves + bias[:, None, None]).reshape(-1, contexts)
-        steps += (np.arange(chunks) * len(self.moves))[:, None]
-        maps = moves.take(steps.T, axis=0).reshape(length, -1)
-        walkers = np.empty_like(maps)
-        here = np.arange(chunks * contexts)
+        grams = -(-w // g)
+        chunks = -(-grams // _CHUNK)
+        length = -(-grams // chunks)
+        # the steps past w draw bucket 0; nothing reads their symbols, and
+        # only the last chunk, whose end no later chunk starts from, has them
+        bucket = np.zeros(chunks * length * g, dtype=np.intp)
+        b = bucket[:w]
         # every index is in range; mode="clip" only spares the copy that
         # take makes of `out` under the default mode="raise"
+        self.guide.take((u * _GUIDE).astype(np.intp), out=b, mode="clip")
+        for _ in range(self.passes):
+            b += u >= self.edges.take(b)
+        gram = bucket.reshape(chunks, length, g) @ self.digit_weights
+        # slab i of maps holds gram i of every chunk.  Walker (j, c) has the
+        # value j * contexts + c, its own index into the slab, so chunk j's
+        # maps are biased by j * contexts once taken
+        here = np.arange(chunks * contexts)
+        maps = self.moves.take(gram.T, axis=0).reshape(length, -1)
+        maps += here - here % contexts
+        walkers = np.empty_like(maps)
         for table, after in zip(maps, walkers):
             here = table.take(here, out=after, mode="clip")
         ends = (here % contexts).tolist()
@@ -176,14 +228,22 @@ class _ChunkedWalk:
         for j in range(chunks - 1):
             start = ends[j * contexts + start]
             starts.append(start)
-        path = walkers.take(bias + starts, axis=1)
-        # the newest symbol of context c is y
-        symbol = np.arange(chunks * contexts) % contexts // self.symbol_unit
-        y = symbol.take(path.T.reshape(-1)[:w])
-        # x_t = sum_j y_(t-j) S^(p-j), with the digits of `state` for t <= p
-        np.multiply(y, s ** p, out=out)
+        # the context before each gram picks its row of symbols
+        bias = np.arange(chunks) * contexts
+        before = np.empty((length, chunks), dtype=np.intp)
+        before[0] = starts
+        walkers[:-1].take(bias + starts, axis=1, out=before[1:], mode="clip")
+        before[1:] -= bias
+        gram *= contexts
+        gram += before.T
+        rows = self.symbol_rows.take(gram.reshape(-1), axis=0)
+        # x_t = sum_j y_(t-j) S^(p-j), with the digits of `state` for t <= p;
+        # the sums are < S, so they are taken in the smallest type that fits
+        y = rows.reshape(-1)[:w].astype(self.state_type)
+        x = y * s ** p
         for j in range(1, p + 1):
-            out[j:] += y[:-j] * s ** (p - j)
+            x[j:] += y[:-j] * s ** (p - j)
+        out[:] = x
         for t in range(1, min(p, w) + 1):
             out[t - 1] += state // s ** t
         return int(out[-1])

@@ -33,6 +33,7 @@ from markov_holdout import (
     mixing_time,
     noise_condition_check,
     run_replications,
+    sample_conditional_continuation,
     sample_stationary_trajectory,
     tail_probability,
     verify_bounds,
@@ -40,7 +41,11 @@ from markov_holdout import (
 )
 from markov_holdout.config import experiment_from_dict
 from markov_holdout.errors import UnknownEventError
-from markov_holdout.harness import WILSON_Z_99
+from markov_holdout.harness import (
+    WILSON_Z_99,
+    _fit_candidates,
+    _replication_rows,
+)
 
 WORKLOADS = Path(__file__).resolve().parent.parent / "benchmarks" / "workloads"
 
@@ -242,6 +247,43 @@ def test_marginal_threads_do_not_change_results(two_state_chain):
     serial, pooled = run(1), run(2)
     for name in ("empirical", "gap_empirical", "exact", "k_hat", "k_tilde"):
         assert (getattr(pooled, name) == getattr(serial, name)).all(), name
+
+
+@pytest.mark.parametrize("zero_one", [True, False])
+@pytest.mark.parametrize("mode", ["conditional", "marginal"])
+def test_replication_rows_count_each_segment_once(two_state_chain, mode,
+                                                  zero_one):
+    # the worker counts each validation segment once and takes the gapped
+    # counts as the full counts less those of the first gap_b states; its
+    # rows equal, bit for bit, one holdout_select call per burn-in, for 0/1
+    # loss tables and for random tables in [0, 1]
+    rng = np.random.default_rng(1501)
+
+    def table(shape):
+        t = rng.random(shape)
+        return np.round(t) if zero_one else t
+
+    chain = two_state_chain
+    config = _config(chain, mode=mode, n=60, m=80, gap_b=7,
+                     loss=LossSpec(table((2, 2))))
+    loss_matrix, x_last = (None, None) if mode == "marginal" else \
+        (table((2, chain.n_states)), 2)
+    indices = np.arange(1, 41)
+    k_hat, _, emp, gap, _ = _replication_rows((config, loss_matrix, x_last,
+                                               indices))
+    for i, r in enumerate(indices.tolist()):
+        seed = SeedSpec(config.master_seed, r)
+        if loss_matrix is None:
+            states = sample_stationary_trajectory(chain, 60, 80, seed)
+            losses = _fit_candidates(config, states[:60])[1]
+            seg = states[60:]
+        else:
+            losses = loss_matrix
+            seg = sample_conditional_continuation(chain, x_last, 80, seed)
+        index, full = holdout_select(losses, seg)
+        assert k_hat[i] == index
+        assert emp[i].tolist() == full.tolist()
+        assert gap[i].tolist() == holdout_select(losses, seg, 7)[1].tolist()
 
 
 # Values recorded from the replication code before its two modes shared one

@@ -5,6 +5,8 @@ against exact laws with 3-standard-error (or chi-square) tolerances, so they
 are deterministic once the seed is frozen.
 """
 
+import gc
+import weakref
 from bisect import bisect_right
 
 import numpy as np
@@ -160,24 +162,44 @@ def _reference_chains():
     # must draw the next symbol up, as bisect_right does
     dyadic = HigherOrderChainSpec(2, 1, [[0.5, 0.5], [0.25, 0.75]])
     pairs.append((markovize(dyadic, 2), 4))
+    # three cumulative entries in the guide cell that starts at 0.5, so a
+    # uniform above them in that cell needs more than one correction pass
+    crowded = [[0.5, 1e-12, 0.5 - 1e-12], [0.5 + 2e-12, 0.25, 0.25 - 2e-12],
+               [0.2, 0.3, 0.5]]
+    pairs.append((markovize(HigherOrderChainSpec(3, 1, crowded), 2), None))
     return pairs
 
 
-def _lengths(size, blocks):
-    # lengths around the chunk, around a walk's block of `size` states, and
-    # one that spans `blocks` blocks
-    chunk = sampling._CHUNK
-    return [1, chunk - 1, chunk, chunk + 1, size - 1, size, size + 1,
-            blocks * size + chunk + 3]
+def _lengths(walk, blocks):
+    # lengths around a gram, around a chunk, around the walk's block, and one
+    # that spans `blocks` blocks; the bisect walk steps one state at a time
+    gram = getattr(walk, "gram", 1)
+    chunk, size = sampling._CHUNK * gram, walk.size
+    return sorted({1, gram - 1, gram, gram + 1, chunk - 1, chunk, chunk + 1,
+                   size - 1, size, size + 1, blocks * size + chunk + 3} - {0})
 
 
-@pytest.mark.parametrize("top_every", [None, 3])
-def test_sampler_matches_dense_row_reference(monkeypatch, top_every):
+def _gram_cells(chain, gram):
+    # a _GRAM_CELLS that gives the chunked walk of `chain` grams of `gram`
+    # steps: B^g * s^k is at most the cap for g = gram and above it after
+    if gram == 1:
+        return 1
+    walk = sampling._ChunkedWalk(chain)
+    return max(walk.buckets, 2) ** gram * walk.contexts
+
+
+@pytest.mark.parametrize(
+    "top_every, gram",
+    [(None, None), (3, None), (None, 1), (3, 1), (None, 2), (3, 2)],
+    ids=["None", "3", "None-g1", "3-g1", "None-g2", "3-g2"])
+def test_sampler_matches_dense_row_reference(monkeypatch, top_every, gram):
     # both entry points of both walks against the dense-row reference on the
     # same uniforms; with top_every set, every third uniform of the stream is
     # the largest double below 1, which reaches the clamped end of each
     # table.  The injection counts positions in the stream, not in one draw,
-    # so the walks may draw blocks of any length.
+    # so the walks may draw blocks of any length.  With gram set, the chunked
+    # walk alone runs, with grams of that many steps; by default its grams
+    # are as long as _GRAM_CELLS allows.
     real = SeedSpec.generator
 
     class Injected:
@@ -199,15 +221,21 @@ def test_sampler_matches_dense_row_reference(monkeypatch, top_every):
     monkeypatch.setattr(SeedSpec, "generator",
                         lambda self: Injected(real(self)))
     walks = ((2 ** 64, sampling._ChunkedWalk), (0, sampling._BisectWalk))
+    if gram is not None:
+        walks = walks[:1]
 
     def check_both_walks(blocks):
-        for max_contexts, walk in walks:
+        for max_contexts, kind in walks:
             with monkeypatch.context() as patch:
                 patch.setattr(sampling, "_MAX_CONTEXTS", max_contexts)
                 for c, (chain, grid) in enumerate(_reference_chains()):
+                    if gram is not None:
+                        patch.setattr(sampling, "_GRAM_CELLS",
+                                      _gram_cells(chain, gram))
+                    walk = kind(chain)
+                    assert gram is None or walk.gram == gram
                     Injected.grid = grid
-                    lengths = _lengths(walk(chain).size, blocks)
-                    _check_against_reference(chain, c, lengths)
+                    _check_against_reference(chain, c, _lengths(walk, blocks))
 
     check_both_walks(2)
     # blocks of a few states: a long draw spans many blocks of both walks
@@ -261,6 +289,80 @@ def test_continuation_first_step_uses_start_row(two_state_chain):
         hits += two_state_chain.decode(step[0])[0]
     se = np.sqrt(0.8 * 0.2 / reps)
     assert abs(hits / reps - 0.8) < 3 * se
+
+
+# ---------------------------------------------------------------------------
+# the per-chain walk cache
+
+
+def _fresh_chain():
+    # a chain no other test has drawn from, so no walk of it is cached yet
+    return markovize(HigherOrderChainSpec(2, 2, [[0.9, 0.1], [0.7, 0.3],
+                                                 [0.4, 0.6], [0.2, 0.8]]), 3)
+
+
+def _count_builds(monkeypatch):
+    # the walks _walk builds from here on, in order
+    built = []
+    for name in ("_ChunkedWalk", "_BisectWalk"):
+        def build(chain, kind=getattr(sampling, name)):
+            built.append(kind(chain))
+            return built[-1]
+        monkeypatch.setattr(sampling, name, build)
+    return built
+
+
+def test_walk_is_built_once_per_chain(monkeypatch):
+    built = _count_builds(monkeypatch)
+    chain = _fresh_chain()
+    for r in range(4):
+        sample_conditional_continuation(chain, 3, 50, SeedSpec(1, r))
+        sample_stationary_trajectory(chain, 20, 30, SeedSpec(2, r))
+    assert len(built) == 1
+
+
+def test_walk_cache_drops_collected_chains():
+    gc.collect()
+    cached = len(sampling._WALKS)
+    chain = _fresh_chain()
+    sample_conditional_continuation(chain, 3, 50, SeedSpec(1))
+    assert chain in sampling._WALKS
+    assert len(sampling._WALKS) == cached + 1
+    # neither the cache nor the walk keeps the chain alive
+    alive = weakref.ref(chain)
+    del chain
+    gc.collect()
+    assert alive() is None
+    assert len(sampling._WALKS) <= cached
+
+
+@pytest.mark.parametrize("name, value", [("_CELLS", 3 * sampling._CHUNK),
+                                         ("_MAX_CONTEXTS", 0),
+                                         ("_GRAM_CELLS", 1)])
+def test_walk_cache_follows_patched_settings(monkeypatch, name, value):
+    # a walk cached under one setting is never reused under another, in
+    # either direction, and every setting draws the same states
+    chunked, bisect = sampling._ChunkedWalk, sampling._BisectWalk
+    built = _count_builds(monkeypatch)
+    chain = _fresh_chain()
+
+    def draw():
+        return sample_conditional_continuation(chain, 3, 500,
+                                               SeedSpec(5)).tolist()
+
+    before = draw()
+    with monkeypatch.context() as patch:
+        patch.setattr(sampling, name, value)
+        during = draw()
+    after = draw()
+    assert before == during == after
+    assert len(built) == 3
+    first, patched, last = built
+    assert type(first) is type(last) is chunked
+    if name == "_MAX_CONTEXTS":
+        assert type(patched) is bisect
+    else:
+        assert (patched.size, patched.gram) != (first.size, first.gram)
 
 
 # ---------------------------------------------------------------------------
