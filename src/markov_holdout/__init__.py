@@ -92,7 +92,6 @@ from .predictors import (
     erm_fit,
     exact_risk,
     holdout_select,
-    loss_variance,
     oracle_select,
     state_losses,
 )

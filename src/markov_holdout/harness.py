@@ -40,11 +40,11 @@ from .errors import (
 from .predictors import (
     LossSpec,
     PredictorTable,
-    _select_by_counts,
     bayes_predictor,
     disagreement_variance,
     erm_fit,
     exact_risk,
+    holdout_select,
     oracle_select,
     state_losses,
 )
@@ -191,9 +191,11 @@ class RunResult:
 
 
 def _fit_candidates(config: ExperimentConfig, learning: np.ndarray):
-    """ERM fits of every candidate order and their (N, S) per-state losses."""
+    """ERM fits of every candidate order on the learning states' visit
+    counts, and the fits' (N, S) per-state losses."""
     chain = config.chain
-    candidates = [erm_fit(chain, q, learning, config.effective_train_loss)
+    counts = np.bincount(learning, minlength=chain.n_states)
+    candidates = [erm_fit(chain, q, counts, config.effective_train_loss)
                   for q in config.orders]
     return candidates, np.stack([state_losses(g, chain, config.loss)
                                  for g in candidates])
@@ -202,9 +204,10 @@ def _fit_candidates(config: ExperimentConfig, learning: np.ndarray):
 def _replication_rows(args):
     """k_hat, k_tilde, empirical, gapped (None when gap_b = 0), exact rows.
 
-    Each replication selects by the rule of :func:`holdout_select`, from
-    the state-visit counts of its validation segment (and of the part after
-    the first ``gap_b`` states), and through :func:`oracle_select` on the
+    Each replication counts its validation segment's state visits once
+    and selects through :func:`holdout_select` on those counts; the gapped
+    risks are those of the counts less the visits of the first ``gap_b``
+    states.  The exact risks come from :func:`oracle_select` on the
     stationary law.
     ``loss_matrix`` holds the frozen candidates' per-state losses in
     conditional mode, where each validation segment continues from
@@ -227,13 +230,12 @@ def _replication_rows(args):
         else:
             losses = loss_matrix
             seg = sample_conditional_continuation(chain, x_last, config.m, seed)
-        # the sampler's states lie in [0, S); the gapped counts are those
-        # of the whole segment less those of its first gap_b states
+        # the sampler's states lie in [0, S)
         counts = np.bincount(seg, minlength=chain.n_states)
-        k_hat[i], emp[i] = _select_by_counts(losses, counts)
+        k_hat[i], emp[i] = holdout_select(losses, counts)
         if gap is not None:
             counts -= np.bincount(seg[:gap_b], minlength=chain.n_states)
-            gap[i] = _select_by_counts(losses, counts)[1]
+            gap[i] = holdout_select(losses, counts)[1]
         k_tilde[i], exact[i] = oracle_select(losses, chain.stationary)
     return k_hat, k_tilde, emp, gap, exact
 

@@ -2,9 +2,16 @@
 
 A predictor is a lookup table from the q most recent past symbols to a
 predicted next symbol.  Risks are taken under the composite stationary law
-(exact) or along a sampled validation segment (empirical).  Ties are always
-broken toward the lowest symbol / lowest candidate index; with argmin-style
-numpy reductions that is the first minimizer.
+(exact) or along a sampled segment (empirical).  Ties are always broken
+toward the lowest symbol / lowest candidate index; with argmin-style numpy
+reductions that is the first minimizer.
+
+A segment enters this module only as its state-visit counts (counts[x] =
+visits to state x, e.g. ``np.bincount(states, minlength=chain.n_states)``):
+a loss depends only on the state, so the empirical risk and the ERM
+(context, target) tally depend on the segment only through them.  Counts
+must have shape (S,) (DimensionMismatchError), an integer dtype and no
+negative entry (RangeError), and a positive total (EmptySegmentError).
 """
 
 from __future__ import annotations
@@ -96,14 +103,6 @@ def exact_risk(predictor: PredictorTable, chain: MarkovizedChain,
     return float(chain.stationary @ state_losses(predictor, chain, loss))
 
 
-def loss_variance(predictor: PredictorTable, chain: MarkovizedChain,
-                  loss: LossSpec) -> float:
-    """Exact stationary variance of the per-state loss (canonical V proxy)."""
-    ell = state_losses(predictor, chain, loss)
-    mean = chain.stationary @ ell
-    return float(chain.stationary @ (ell - mean) ** 2)
-
-
 def bayes_predictor(chain: MarkovizedChain, loss: LossSpec) -> PredictorTable:
     """Risk-minimizing full-memory predictor, ties to the lowest symbol.
 
@@ -120,80 +119,60 @@ def bayes_predictor(chain: MarkovizedChain, loss: LossSpec) -> PredictorTable:
                           table=np.argmin(expected, axis=1))
 
 
-def _states(states, n_states: int) -> np.ndarray:
-    """``states`` as a 1-D intp array, each an integer in [0, n_states).
-
-    Indexing would wrap a negative state around to the end, and counting
-    would reject it with a bare numpy error, so both get RangeError here.
-    """
-    states = np.asarray(states)
-    if states.ndim != 1:
+def _counts(counts, n_states: int) -> np.ndarray:
+    """``counts`` as an array, once it is a segment's state-visit counts."""
+    counts = np.asarray(counts)
+    if counts.shape != (n_states,):
         raise DimensionMismatchError(
-            f"states must be a 1-D sequence, got shape {states.shape}")
-    if states.dtype.kind not in "iu":
-        raise RangeError(f"states must be integers, got dtype {states.dtype}")
-    if len(states) and (states.min() < 0 or states.max() >= n_states):
-        raise RangeError(f"states must lie in [0, {n_states})")
-    return states.astype(np.intp, copy=False)
+            f"counts must have shape ({n_states},), got {counts.shape}")
+    if counts.dtype.kind not in "iu":
+        raise RangeError(f"counts must be integers, got dtype {counts.dtype}")
+    if np.any(counts < 0):
+        raise RangeError("counts must be >= 0")
+    if counts.sum() < 1:
+        raise EmptySegmentError("counts sum to 0: the segment is empty")
+    return counts
 
 
-def erm_fit(chain: MarkovizedChain, order_q: int, learn: np.ndarray,
+def erm_fit(chain: MarkovizedChain, order_q: int, counts: np.ndarray,
             loss: LossSpec) -> PredictorTable:
-    """Per-context empirical risk minimizer over the learning states.
+    """Per-context empirical risk minimizer on a learning segment's counts.
 
-    Every learning state contributes one (context, target) pair, and one
-    ``bincount`` of context·s + target (s symbols) tallies them into a
-    table of counts; each seen context predicts the symbol minimizing the
-    summed training loss against its targets (ties to the lowest symbol).
-    Contexts never seen fall back to the globally most frequent target.
-    Learning states must be integers in [0, chain.n_states) (RangeError).
+    State x = t·s^p + c·s^(p-q) + r has target t and memory-q context c
+    (s symbols, embedding order p, r < s^(p-q)), so summing ``counts`` over
+    r tallies the learning segment's (context, target) pairs.  Each seen
+    context predicts the symbol minimizing the summed training loss
+    against its targets (ties to the lowest symbol); contexts never seen
+    fall back to the globally most frequent target.  ``order_q`` must lie
+    in [0, p] (RangeError).
     """
-    if len(learn) < 1:
-        raise EmptySegmentError("cannot fit on an empty learning segment")
-    learn = _states(learn, chain.n_states)
+    p = chain.embedding_order
+    if not 0 <= order_q <= p:
+        raise RangeError(f"memory order must lie in [0, {p}]")
     s = chain.symbols
-    contexts = chain.context_index(order_q)[learn]
-    targets = chain.targets[learn]
-    counts = np.bincount(contexts * s + targets,
-                         minlength=s ** (order_q + 1)).reshape(-1, s)
-    cost = counts @ loss.table.T
-    table = np.argmin(cost, axis=1)
-    seen = counts.any(axis=1)
+    pairs = _counts(counts, chain.n_states).reshape(
+        s, s ** order_q, -1).sum(axis=2).T
+    table = np.argmin(pairs @ loss.table.T, axis=1)
+    seen = pairs.any(axis=1)
     if not seen.all():
-        table[~seen] = int(np.argmax(counts.sum(axis=0)))
+        table[~seen] = int(np.argmax(pairs.sum(axis=0)))
     return PredictorTable(order=order_q, symbols=s, table=table)
 
 
-def holdout_select(loss_matrix: np.ndarray, segment: np.ndarray,
-                   burn: int = 0):
-    """Index of the empirical-risk minimizer on the validation segment.
+def holdout_select(loss_matrix: np.ndarray, counts: np.ndarray):
+    """Index of the empirical-risk minimizer on a validation segment.
 
-    Row k of ``loss_matrix`` is candidate k's :func:`state_losses`; its
-    empirical risk is their mean over segment[burn:], which must not be
-    empty (EmptySegmentError).  The mean depends on the segment only
-    through its state-visit counts, so it is computed as
-    ``loss_matrix @ counts / (len(segment) - burn)``: for 0/1 losses every
-    sum is an exact integer and the risks equal the gathered mean bit for
-    bit; other loss tables may differ from it in the last digits.  States
-    must be integers in [0, S) (RangeError).  Returns (index, empirical
-    risks); ties go to the lowest index.
+    Row k of ``loss_matrix`` is candidate k's :func:`state_losses`, and
+    ``counts`` are the segment's state-visit counts.  Candidate k's
+    empirical risk, its mean loss along the segment, is
+    ``loss_matrix[k] @ counts / counts.sum()``: for 0/1 losses every sum is
+    an exact integer and the risks equal the gathered mean bit for bit;
+    other loss tables may differ from it in the last digits.  Returns
+    (index, empirical risks); ties go to the lowest index.
     """
     if len(loss_matrix) < 1:
         raise RangeError("need at least one candidate")
-    if burn < 0:
-        raise RangeError("burn-in must be >= 0")
-    if len(segment) - burn < 1:
-        raise EmptySegmentError(
-            f"segment of {len(segment)} states with burn-in {burn} is empty")
-    n_states = loss_matrix.shape[1]
-    counts = np.bincount(_states(segment, n_states)[burn:],
-                         minlength=n_states)
-    return _select_by_counts(loss_matrix, counts)
-
-
-def _select_by_counts(loss_matrix: np.ndarray, counts: np.ndarray):
-    # holdout_select on a segment given by its state-visit counts, which sum
-    # to its (positive) length
+    counts = _counts(counts, loss_matrix.shape[1])
     risks = loss_matrix @ counts / counts.sum()
     return int(np.argmin(risks)), risks
 

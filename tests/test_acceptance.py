@@ -468,7 +468,9 @@ def test_exhaustive_small_case_oracles(two_state_chain, order2_spec,
                 for i in range(2, length)])
             y = tgt[states]
             for q in (0, 1, 2):
-                fitted = erm_fit(chain, q, states, zero_one_loss)
+                fitted = erm_fit(
+                    chain, q, np.bincount(states, minlength=chain.n_states),
+                    zero_one_loss)
                 c = ctxs[q][states]
                 achieved = np.mean(fitted.table[c] != y)
                 brute = min(

@@ -167,7 +167,8 @@ def test_conditional_mode_freezes_candidates(small_run, two_state_chain,
     traj = sample_stationary_trajectory(two_state_chain, 200, 150,
                                         SeedSpec(5, 0))
     for order, cand in zip((0, 1), small_run.candidates):
-        refit = erm_fit(two_state_chain, order, traj[:200], zero_one_loss)
+        refit = erm_fit(two_state_chain, order,
+                        np.bincount(traj[:200], minlength=4), zero_one_loss)
         assert (cand.table == refit.table).all()
         assert exact_risk(refit, two_state_chain,
                           zero_one_loss) == pytest.approx(
@@ -229,7 +230,8 @@ def test_marginal_replication_matches_manual_refit(two_state_chain,
         traj = sample_stationary_trajectory(two_state_chain, 60, 80,
                                             SeedSpec(11, r))
         for j, order in enumerate((0, 1)):
-            refit = erm_fit(two_state_chain, order, traj[:60],
+            refit = erm_fit(two_state_chain, order,
+                            np.bincount(traj[:60], minlength=4),
                             zero_one_loss)
             assert exact_risk(refit, two_state_chain,
                               zero_one_loss) == pytest.approx(
@@ -280,10 +282,13 @@ def test_replication_rows_count_each_segment_once(two_state_chain, mode,
         else:
             losses = loss_matrix
             seg = sample_conditional_continuation(chain, x_last, 80, seed)
-        index, full = holdout_select(losses, seg)
+        index, full = holdout_select(
+            losses, np.bincount(seg, minlength=chain.n_states))
         assert k_hat[i] == index
         assert emp[i].tolist() == full.tolist()
-        assert gap[i].tolist() == holdout_select(losses, seg, 7)[1].tolist()
+        _, gapped = holdout_select(
+            losses, np.bincount(seg[7:], minlength=chain.n_states))
+        assert gap[i].tolist() == gapped.tolist()
 
 
 # Values recorded from the replication code before its two modes shared one
@@ -361,7 +366,8 @@ def test_shifted_full_mean_event_implies_burn_in_event(small_run, a):
     segments += [head, 1 - head]
     risks = np.r_[0.0, 1.0, np.linspace(0.0, 1.0, 41)[1:-1], rng.random(20)]
     losses = np.array([[0.0, 1.0]])          # state s loses s
-    full, gap = np.array([[holdout_select(losses, seg, burn)[1][0]
+    full, gap = np.array([[holdout_select(losses, np.bincount(
+                               seg[burn:], minlength=2))[1][0]
                            for seg in segments]
                           for burn in (0, b)]).repeat(len(risks), axis=1)
     exact = np.tile(risks, len(segments))

@@ -25,7 +25,6 @@ from markov_holdout import (
     erm_fit,
     exact_risk,
     holdout_select,
-    loss_variance,
     markovize,
     oracle_select,
     sample_stationary_trajectory,
@@ -121,13 +120,6 @@ def test_state_losses_shape_and_values(two_state_chain, zero_one_loss):
     assert ell.tolist() == [0.0, 1.0, 1.0, 0.0]
 
 
-def test_loss_variance_bernoulli(two_state_chain, zero_one_loss):
-    g = bayes_predictor(two_state_chain, zero_one_loss)
-    risk = exact_risk(g, two_state_chain, zero_one_loss)
-    assert loss_variance(g, two_state_chain, zero_one_loss) == pytest.approx(
-        risk * (1.0 - risk), abs=1e-12)
-
-
 def test_exact_risk_of_exhaustive_tables_brackets_bayes(two_state_chain,
                                                         zero_one_loss):
     risks = []
@@ -147,14 +139,20 @@ def losses_of(cands, chain, loss):
     return np.stack([state_losses(g, chain, loss) for g in cands])
 
 
+def visits(states, n_states=4):
+    """State-visit counts of a segment; 4 is the two-state fixture's S."""
+    return np.bincount(states, minlength=n_states)
+
+
 def test_empirical_risk_hand_computed(two_state_chain, zero_one_loss):
     g = bayes_predictor(two_state_chain, zero_one_loss)   # table (0, 1)
     losses = losses_of([g], two_state_chain, zero_one_loss)
     segment = np.array([0, 3, 2])
     # losses per state: 0 -> 0, 3 -> 0, 2 -> 1
-    assert holdout_select(losses, segment)[1][0] == pytest.approx(1.0 / 3.0)
-    assert holdout_select(losses, segment,
-                          burn=1)[1][0] == pytest.approx(0.5)
+    assert holdout_select(losses,
+                          visits(segment))[1][0] == pytest.approx(1.0 / 3.0)
+    assert holdout_select(losses,
+                          visits(segment[1:]))[1][0] == pytest.approx(0.5)
 
 
 def test_empirical_risk_rejects_exhausted_segment(two_state_chain,
@@ -162,7 +160,7 @@ def test_empirical_risk_rejects_exhausted_segment(two_state_chain,
     g = bayes_predictor(two_state_chain, zero_one_loss)
     losses = losses_of([g], two_state_chain, zero_one_loss)
     with pytest.raises(EmptySegmentError):
-        holdout_select(losses, np.array([0, 1]), burn=2)
+        holdout_select(losses, visits(np.array([0, 1])[2:]))
 
 
 def test_empirical_risk_concentrates_on_exact(two_state_chain, zero_one_loss):
@@ -170,7 +168,7 @@ def test_empirical_risk_concentrates_on_exact(two_state_chain, zero_one_loss):
     traj = sample_stationary_trajectory(two_state_chain, 1, 1_000_000,
                                         SeedSpec(4242))
     emp = holdout_select(losses_of([g], two_state_chain, zero_one_loss),
-                         traj[1:])[1][0]
+                         visits(traj[1:]))[1][0]
     # correlated Bernoulli mean; 0.003 is ~3 effective SEs at this length
     assert abs(emp - 2.0 / 15.0) < 0.003
 
@@ -182,15 +180,15 @@ def test_empirical_risk_concentrates_on_exact(two_state_chain, zero_one_loss):
 def test_erm_hand_computed(two_state_chain, zero_one_loss):
     # states [0, 2, 2, 3, 1]: contexts (0,0,0,1,1), targets (0,1,1,1,0)
     learn = np.array([0, 2, 2, 3, 1])
-    g1 = erm_fit(two_state_chain, 1, learn, zero_one_loss)
+    g1 = erm_fit(two_state_chain, 1, visits(learn), zero_one_loss)
     assert g1.table.tolist() == [1, 0]
-    g0 = erm_fit(two_state_chain, 0, learn, zero_one_loss)
+    g0 = erm_fit(two_state_chain, 0, visits(learn), zero_one_loss)
     assert g0.table.tolist() == [1]
 
 
 def test_erm_tie_breaks_to_lowest_symbol(two_state_chain, zero_one_loss):
     learn = np.array([0, 2])         # context 0 sees targets {0, 1}
-    g = erm_fit(two_state_chain, 1, learn, zero_one_loss)
+    g = erm_fit(two_state_chain, 1, visits(learn), zero_one_loss)
     assert g.table[0] == 0
 
 
@@ -198,7 +196,7 @@ def test_erm_unseen_context_falls_back_to_global_majority(two_state_chain,
                                                           zero_one_loss):
     # all learning states have context y_{t-1} = 0, majority target 1
     learn = np.array([2, 2, 0])
-    g = erm_fit(two_state_chain, 1, learn, zero_one_loss)
+    g = erm_fit(two_state_chain, 1, visits(learn), zero_one_loss)
     assert g.table[0] == 1     # seen context: majority of (1, 1, 0)
     assert g.table[1] == 1     # unseen context: global majority target
 
@@ -208,10 +206,10 @@ def test_erm_respects_training_loss(two_state_chain):
     # majority wins, with an asymmetric loss the argmin flips
     learn = np.array([2, 2, 0, 0, 0])
     sym = LossSpec.misclassification(2)
-    assert erm_fit(two_state_chain, 1, learn, sym).table[0] == 0
+    assert erm_fit(two_state_chain, 1, visits(learn), sym).table[0] == 0
     skew = LossSpec(np.array([[0.0, 1.0], [0.1, 0.0]]))
     # cost(predict 0) = 2 misses * 1.0 = 2.0; cost(predict 1) = 3 * 0.1 = 0.3
-    assert erm_fit(two_state_chain, 1, learn, skew).table[0] == 1
+    assert erm_fit(two_state_chain, 1, visits(learn), skew).table[0] == 1
 
 
 def test_erm_matches_brute_force_on_random_streams(two_state_chain,
@@ -222,7 +220,7 @@ def test_erm_matches_brute_force_on_random_streams(two_state_chain,
     for _ in range(30):
         length = int(rng.integers(2, 9))
         learn = rng.integers(0, 4, size=length)
-        g = erm_fit(two_state_chain, 1, learn, zero_one_loss)
+        g = erm_fit(two_state_chain, 1, visits(learn), zero_one_loss)
         achieved = np.mean(g.table[ctx[learn]] != tgt[learn])
         best = min(
             np.mean(np.array(tab)[ctx[learn]] != tgt[learn])
@@ -263,18 +261,29 @@ def test_erm_count_table_matches_add_at_oracle(symbols, order, embedding):
             for loss in losses:
                 expected, unseen = erm_oracle(chain, q, learn, loss)
                 fallbacks += unseen
-                assert erm_fit(chain, q, learn, loss).table.tolist() == \
+                counts = visits(learn, chain.n_states)
+                assert erm_fit(chain, q, counts, loss).table.tolist() == \
                     expected.tolist()
     assert fallbacks > 0
 
 
 def test_erm_rejects_states_outside_range(two_state_chain, zero_one_loss):
+    # counts hold one entry per state in [0, S): a state past the top one
+    # lengthens them, and no state is visited a negative number of times
     top = two_state_chain.n_states - 1
-    assert erm_fit(two_state_chain, 1, np.array([0, top]),
+    assert erm_fit(two_state_chain, 1, visits([0, top]),
                    zero_one_loss).table.tolist() == [0, 1]
-    for bad in ([0, 3, -1, -1, -1], [0, top + 1], [0.0, 3.0]):
+    with pytest.raises(DimensionMismatchError):
+        erm_fit(two_state_chain, 1, np.bincount([0, top + 1]), zero_one_loss)
+    with pytest.raises(RangeError):
+        erm_fit(two_state_chain, 1, np.array([2, 1, 0, -1]), zero_one_loss)
+
+
+def test_erm_rejects_order_outside_embedding(two_state_chain, zero_one_loss):
+    # checked before the count table is reshaped by s ** q
+    for q in (-1, two_state_chain.embedding_order + 1):
         with pytest.raises(RangeError):
-            erm_fit(two_state_chain, 1, np.array(bad), zero_one_loss)
+            erm_fit(two_state_chain, q, visits([0, 3]), zero_one_loss)
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +295,7 @@ def test_holdout_select_minimizes_empirical(two_state_chain, zero_one_loss):
              PredictorTable(1, 2, np.array([1, 0]))]   # anti-Bayes
     traj = sample_stationary_trajectory(two_state_chain, 1, 400, SeedSpec(61))
     losses = losses_of(cands, two_state_chain, zero_one_loss)
-    idx, risks = holdout_select(losses, traj[1:])
+    idx, risks = holdout_select(losses, visits(traj[1:]))
     assert idx == 0
     assert risks[0] == pytest.approx(losses[0, traj[1:]].mean())
     assert risks[1] > risks[0]
@@ -298,7 +307,8 @@ def test_holdout_select_tie_prefers_lowest_index(two_state_chain,
     twin = PredictorTable(1, 2, np.array([0, 1]))
     traj = sample_stationary_trajectory(two_state_chain, 1, 100, SeedSpec(67))
     idx, risks = holdout_select(
-        losses_of([g, twin], two_state_chain, zero_one_loss), traj[1:])
+        losses_of([g, twin], two_state_chain, zero_one_loss),
+        visits(traj[1:]))
     assert idx == 0
     assert risks[0] == risks[1]
 
@@ -307,7 +317,7 @@ def test_holdout_select_with_burn_gap(two_state_chain, zero_one_loss):
     g = PredictorTable(1, 2, np.array([0, 1]))
     segment = np.array([2, 0, 0, 3])
     losses = losses_of([g], two_state_chain, zero_one_loss)
-    _, risks = holdout_select(losses, segment, burn=1)
+    _, risks = holdout_select(losses, visits(segment[1:]))
     assert risks[0] == pytest.approx(losses[0, segment[1:]].mean())
 
 
@@ -321,9 +331,9 @@ def test_holdout_select_invariant_under_affine_loss_rescale(two_state_chain):
         traj = sample_stationary_trajectory(two_state_chain, 1, 301,
                                             SeedSpec(71, seed))
         idx_a, _ = holdout_select(
-            losses_of(cands, two_state_chain, base), traj[1:])
+            losses_of(cands, two_state_chain, base), visits(traj[1:]))
         idx_b, _ = holdout_select(
-            losses_of(cands, two_state_chain, scaled), traj[1:])
+            losses_of(cands, two_state_chain, scaled), visits(traj[1:]))
         assert idx_a == idx_b
 
 
@@ -342,7 +352,8 @@ def test_holdout_count_form_matches_gathered_mean(zero_one):
             if burn >= len(segment):
                 continue
             gathered = losses[:, segment[burn:]].mean(axis=1)
-            _, risks = holdout_select(losses, segment, burn)
+            _, risks = holdout_select(losses,
+                                      visits(segment[burn:], n_states))
             if zero_one:
                 assert (risks == gathered).all()
             else:
@@ -350,16 +361,43 @@ def test_holdout_count_form_matches_gathered_mean(zero_one):
 
 
 def test_holdout_select_rejects_states_outside_range():
+    # one count per column of the loss matrix: a state past the last column
+    # lengthens the counts, and no state is visited a negative number of
+    # times
     losses = np.array([[0.0, 1.0, 1.0], [1.0, 0.0, 1.0]])
-    assert holdout_select(losses, [0, 2, 2])[1].tolist() == \
+    assert holdout_select(losses, visits([0, 2, 2], 3))[1].tolist() == \
         pytest.approx([2.0 / 3.0, 1.0])
-    # a state in the burn-in is still a state of the segment
-    for bad in ([0, 1, -1], [0, 1, 3], [-1, 0, 1], [0.0, 1.0], [True, False]):
-        for burn in (0, 1):
-            with pytest.raises(RangeError):
-                holdout_select(losses, bad, burn)
     with pytest.raises(DimensionMismatchError):
-        holdout_select(losses, [[0, 1], [1, 2]])
+        holdout_select(losses, np.bincount([0, 1, 3]))
+    with pytest.raises(RangeError):
+        holdout_select(losses, [1, -1, 2])
+
+
+@pytest.mark.parametrize("fit", [False, True],
+                         ids=["holdout_select", "erm_fit"])
+def test_count_check_rejects_malformed_counts(two_state_chain, zero_one_loss,
+                                              fit):
+    chain = two_state_chain
+    losses = losses_of([bayes_predictor(chain, zero_one_loss)], chain,
+                       zero_one_loss)
+
+    def call(counts):
+        if fit:
+            return erm_fit(chain, 1, counts, zero_one_loss)
+        return holdout_select(losses, counts)
+
+    call(np.array([1, 0, 0, 2], dtype=np.uint8))    # any integer dtype
+    for counts, error in [
+            (np.ones(3, int), DimensionMismatchError),
+            (np.ones(5, int), DimensionMismatchError),
+            (np.ones((1, 4), int), DimensionMismatchError),
+            (np.ones((4, 2), int), DimensionMismatchError),
+            (np.array([1, -1, 0, 1]), RangeError),
+            (np.ones(4), RangeError),
+            (np.ones(4, bool), RangeError),
+            (np.zeros(4, int), EmptySegmentError)]:
+        with pytest.raises(error):
+            call(counts)
 
 
 def test_oracle_select_returns_exact_minimizer(two_state_chain, zero_one_loss):
