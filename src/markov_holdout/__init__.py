@@ -90,6 +90,7 @@ from .predictors import (
     conditional_risk,
     disagreement_variance,
     erm_fit,
+    erm_losses,
     exact_risk,
     holdout_select,
     oracle_select,

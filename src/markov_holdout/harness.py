@@ -43,6 +43,7 @@ from .predictors import (
     bayes_predictor,
     disagreement_variance,
     erm_fit,
+    erm_losses,
     exact_risk,
     holdout_select,
     oracle_select,
@@ -190,53 +191,53 @@ class RunResult:
                            minlength=self.config.n_candidates) / self.replications
 
 
-def _fit_candidates(config: ExperimentConfig, learning: np.ndarray):
-    """ERM fits of every candidate order on the learning states' visit
-    counts, and the fits' (N, S) per-state losses."""
-    chain = config.chain
-    counts = np.bincount(learning, minlength=chain.n_states)
-    candidates = [erm_fit(chain, q, counts, config.effective_train_loss)
-                  for q in config.orders]
-    return candidates, np.stack([state_losses(g, chain, config.loss)
-                                 for g in candidates])
-
-
 def _replication_rows(args):
     """k_hat, k_tilde, empirical, gapped (None when gap_b = 0), exact rows.
 
-    Each replication counts its validation segment's state visits once
-    and selects through :func:`holdout_select` on those counts; the gapped
-    risks are those of the counts less the visits of the first ``gap_b``
-    states.  The exact risks come from :func:`oracle_select` on the
-    stationary law.
+    Each replication only draws and counts: one ``bincount`` of its states
+    plus ``code``, which adds to each position the offset of its segment,
+    a multiple of S.  The segments are the learning part (marginal mode
+    only), the first ``gap_b`` validation states and the rest, so the full
+    validation counts are the sum of the last two blocks and the gapped
+    counts are the last one.  A state outside [0, S) moves into another
+    block or past the last, so every row's block totals must equal the
+    segment lengths (NumericalFailureError).  The fits and the selections
+    then run once for the whole chunk: :func:`erm_losses` on the stacked
+    learning counts, :func:`holdout_select` on the validation counts and
+    :func:`oracle_select` on the stationary law.
     ``loss_matrix`` holds the frozen candidates' per-state losses in
     conditional mode, where each validation segment continues from
     ``x_last``.  It is None in marginal mode, where each replication draws
-    its own learning series and refits the candidates on it.
+    its own learning series and the candidates are refitted on it.
     """
     config, loss_matrix, x_last, indices = args
-    chain, gap_b = config.chain, config.gap_b
-    k_hat, k_tilde = np.empty((2, len(indices)), dtype=np.intp)
-    emp = np.empty((len(indices), config.n_candidates))
-    gap = np.empty_like(emp) if gap_b > 0 else None
-    exact = np.empty_like(emp)
+    chain, n, m, gap_b = config.chain, config.n, config.m, config.gap_b
+    marginal = loss_matrix is None
+    lengths = np.array(([n] if marginal else []) + [gap_b, m - gap_b])
+    code = np.repeat(np.arange(len(lengths)) * chain.n_states, lengths)
+    width = len(lengths) * chain.n_states
+    counts = np.empty((len(indices), width), dtype=np.int64)
     for i, r in enumerate(indices):
         seed = SeedSpec(config.master_seed, int(r))
-        if loss_matrix is None:
-            states = sample_stationary_trajectory(chain, config.n, config.m,
-                                                  seed)
-            losses = _fit_candidates(config, states[:config.n])[1]
-            seg = states[config.n:]
+        if marginal:
+            states = sample_stationary_trajectory(chain, n, m, seed)
         else:
-            losses = loss_matrix
-            seg = sample_conditional_continuation(chain, x_last, config.m, seed)
-        # the sampler's states lie in [0, S)
-        counts = np.bincount(seg, minlength=chain.n_states)
-        k_hat[i], emp[i] = holdout_select(losses, counts)
-        if gap is not None:
-            counts -= np.bincount(seg[:gap_b], minlength=chain.n_states)
-            gap[i] = holdout_select(losses, counts)[1]
-        k_tilde[i], exact[i] = oracle_select(losses, chain.stationary)
+            states = sample_conditional_continuation(chain, x_last, m, seed)
+        counts[i] = np.bincount(states + code, minlength=width)[:width]
+    counts = counts.reshape(len(indices), len(lengths), chain.n_states)
+    if (counts.sum(axis=2) != lengths).any():
+        raise NumericalFailureError(
+            "sampled states outside [0, S): segment visit totals "
+            f"differ from the segment lengths {lengths.tolist()}")
+    if marginal:
+        losses = erm_losses(chain, config.orders, counts[:, 0],
+                            config.effective_train_loss, config.loss)
+    else:
+        losses = np.broadcast_to(loss_matrix,
+                                 (len(indices),) + loss_matrix.shape)
+    k_hat, emp = holdout_select(losses, counts[:, -2] + counts[:, -1])
+    gap = holdout_select(losses, counts[:, -1])[1] if gap_b > 0 else None
+    k_tilde, exact = oracle_select(losses, chain.stationary)
     return k_hat, k_tilde, emp, gap, exact
 
 
@@ -265,7 +266,11 @@ def run_replications(config: ExperimentConfig) -> RunResult:
     if config.mode == "conditional":
         learn = sample_stationary_trajectory(
             chain, config.n, 0, SeedSpec(config.master_seed, 0))
-        candidates, loss_matrix = _fit_candidates(config, learn)
+        counts = np.bincount(learn, minlength=chain.n_states)
+        candidates = [erm_fit(chain, q, counts, config.effective_train_loss)
+                      for q in config.orders]
+        loss_matrix = np.stack([state_losses(g, chain, config.loss)
+                                for g in candidates])
         x_last = int(learn[-1])
     indices = np.arange(1, config.replications + 1)
     n_chunks = min(config.replications, config.threads * 4)

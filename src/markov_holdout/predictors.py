@@ -12,6 +12,9 @@ a loss depends only on the state, so the empirical risk and the ERM
 (context, target) tally depend on the segment only through them.  Counts
 must have shape (S,) (DimensionMismatchError), an integer dtype and no
 negative entry (RangeError), and a positive total (EmptySegmentError).
+:func:`erm_losses`, :func:`holdout_select` and :func:`oracle_select` also
+take a leading replication axis, one segment per row, and apply the same
+rule to every row at once.
 """
 
 from __future__ import annotations
@@ -119,73 +122,141 @@ def bayes_predictor(chain: MarkovizedChain, loss: LossSpec) -> PredictorTable:
                           table=np.argmin(expected, axis=1))
 
 
-def _counts(counts, n_states: int) -> np.ndarray:
-    """``counts`` as an array, once it is a segment's state-visit counts."""
+def _counts(counts, shape: tuple) -> np.ndarray:
+    """``counts`` as an array, once it is of ``shape`` and each row along
+    its last axis is a segment's state-visit counts."""
     counts = np.asarray(counts)
-    if counts.shape != (n_states,):
+    if counts.shape != shape:
         raise DimensionMismatchError(
-            f"counts must have shape ({n_states},), got {counts.shape}")
+            f"counts must have shape {shape}, got {counts.shape}")
     if counts.dtype.kind not in "iu":
         raise RangeError(f"counts must be integers, got dtype {counts.dtype}")
     if np.any(counts < 0):
         raise RangeError("counts must be >= 0")
-    if counts.sum() < 1:
+    if np.any(counts.sum(axis=-1) < 1):
         raise EmptySegmentError("counts sum to 0: the segment is empty")
     return counts
+
+
+def _fit_checks(chain: MarkovizedChain, orders, counts, loss: LossSpec,
+                lead: tuple) -> np.ndarray:
+    """``counts`` as an array of shape lead + (S,), once every order lies
+    in [0, p] (RangeError) and ``loss`` has the chain's symbols."""
+    p = chain.embedding_order
+    if any(not 0 <= q <= p for q in orders):
+        raise RangeError(f"memory order must lie in [0, {p}]")
+    if loss.symbols != chain.symbols:
+        raise DimensionMismatchError("loss table symbol count mismatch")
+    return _counts(counts, lead + (chain.n_states,))
+
+
+def _erm_tables(chain: MarkovizedChain, order_q: int, counts: np.ndarray,
+                loss: LossSpec) -> np.ndarray:
+    """ERM tables (..., s^q) of checked learning counts (..., S).
+
+    State x = t·s^p + c·s^(p-q) + r has target t and memory-q context c
+    (s symbols, embedding order p, r < s^(p-q)), so summing the counts
+    over r tallies each segment's (context, target) pairs.  Each seen
+    context predicts the symbol minimizing the summed training loss
+    against its targets (ties to the lowest symbol); contexts never seen
+    fall back to the segment's most frequent target.
+    """
+    s = chain.symbols
+    pairs = counts.reshape(counts.shape[:-1] + (s, s ** order_q, -1)).sum(
+        axis=-1).swapaxes(-1, -2)
+    table = np.argmin(pairs @ loss.table.T, axis=-1)
+    fallback = np.argmax(pairs.sum(axis=-2), axis=-1)
+    return np.where(pairs.any(axis=-1), table, fallback[..., None])
 
 
 def erm_fit(chain: MarkovizedChain, order_q: int, counts: np.ndarray,
             loss: LossSpec) -> PredictorTable:
     """Per-context empirical risk minimizer on a learning segment's counts.
 
-    State x = t·s^p + c·s^(p-q) + r has target t and memory-q context c
-    (s symbols, embedding order p, r < s^(p-q)), so summing ``counts`` over
-    r tallies the learning segment's (context, target) pairs.  Each seen
-    context predicts the symbol minimizing the summed training loss
-    against its targets (ties to the lowest symbol); contexts never seen
-    fall back to the globally most frequent target.  ``order_q`` must lie
-    in [0, p] (RangeError).
+    Each context seen in the segment predicts the symbol minimizing the
+    summed training ``loss`` against its targets (ties to the lowest
+    symbol); contexts never seen fall back to the globally most frequent
+    target.  ``order_q`` must lie in [0, p] (RangeError), and ``loss``
+    must have the chain's symbols (DimensionMismatchError).
     """
-    p = chain.embedding_order
-    if not 0 <= order_q <= p:
-        raise RangeError(f"memory order must lie in [0, {p}]")
-    s = chain.symbols
-    pairs = _counts(counts, chain.n_states).reshape(
-        s, s ** order_q, -1).sum(axis=2).T
-    table = np.argmin(pairs @ loss.table.T, axis=1)
-    seen = pairs.any(axis=1)
-    if not seen.all():
-        table[~seen] = int(np.argmax(pairs.sum(axis=0)))
-    return PredictorTable(order=order_q, symbols=s, table=table)
+    counts = _fit_checks(chain, (order_q,), counts, loss, ())
+    return PredictorTable(order=order_q, symbols=chain.symbols,
+                          table=_erm_tables(chain, order_q, counts, loss))
+
+
+def erm_losses(chain: MarkovizedChain, orders, counts: np.ndarray,
+               train_loss: LossSpec, loss: LossSpec) -> np.ndarray:
+    """Per-state ``loss`` of each order's ERM fit, for a stack of segments.
+
+    ``counts`` has shape (..., S), one learning segment's counts per row.
+    Entry [..., k, x] is :func:`state_losses` of ``erm_fit(chain,
+    orders[k], row, train_loss)``, the fits taken by the same rule for all
+    rows at once.
+    """
+    counts = _fit_checks(chain, orders, counts, train_loss,
+                         np.shape(counts)[:-1])
+    if loss.symbols != chain.symbols:
+        raise DimensionMismatchError("loss table symbol count mismatch")
+    out = np.empty(counts.shape[:-1] + (len(orders), chain.n_states))
+    for k, q in enumerate(orders):
+        tables = _erm_tables(chain, q, counts, train_loss)
+        out[..., k, :] = loss.table[tables[..., chain.context_index(q)],
+                                    chain.targets]
+    return out
+
+
+def _select(risks: np.ndarray):
+    """(index, risks) of the first minimizer along the candidate axis."""
+    index = np.argmin(risks, axis=-1)
+    return (int(index) if risks.ndim == 1 else index), risks
+
+
+def _candidates(loss_matrix) -> np.ndarray:
+    """``loss_matrix`` as an array of shape (..., N, S) with N >= 1."""
+    loss_matrix = np.asarray(loss_matrix)
+    if loss_matrix.ndim < 2:
+        raise DimensionMismatchError(
+            "loss matrix needs a candidate axis and a state axis, got "
+            f"shape {loss_matrix.shape}")
+    if loss_matrix.shape[-2] < 1:
+        raise RangeError("need at least one candidate")
+    return loss_matrix
 
 
 def holdout_select(loss_matrix: np.ndarray, counts: np.ndarray):
     """Index of the empirical-risk minimizer on a validation segment.
 
-    Row k of ``loss_matrix`` is candidate k's :func:`state_losses`, and
-    ``counts`` are the segment's state-visit counts.  Candidate k's
-    empirical risk, its mean loss along the segment, is
+    Row k of ``loss_matrix`` (N, S) is candidate k's :func:`state_losses`,
+    and ``counts`` (S,) are the segment's state-visit counts.  Candidate
+    k's empirical risk, its mean loss along the segment, is
     ``loss_matrix[k] @ counts / counts.sum()``: for 0/1 losses every sum is
     an exact integer and the risks equal the gathered mean bit for bit;
     other loss tables may differ from it in the last digits.  Returns
     (index, empirical risks); ties go to the lowest index.
+
+    A leading replication axis selects for many segments at once:
+    ``loss_matrix`` (R, N, S) and ``counts`` (R, S) give an (R,) index
+    array and (R, N) risks, row r as the call on row r would give.
     """
-    if len(loss_matrix) < 1:
-        raise RangeError("need at least one candidate")
-    counts = _counts(counts, loss_matrix.shape[1])
-    risks = loss_matrix @ counts / counts.sum()
-    return int(np.argmin(risks)), risks
+    loss_matrix = _candidates(loss_matrix)
+    counts = _counts(counts, loss_matrix.shape[:-2] + loss_matrix.shape[-1:])
+    return _select((loss_matrix @ counts[..., None])[..., 0]
+                   / counts.sum(axis=-1, keepdims=True))
 
 
 def oracle_select(loss_matrix: np.ndarray, stationary: np.ndarray):
     """Index of the exact-risk minimizer; ties go to the lowest index.
 
     Returns (index, loss_matrix @ stationary), the exact risk of each row.
+    ``loss_matrix`` may carry a leading replication axis, as in
+    :func:`holdout_select`.
     """
-    if len(loss_matrix) < 1:
-        raise RangeError("need at least one candidate")
-    risks = loss_matrix @ stationary
-    return int(np.argmin(risks)), risks
+    loss_matrix = _candidates(loss_matrix)
+    if np.shape(stationary) != loss_matrix.shape[-1:]:
+        raise DimensionMismatchError(
+            f"stationary law must have shape {loss_matrix.shape[-1:]}, "
+            f"got {np.shape(stationary)}")
+    return _select(loss_matrix @ stationary)
 
 
 def conditional_risk(predictor: PredictorTable, chain: MarkovizedChain,

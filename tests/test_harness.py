@@ -25,6 +25,7 @@ from markov_holdout import (
     ZeroMarginError,
     bayes_predictor,
     coupling_check,
+    NumericalFailureError,
     erm_fit,
     event_table,
     exact_risk,
@@ -32,20 +33,19 @@ from markov_holdout import (
     markovize,
     mixing_time,
     noise_condition_check,
+    oracle_select,
     run_replications,
     sample_conditional_continuation,
     sample_stationary_trajectory,
+    state_losses,
     tail_probability,
     verify_bounds,
     wilson_upper,
 )
 from markov_holdout.config import experiment_from_dict
 from markov_holdout.errors import UnknownEventError
-from markov_holdout.harness import (
-    WILSON_Z_99,
-    _fit_candidates,
-    _replication_rows,
-)
+from markov_holdout import harness
+from markov_holdout.harness import WILSON_Z_99, _replication_rows
 
 WORKLOADS = Path(__file__).resolve().parent.parent / "benchmarks" / "workloads"
 
@@ -251,14 +251,51 @@ def test_marginal_threads_do_not_change_results(two_state_chain):
         assert (getattr(pooled, name) == getattr(serial, name)).all(), name
 
 
+def _rows_match_public_calls(config, loss_matrix, x_last, chunks):
+    """Run the worker on each chunk and check its rows, bit for bit,
+    against per-replication erm_fit, state_losses, holdout_select and
+    oracle_select calls; return the oracle's learning counts."""
+    chain, n, m, b = config.chain, config.n, config.m, config.gap_b
+    k_hat, k_tilde, emp, gap, exact = (
+        np.concatenate(col) for col in zip(*(
+            _replication_rows((config, loss_matrix, x_last, chunk))
+            for chunk in chunks)))
+    learned = []
+    for i, r in enumerate(np.concatenate(chunks).tolist()):
+        seed = SeedSpec(config.master_seed, r)
+        if loss_matrix is None:
+            states = sample_stationary_trajectory(chain, n, m, seed)
+            counts = np.bincount(states[:n], minlength=chain.n_states)
+            fits = [erm_fit(chain, q, counts, config.effective_train_loss)
+                    for q in config.orders]
+            losses = np.stack([state_losses(g, chain, config.loss)
+                               for g in fits])
+            seg = states[n:]
+            learned.append(counts)
+        else:
+            losses = loss_matrix
+            seg = sample_conditional_continuation(chain, x_last, m, seed)
+        index, full = holdout_select(
+            losses, np.bincount(seg, minlength=chain.n_states))
+        assert k_hat[i] == index
+        assert emp[i].tolist() == full.tolist()
+        _, gapped = holdout_select(
+            losses, np.bincount(seg[b:], minlength=chain.n_states))
+        assert gap[i].tolist() == gapped.tolist()
+        best, risks = oracle_select(losses, chain.stationary)
+        assert k_tilde[i] == best
+        assert exact[i].tolist() == risks.tolist()
+    return k_hat, k_tilde, learned
+
+
 @pytest.mark.parametrize("zero_one", [True, False])
 @pytest.mark.parametrize("mode", ["conditional", "marginal"])
 def test_replication_rows_count_each_segment_once(two_state_chain, mode,
                                                   zero_one):
-    # the worker counts each validation segment once and takes the gapped
-    # counts as the full counts less those of the first gap_b states; its
-    # rows equal, bit for bit, one holdout_select call per burn-in, for 0/1
-    # loss tables and for random tables in [0, 1]
+    # the worker counts each replication's states once, in one block per
+    # segment, and fits and selects for the whole chunk at once; its rows
+    # equal, bit for bit, the public per-replication calls, for 0/1 loss
+    # tables and for random tables in [0, 1]
     rng = np.random.default_rng(1501)
 
     def table(shape):
@@ -270,25 +307,63 @@ def test_replication_rows_count_each_segment_once(two_state_chain, mode,
                      loss=LossSpec(table((2, 2))))
     loss_matrix, x_last = (None, None) if mode == "marginal" else \
         (table((2, chain.n_states)), 2)
-    indices = np.arange(1, 41)
-    k_hat, _, emp, gap, _ = _replication_rows((config, loss_matrix, x_last,
-                                               indices))
-    for i, r in enumerate(indices.tolist()):
-        seed = SeedSpec(config.master_seed, r)
-        if loss_matrix is None:
-            states = sample_stationary_trajectory(chain, 60, 80, seed)
-            losses = _fit_candidates(config, states[:60])[1]
-            seg = states[60:]
-        else:
-            losses = loss_matrix
-            seg = sample_conditional_continuation(chain, x_last, 80, seed)
-        index, full = holdout_select(
-            losses, np.bincount(seg, minlength=chain.n_states))
-        assert k_hat[i] == index
-        assert emp[i].tolist() == full.tolist()
-        _, gapped = holdout_select(
-            losses, np.bincount(seg[7:], minlength=chain.n_states))
-        assert gap[i].tolist() == gapped.tolist()
+    _rows_match_public_calls(config, loss_matrix, x_last,
+                             [np.arange(1, 41)])
+
+
+@pytest.mark.parametrize("mode", ["conditional", "marginal"])
+def test_replication_rows_match_public_calls_in_edge_cases(two_state_chain,
+                                                           mode):
+    chain = two_state_chain
+    frozen = (None, None) if mode == "marginal" else \
+        (np.array([[0.0, 1.0, 1.0, 0.0], [0.5, 0.5, 0.0, 1.0]]), 1)
+    # n = 2 learning states leave a context unseen in some replications, so
+    # the fallback to the most frequent target runs inside the batch
+    config = _config(chain, mode=mode, n=2, m=50, gap_b=3)
+    learned = _rows_match_public_calls(config, *frozen, [np.arange(1, 61)])[2]
+    if mode == "marginal":
+        per_context = np.array(learned).reshape(-1, 2, 2).sum(axis=1)
+        assert (per_context == 0).any()
+    # chunks of 14, 14 and 13 replications give the rows one chunk gives
+    config = _config(chain, mode=mode, n=60, m=80, gap_b=7,
+                     loss=LossSpec(np.array([[0.0, 0.7], [0.9, 0.2]])))
+    _rows_match_public_calls(config, *frozen,
+                             np.array_split(np.arange(1, 42), 3))
+    # a zero training loss makes every marginal fit predict 0 at both
+    # orders, and conditional mode freezes two equal rows, so the batched
+    # candidates tie and the lowest index must win
+    config = _config(chain, mode=mode, orders=(1, 0), n=60, m=80, gap_b=7,
+                     train_loss=LossSpec(np.zeros((2, 2))))
+    tied = (None, None) if mode == "marginal" else \
+        (np.tile([[0.0, 1.0, 1.0, 0.0]], (2, 1)), 1)
+    k_hat, k_tilde, _ = _rows_match_public_calls(config, *tied,
+                                                 [np.arange(1, 41)])
+    assert (k_hat == 0).all() and (k_tilde == 0).all()
+
+
+@pytest.mark.parametrize("position", [0, -1])
+@pytest.mark.parametrize("mode", ["conditional", "marginal"])
+def test_replication_rows_reject_states_outside_range(two_state_chain,
+                                                      monkeypatch, mode,
+                                                      position):
+    # a state S would count in the next segment's block, or past the last
+    # block; the chunk's segment totals catch both
+    chain = two_state_chain
+    name = ("sample_stationary_trajectory" if mode == "marginal"
+            else "sample_conditional_continuation")
+    draw = getattr(harness, name)
+
+    def corrupt(*args):
+        states = draw(*args)
+        states[position] = chain.n_states
+        return states
+
+    monkeypatch.setattr(harness, name, corrupt)
+    config = _config(chain, mode=mode, n=60, m=80, gap_b=7)
+    loss_matrix, x_last = (None, None) if mode == "marginal" else \
+        (np.ones((2, chain.n_states)), 2)
+    with pytest.raises(NumericalFailureError, match="outside"):
+        _replication_rows((config, loss_matrix, x_last, np.arange(1, 5)))
 
 
 # Values recorded from the replication code before its two modes shared one

@@ -23,6 +23,7 @@ from markov_holdout import (
     conditional_risk,
     disagreement_variance,
     erm_fit,
+    erm_losses,
     exact_risk,
     holdout_select,
     markovize,
@@ -286,8 +287,88 @@ def test_erm_rejects_order_outside_embedding(two_state_chain, zero_one_loss):
             erm_fit(two_state_chain, q, visits([0, 3]), zero_one_loss)
 
 
+def test_erm_rejects_loss_of_another_alphabet(two_state_chain,
+                                              zero_one_loss):
+    # a 3-symbol loss on a binary chain: the training loss of a fit, or the
+    # loss its per-state losses are taken in
+    ternary = LossSpec.misclassification(3)
+    counts = visits([0, 3])
+    with pytest.raises(DimensionMismatchError):
+        erm_fit(two_state_chain, 1, counts, ternary)
+    for train, loss in [(ternary, zero_one_loss), (zero_one_loss, ternary)]:
+        with pytest.raises(DimensionMismatchError):
+            erm_losses(two_state_chain, (0, 1), counts[None], train, loss)
+
+
+def test_erm_losses_match_per_row_fits():
+    # the batched fit is erm_fit's rule on every row: same tables, so the
+    # same per-state losses bit for bit, unseen contexts included
+    rng = np.random.default_rng(1701)
+    spec = HigherOrderChainSpec(
+        symbols=3, order=1, conditional=rng.dirichlet(np.ones(3), size=3))
+    chain = markovize(spec, 2)
+    train = LossSpec(rng.random((3, 3)))
+    loss = LossSpec(rng.random((3, 3)))
+    orders = (2, 0, 1)
+    counts = np.array([visits(rng.integers(0, chain.n_states,
+                                           size=int(rng.integers(1, 30))),
+                              chain.n_states) for _ in range(25)])
+    batched = erm_losses(chain, orders, counts, train, loss)
+    assert batched.shape == (25, 3, chain.n_states)
+    for row, got in zip(counts, batched):
+        expected = [state_losses(erm_fit(chain, q, row, train), chain, loss)
+                    for q in orders]
+        assert got.tolist() == np.array(expected).tolist()
+    assert erm_losses(chain, orders, counts[3], train,
+                      loss).tolist() == batched[3].tolist()
+    with pytest.raises(EmptySegmentError):
+        erm_losses(chain, orders, np.r_[counts[:2], counts[:1] * 0], train,
+                   loss)
+
+
 # ---------------------------------------------------------------------------
 # selection rules
+
+
+def test_selection_rules_reject_malformed_loss_matrix(two_state_chain):
+    counts, stationary = visits([0, 3]), two_state_chain.stationary
+    for call in (lambda losses: holdout_select(losses, counts),
+                 lambda losses: oracle_select(losses, stationary)):
+        # no candidate axis, or a state axis of another length
+        for losses in (np.zeros(4), np.zeros((2, 3)), np.zeros((2, 5))):
+            with pytest.raises(DimensionMismatchError):
+                call(losses)
+        with pytest.raises(RangeError):
+            call(np.zeros((0, 4)))
+    # a stack of loss matrices needs one segment's counts per matrix
+    with pytest.raises(DimensionMismatchError):
+        holdout_select(np.zeros((3, 2, 4)), counts)
+    with pytest.raises(DimensionMismatchError):
+        oracle_select(np.zeros((2, 4)), stationary[None])
+
+
+@pytest.mark.parametrize("zero_one", [True, False])
+def test_selection_rules_with_leading_axis_match_per_row_calls(zero_one):
+    rng = np.random.default_rng(1703)
+    losses = rng.random((30, 3, 12))
+    if zero_one:
+        losses = np.round(losses)
+    losses[::7, 2] = losses[::7, 0]         # ties go to the lower index
+    counts = rng.integers(0, 5, size=(30, 12))
+    counts[:, 0] += 1
+    stationary = rng.dirichlet(np.ones(12))
+    index, risks = holdout_select(losses, counts)
+    best, exact = oracle_select(losses, stationary)
+    assert index.shape == best.shape == (30,)
+    for r in range(30):
+        one = holdout_select(losses[r], counts[r])
+        assert isinstance(one[0], int) and index[r] == one[0]
+        assert risks[r].tolist() == one[1].tolist()
+        one = oracle_select(losses[r], stationary)
+        assert isinstance(one[0], int) and best[r] == one[0]
+        assert exact[r].tolist() == one[1].tolist()
+
+
 
 
 def test_holdout_select_minimizes_empirical(two_state_chain, zero_one_loss):
