@@ -152,14 +152,12 @@ def _fit_checks(chain: MarkovizedChain, orders, counts, loss: LossSpec,
 
 def _erm_tables(chain: MarkovizedChain, order_q: int, counts: np.ndarray,
                 loss: LossSpec) -> np.ndarray:
-    """ERM tables (..., s^q) of checked learning counts (..., S).
+    """ERM tables (..., s^q) of checked learning counts (..., S), by the
+    rule of :func:`erm_fit`.
 
     State x = t·s^p + c·s^(p-q) + r has target t and memory-q context c
     (s symbols, embedding order p, r < s^(p-q)), so summing the counts
-    over r tallies each segment's (context, target) pairs.  Each seen
-    context predicts the symbol minimizing the summed training loss
-    against its targets (ties to the lowest symbol); contexts never seen
-    fall back to the segment's most frequent target.
+    over r tallies each segment's (context, target) pairs.
     """
     s = chain.symbols
     pairs = counts.reshape(counts.shape[:-1] + (s, s ** order_q, -1)).sum(
@@ -175,7 +173,7 @@ def erm_fit(chain: MarkovizedChain, order_q: int, counts: np.ndarray,
 
     Each context seen in the segment predicts the symbol minimizing the
     summed training ``loss`` against its targets (ties to the lowest
-    symbol); contexts never seen fall back to the globally most frequent
+    symbol); contexts never seen fall back to the segment's most frequent
     target.  ``order_q`` must lie in [0, p] (RangeError), and ``loss``
     must have the chain's symbols (DimensionMismatchError).
     """
