@@ -249,8 +249,13 @@ def _power_rows(kernel, q: np.ndarray):
     its top r_j = max(k, p+1-j) symbols: the p+1-j it still keeps and the
     k that set the first draw.  C_j holds one row per class
     c = x // s^(p+1-r_j), taken at the representative c * s^(p+1-r_j).
+    C_1 is placed directly: class c = x // s appends y with weight
+    conditional[c // s^(p-k), y] at column y * s^p + c, and every other
+    entry is +0.0: the bits :func:`_append_step` gives on the identity,
+    where 0 * w = +0.0 for every weight w but -0.0.
     The representatives of step j+1 are every s^(r_j - r_{j+1})-th of
-    step j, and each step is one :func:`_append_step`: O(R_j * S) work.
+    step j, and each later step is one :func:`_append_step`: O(R_j * S)
+    work.
     """
     if not isinstance(kernel, MarkovizedChain):
         power = kernel.matrix
@@ -258,15 +263,17 @@ def _power_rows(kernel, q: np.ndarray):
             yield power, q
             power = power @ kernel.matrix
     s, k, p = kernel.symbols, kernel.base.order, kernel.embedding_order
+    classes = np.arange(s ** p)[:, None]
+    rows = np.zeros((s ** p, s ** (p + 1)))
+    rows[classes, np.arange(s) * s ** p + classes] = (
+        kernel.base.conditional[classes[:, 0] // s ** (p - k)])
     digits = p
-    # oldest-symbol sums of the rows c * s of K^0 = I, one per class of K
-    summed = np.eye(s ** p)
     j = 1
     while True:
-        rows = _append_step(kernel.base, p, summed)
         yield rows, q.reshape(len(rows), -1).sum(axis=1)
         nxt = max(k, p - j)
         summed = rows[::s ** (digits - nxt)].reshape(-1, s ** p, s).sum(axis=2)
+        rows = _append_step(kernel.base, p, summed)
         digits = nxt
         j += 1
 
@@ -388,10 +395,30 @@ def _gram_matrices(kernel, q: np.ndarray):
     (M^k)^T M^k = B^T B for B = W^(1/2) C D^{-1}, and G_k = B B^T has the
     same nonzero eigenvalues.  A raw kernel has E = I and B = M^k; a
     chain gives an R_k x R_k matrix, and the other eigenvalues are 0.
+    For k <= p+1-order the classes of a chain's K^k reach disjoint
+    columns, so G_k is exactly diagonal; its diagonal still comes from
+    the product, as every other entry does.
     """
     for rows, masses in _power_rows(kernel, q):
         h = np.sqrt(masses)[:, None] * rows
         yield h @ (h / q[None, :]).T
+
+
+def _eigenvalues(gram: np.ndarray) -> np.ndarray:
+    # ascending eigenvalues of a symmetric matrix.  LAPACK's tridiagonal
+    # reduction leaves a diagonal matrix as it is and dsterf then sorts its
+    # diagonal, so that matrix skips the solver with the same bits; a
+    # non-finite diagonal fails as LAPACK fails on it
+    diagonal = gram.diagonal()
+    if np.count_nonzero(gram) == np.count_nonzero(diagonal):
+        if not np.all(np.isfinite(diagonal)):
+            raise EigensolverFailureError(
+                "Eigenvalues did not converge: non-finite diagonal")
+        return np.sort(diagonal)
+    try:
+        return np.linalg.eigvalsh(gram)
+    except np.linalg.LinAlgError as exc:
+        raise EigensolverFailureError(str(exc)) from exc
 
 
 def pseudo_spectral_gap(kernel: TransitionKernel | MarkovizedChain,
@@ -400,9 +427,10 @@ def pseudo_spectral_gap(kernel: TransitionKernel | MarkovizedChain,
 
     With D = diag(sqrt(Q)) and M = D K D^{-1}, the reversiblization
     satisfies D (K*)^k K^k D^{-1} = (M^k)^T M^k, which is symmetric by
-    construction.  Each k takes lambda_2 from a symmetric eigensolver on
-    :func:`_gram_matrices`, one matrix per k with the eigenvalues of
-    (M^k)^T M^k (and zeros for a :class:`MarkovizedChain`).  Early k can
+    construction.  Each k takes lambda_2 from :func:`_gram_matrices`, one
+    matrix per k with the eigenvalues of (M^k)^T M^k (and zeros for a
+    :class:`MarkovizedChain`): the sorted diagonal of an exactly diagonal
+    matrix, as LAPACK returns it, else a symmetric eigensolver.  Early k can
     give gamma_k = 0 (a repeated eigenvalue 1 at small k happens for
     embedded higher-order chains); the stop rule k >= 1/max only engages
     once the running max is positive.
@@ -412,7 +440,7 @@ def pseudo_spectral_gap(kernel: TransitionKernel | MarkovizedChain,
     ZeroStationaryMassError
         Some Q(x) is numerically zero.
     EigensolverFailureError
-        LAPACK failed to converge.
+        LAPACK failed to converge, or a diagonal G_k is not finite.
     NumericalFailureError
         Q is inconsistent with the kernel (reversed row sums off 1) or an
         eigenvalue lies far outside [0, 1].
@@ -426,11 +454,7 @@ def pseudo_spectral_gap(kernel: TransitionKernel | MarkovizedChain,
     k = 0
     while k < GAP_K_CAP:
         k += 1
-        try:
-            eigenvalues = np.linalg.eigvalsh(next(grams))
-        except np.linalg.LinAlgError as exc:
-            raise EigensolverFailureError(str(exc)) from exc
-        lam2 = eigenvalues[-2]
+        lam2 = _eigenvalues(next(grams))[-2]
         if lam2 > 1.0 + 1e-8 or lam2 < -1e-8:
             raise NumericalFailureError(
                 f"eigenvalue {lam2!r} of A_{k} outside [0, 1]")

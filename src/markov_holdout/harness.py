@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -279,7 +278,12 @@ def run_replications(config: ExperimentConfig) -> RunResult:
     if config.threads == 1:
         parts = [_replication_rows(job) for job in jobs]
     else:
-        with ProcessPoolExecutor(max_workers=config.threads) as pool:
+        # imported here so a serial run skips multiprocessing's imports; a
+        # fork start forks every worker at the first submit, so the pool
+        # has no more workers than jobs
+        from concurrent.futures import ProcessPoolExecutor
+        with ProcessPoolExecutor(max_workers=min(config.threads,
+                                                 len(jobs))) as pool:
             parts = list(pool.map(_replication_rows, jobs))
     k_hat, k_tilde, empirical, gap_emp, exact = (
         None if col[0] is None else np.concatenate(col) for col in zip(*parts))

@@ -10,8 +10,10 @@ maximized at k = 1 with value 0.51.
 import numpy as np
 import pytest
 
+from markov_holdout import chains
 from markov_holdout import (
     DimensionMismatchError,
+    EigensolverFailureError,
     HigherOrderChainSpec,
     HorizonExceededError,
     MixingProfile,
@@ -29,7 +31,10 @@ from markov_holdout import (
     total_variation,
 )
 from markov_holdout.chains import (
+    _append_step,
     _check_stationary,
+    _gram_matrices,
+    _power_rows,
     _stationary_by_power_iteration,
     is_primitive,
 )
@@ -381,6 +386,80 @@ def test_quotient_diagnostics_match_dense_path(symbols, order):
             assert len(quotient_d.d_values) == len(dense_d) == horizon + 1
             assert quotient_d.d_values == pytest.approx(dense_d, rel=0,
                                                         abs=1e-15)
+
+
+def _seeded_chains():
+    # one seeded strictly positive chain per (s, k, p), s in {2, 3},
+    # k in {1, 2}, p = k .. k+3, and the verify-cond-s1024 chain: the
+    # order-2 binary chain of configs/order2_binary.json at p = 9
+    out = []
+    for symbols in (2, 3):
+        for order in (1, 2):
+            rng = np.random.default_rng(100 * symbols + order)
+            for p in range(order, order + 4):
+                spec = HigherOrderChainSpec(symbols, order, rng.dirichlet(
+                    np.ones(symbols), size=symbols ** order))
+                out.append(pytest.param(spec, p, id=f"s{symbols}k{order}p{p}"))
+    spec = HigherOrderChainSpec(2, 2, [[0.9, 0.1], [0.7, 0.3],
+                                       [0.4, 0.6], [0.2, 0.8]])
+    out.append(pytest.param(spec, 9, id="s1024"))
+    return out
+
+
+SEEDED_CHAINS = _seeded_chains()
+
+
+@pytest.mark.parametrize("spec,p", SEEDED_CHAINS + [pytest.param(
+    HigherOrderChainSpec(2, 1, [[1.0, 0.0], [0.5, 0.5]]), 2, id="zeros")])
+def test_first_power_has_the_bits_of_the_append_step(spec, p):
+    # the directly placed first power against the append step on K^0 = I,
+    # sign bits of the zeros included; "zeros" has structural zero weights
+    chain = markovize(spec, p, require_primitive=False)
+    rows, masses = next(_power_rows(chain, chain.stationary))
+    expected = _append_step(spec, p, np.eye(spec.symbols ** p))
+    assert rows.shape == expected.shape
+    assert np.array_equal(rows, expected)
+    assert np.array_equal(np.signbit(rows), np.signbit(expected))
+    assert np.array_equal(
+        masses, chain.stationary.reshape(len(rows), -1).sum(axis=1))
+
+
+@pytest.mark.parametrize("spec,p", SEEDED_CHAINS)
+def test_gap_matches_eigvalsh_on_every_gram_matrix_bit_for_bit(spec, p):
+    # the diagonal G_k skip the eigensolver; every gamma_k must still be
+    # the one eigvalsh gives, to the last bit
+    chain = markovize(spec, p)
+    q = chain.stationary
+    diag = pseudo_spectral_gap(chain, q)
+    grams = _gram_matrices(chain, q)
+    oracle = []
+    for k in range(1, diag.k_stop + 1):
+        lam2 = np.linalg.eigvalsh(next(grams))[-2]
+        oracle.append((1.0 - min(max(lam2, 0.0), 1.0)) / k)
+    assert diag.gammas == tuple(oracle)
+
+
+@pytest.mark.parametrize("spec,p", SEEDED_CHAINS)
+def test_gram_matrices_are_diagonal_exactly_up_to_p_plus_one_minus_k(spec, p):
+    # for k <= p+1-order the classes of K^k reach disjoint columns; the next
+    # power shares columns between classes, as conditional > 0
+    grams = _gram_matrices(markovize(spec, p), markovize(spec, p).stationary)
+    for k in range(1, p + 2 - spec.order):
+        gram = next(grams)
+        assert np.array_equal(gram, np.diag(gram.diagonal())), k
+    gram = next(grams)
+    assert not np.array_equal(gram, np.diag(gram.diagonal()))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_gap_rejects_non_finite_diagonal_gram(two_state_kernel, monkeypatch,
+                                              bad):
+    # a diagonal G_k skips LAPACK but must fail as LAPACK fails on it
+    gram = np.diag([1.0, bad, 0.5])
+    monkeypatch.setattr(chains, "_gram_matrices",
+                        lambda kernel, q: iter([gram]))
+    with pytest.raises(EigensolverFailureError):
+        pseudo_spectral_gap(two_state_kernel)
 
 
 def test_quotient_path_rejects_bad_stationary_law(order2_chain):

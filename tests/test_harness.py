@@ -5,8 +5,11 @@ Runs here are deliberately small (about a hundred replications) so the whole
 module stays fast; statistical power comes from the acceptance suite.
 """
 
+import concurrent.futures
 import json
 import pickle
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -249,6 +252,58 @@ def test_marginal_threads_do_not_change_results(two_state_chain):
     serial, pooled = run(1), run(2)
     for name in ("empirical", "gap_empirical", "exact", "k_hat", "k_tilde"):
         assert (getattr(pooled, name) == getattr(serial, name)).all(), name
+
+
+def test_pool_has_no_more_workers_than_jobs(two_state_chain, monkeypatch):
+    # a fork start forks every worker at the first submit, so a pool wider
+    # than its min(R, 4 * threads) jobs would fork idle processes; the fake
+    # records the pool size and maps in this process, starting none
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+
+    def run(threads):
+        return run_replications(ExperimentConfig(
+            chain=two_state_chain, orders=(0, 1),
+            loss=LossSpec.misclassification(2), n=40, m=30,
+            replications=100, epsilon_grid=(0.2,), master_seed=3,
+            threads=threads))
+
+    serial = run(1)
+    assert sizes == []
+    # smallest first: should the fake go unused, a real pool of 2 runs and
+    # the check fails before a wide one is asked for
+    for threads, workers in ((2, 2), (25, 25), (300, 100)):
+        pooled = run(threads)
+        assert sizes.pop() == workers and not sizes
+        for name in ("empirical", "exact", "k_hat", "k_tilde"):
+            assert (getattr(pooled, name) == getattr(serial, name)).all()
+
+
+def test_package_import_leaves_the_pool_unimported():
+    # only a run with threads > 1 needs concurrent.futures, which pulls in
+    # multiprocessing; the CLI's start-up and serial runs skip it
+    code = ("import sys, markov_holdout.cli; "
+            "print(sorted(m for m in ('concurrent.futures', "
+            "'multiprocessing') if m in sys.modules))")
+    src = str(Path(harness.__file__).resolve().parent.parent)
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True,
+                         env={"PYTHONPATH": src, "PATH": ""})
+    assert out.stdout.strip() == "[]"
 
 
 def _rows_match_public_calls(config, loss_matrix, x_last, chunks):
