@@ -408,7 +408,7 @@ def _eigenvalues(gram: np.ndarray) -> np.ndarray:
     # ascending eigenvalues of a symmetric matrix.  LAPACK's tridiagonal
     # reduction leaves a diagonal matrix as it is and dsterf then sorts its
     # diagonal, so that matrix skips the solver with the same bits; a
-    # non-finite diagonal fails as LAPACK fails on it
+    # non-finite diagonal fails, as LAPACK fails on it from 3 x 3 up
     diagonal = gram.diagonal()
     if np.count_nonzero(gram) == np.count_nonzero(diagonal):
         if not np.all(np.isfinite(diagonal)):

@@ -443,7 +443,8 @@ def test_gap_matches_eigvalsh_on_every_gram_matrix_bit_for_bit(spec, p):
 def test_gram_matrices_are_diagonal_exactly_up_to_p_plus_one_minus_k(spec, p):
     # for k <= p+1-order the classes of K^k reach disjoint columns; the next
     # power shares columns between classes, as conditional > 0
-    grams = _gram_matrices(markovize(spec, p), markovize(spec, p).stationary)
+    chain = markovize(spec, p)
+    grams = _gram_matrices(chain, chain.stationary)
     for k in range(1, p + 2 - spec.order):
         gram = next(grams)
         assert np.array_equal(gram, np.diag(gram.diagonal())), k

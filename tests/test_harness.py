@@ -7,6 +7,7 @@ module stays fast; statistical power comes from the acceptance suite.
 
 import concurrent.futures
 import json
+import os
 import pickle
 import subprocess
 import sys
@@ -302,7 +303,7 @@ def test_package_import_leaves_the_pool_unimported():
     src = str(Path(harness.__file__).resolve().parent.parent)
     out = subprocess.run([sys.executable, "-c", code], check=True,
                          capture_output=True, text=True,
-                         env={"PYTHONPATH": src, "PATH": ""})
+                         env={**os.environ, "PYTHONPATH": src})
     assert out.stdout.strip() == "[]"
 
 
