@@ -222,10 +222,21 @@ class MixingProfile:
 def _law(kernel, q):
     # the caller's Q, else the chain's own, else the solved one
     if q is not None:
-        return q
+        return _checked_law(kernel, q)
     if isinstance(kernel, MarkovizedChain):
         return kernel.stationary
     return stationary_distribution(kernel)
+
+
+def _checked_law(kernel, q) -> np.ndarray:
+    # a caller's Q as floats, one finite entry per state: NaN passes every
+    # comparison the later checks make
+    q = np.asarray(q, dtype=float)
+    if q.shape != (kernel.size,):
+        raise DimensionMismatchError("stationary law has wrong length")
+    if not np.isfinite(q).all():
+        raise RangeError("stationary law has a non-finite entry")
+    return q
 
 
 def _append_step(base: HigherOrderChainSpec, p: int, summed: np.ndarray):
@@ -303,6 +314,10 @@ def mixing_time(kernel: TransitionKernel | MarkovizedChain,
 
     Raises
     ------
+    DimensionMismatchError
+        ``q`` does not have one entry per state.
+    RangeError
+        ``q`` has a non-finite entry.
     HorizonExceededError
         d(t) stays above ``level`` through the step cap 10 * S**2.
     """
@@ -335,9 +350,7 @@ def mixing_time(kernel: TransitionKernel | MarkovizedChain,
 def _check_stationary(kernel, q) -> np.ndarray:
     # the checks that make K* well defined for a caller-supplied Q; row x of
     # K* sums to (QK)(x) / Q(x), which is 1 exactly when Q is stationary
-    q = np.asarray(q, dtype=float)
-    if q.shape != (kernel.size,):
-        raise DimensionMismatchError("stationary law has wrong length")
+    q = _checked_law(kernel, q)
     if np.any(q <= ZERO_MASS_TOL):
         raise ZeroStationaryMassError(
             f"stationary mass <= {ZERO_MASS_TOL:.1e} at state "
@@ -354,6 +367,10 @@ def time_reversal(kernel: TransitionKernel, q: np.ndarray) -> TransitionKernel:
 
     Raises
     ------
+    DimensionMismatchError
+        ``q`` does not have one entry per state.
+    RangeError
+        ``q`` has a non-finite entry.
     ZeroStationaryMassError
         Some Q(x) <= ``ZERO_MASS_TOL``.
     NumericalFailureError
@@ -437,6 +454,10 @@ def pseudo_spectral_gap(kernel: TransitionKernel | MarkovizedChain,
 
     Raises
     ------
+    DimensionMismatchError
+        ``q`` does not have one entry per state.
+    RangeError
+        ``q`` has a non-finite entry.
     ZeroStationaryMassError
         Some Q(x) is numerically zero.
     EigensolverFailureError

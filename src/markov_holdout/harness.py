@@ -50,6 +50,7 @@ from .predictors import (
 )
 from .sampling import (
     SeedSpec,
+    rows_per_block,
     sample_conditional_continuation,
     sample_stationary_trajectory,
 )
@@ -193,14 +194,17 @@ class RunResult:
 def _replication_rows(args):
     """k_hat, k_tilde, empirical, gapped (None when gap_b = 0), exact rows.
 
-    Each replication only draws and counts: one ``bincount`` of its states
-    plus ``code``, which adds to each position the offset of its segment,
-    a multiple of S.  The segments are the learning part (marginal mode
-    only), the first ``gap_b`` validation states and the rest, so the full
-    validation counts are the sum of the last two blocks and the gapped
-    counts are the last one.  A state outside [0, S) moves into another
-    block or past the last, so every row's block totals must equal the
-    segment lengths (NumericalFailureError).  The fits and the selections
+    Each replication only draws and counts.  The replications are drawn in
+    groups of as many as one block of the chain's walk holds
+    (:func:`rows_per_block`), one sampler call per group, and each group is
+    counted with one ``bincount`` of its states plus ``codes``, which adds
+    to each position the offset of its row and segment, a multiple of S.
+    The segments are the learning part (marginal mode only), the first
+    ``gap_b`` validation states and the rest, so the full validation counts
+    are the sum of the last two blocks of a row and the gapped counts are
+    the last one.  A state outside [0, S) moves into another block or past
+    the last, so every row's block totals must equal the segment lengths
+    (NumericalFailureError).  The fits and the selections
     then run once for the whole chunk: :func:`erm_losses` on the stacked
     learning counts, :func:`holdout_select` on the validation counts and
     :func:`oracle_select` on the stationary law.
@@ -215,14 +219,20 @@ def _replication_rows(args):
     lengths = np.array(([n] if marginal else []) + [gap_b, m - gap_b])
     code = np.repeat(np.arange(len(lengths)) * chain.n_states, lengths)
     width = len(lengths) * chain.n_states
+    group = rows_per_block(chain, len(code))
+    codes = (code + width * np.arange(group)[:, None]).reshape(-1)
     counts = np.empty((len(indices), width), dtype=np.int64)
-    for i, r in enumerate(indices):
-        seed = SeedSpec(config.master_seed, int(r))
+    for lo in range(0, len(indices), group):
+        seeds = [SeedSpec(config.master_seed, int(r))
+                 for r in indices[lo:lo + group]]
         if marginal:
-            states = sample_stationary_trajectory(chain, n, m, seed)
+            states = sample_stationary_trajectory(chain, n, m, seeds)
         else:
-            states = sample_conditional_continuation(chain, x_last, m, seed)
-        counts[i] = np.bincount(states + code, minlength=width)[:width]
+            states = sample_conditional_continuation(chain, x_last, m, seeds)
+        bins = len(seeds) * width
+        counts[lo:lo + len(seeds)] = np.bincount(
+            states + codes[:len(states)], minlength=bins)[:bins].reshape(
+                -1, width)
     counts = counts.reshape(len(indices), len(lengths), chain.n_states)
     if (counts.sum(axis=2) != lengths).any():
         raise NumericalFailureError(

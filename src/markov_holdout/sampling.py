@@ -9,10 +9,14 @@ cumulative row of ``chain.base.conditional`` for the context
 x // S^(p+1-k), set to 1.0 from the entry where the row reaches its total,
 so zero mass is never drawn.
 
-:func:`_walk` fills its output one block at a time, drawing each block's
-uniforms from the stream as it goes.  Philox draws of consecutive sizes
-give the doubles of one draw of the whole length, so the block size never
-changes a state, and a walk holds its states plus O(_CELLS + _STEPS) more.
+:func:`_walk` fills one row per seed, a (rows, w) block at a time, and
+draws each block's uniforms from the rows' streams as it goes.  Philox draws
+of consecutive sizes give the doubles of one draw of the whole length, so
+the block size never changes a state.  Rows of at most half a block share a
+pass of the walk, as many as fit; a longer row walks alone, block by block,
+so a walk holds its states plus O(_CELLS + _STEPS) more.  One call builds
+one Philox and re-keys it to each row's seed (:func:`_streams`), so which
+rows share a call or a pass never changes a row either.
 Each chain's walk is built at its first draw and kept in a weak-keyed cache
 until the chain is collected; a change to a module constant the walk was
 built under builds it anew.  Two walks give the same states from the same
@@ -20,9 +24,9 @@ uniforms:
 
 - the chunked walk (:class:`_ChunkedWalk`) composes the one-step context
   maps into tables over grams of g steps, finds each uniform's bucket with
-  a guide table, follows all s^k contexts of every chunk of grams of a
-  block at once, one numpy ``take`` per gram, and rebuilds the states from
-  the drawn symbols;
+  a guide table, follows all s^k contexts of every chunk of grams of all
+  rows of a block at once, one numpy ``take`` per gram, and rebuilds the
+  states from the drawn symbols;
 - the bisect walk (:class:`_BisectWalk`) draws one state per Python step.
   It runs for chains with more than _MAX_CONTEXTS contexts: the chunked
   walk's cost per step grows with s^k and the bisect walk's does not, and
@@ -33,6 +37,7 @@ from __future__ import annotations
 
 import weakref
 from bisect import bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,10 +77,43 @@ class SeedSpec:
             if not 0 <= v < _UINT64_CEIL:
                 raise RangeError(f"{name} must lie in [0, 2**64), got {v}")
 
+    @property
+    def key(self) -> np.ndarray:
+        """The Philox key of this stream."""
+        return np.array([self.master_seed, self.replication_index],
+                        dtype=np.uint64)
+
     def generator(self) -> np.random.Generator:
-        key = np.array([self.master_seed, self.replication_index],
-                       dtype=np.uint64)
-        return np.random.Generator(np.random.Philox(key=key))
+        return np.random.Generator(np.random.Philox(key=self.key))
+
+
+def _seed_list(seed) -> list[SeedSpec]:
+    # one SeedSpec or a sequence of them, as a list
+    seeds = [seed] if isinstance(seed, SeedSpec) else list(seed)
+    if not all(isinstance(s, SeedSpec) for s in seeds):
+        raise TypeError("seeds must be SeedSpec instances")
+    return seeds
+
+
+def _streams(seeds):
+    """Yield the generator of each seed's stream in turn.
+
+    Every row draws its uniforms through here.  The first seed's generator
+    is built as :meth:`SeedSpec.generator` builds it.  Each later seed sets
+    that Philox's state to a new Philox's, counter 0 and buffer empty, with
+    the seed's key: a new Philox would draw OS entropy and throw it away.
+    A generator is valid until the next one is yielded.
+    """
+    gen = fresh = None
+    for seed in seeds:
+        if gen is None:
+            gen = seed.generator()
+        else:
+            if fresh is None:
+                fresh = np.random.Philox().state
+            fresh["state"]["key"] = seed.key
+            gen.bit_generator.state = fresh
+        yield gen
 
 
 def _cumulative(law: np.ndarray) -> np.ndarray:
@@ -88,9 +126,8 @@ def _cumulative(law: np.ndarray) -> np.ndarray:
     return c
 
 
-def _walk(chain, state: int, gen: np.random.Generator,
-          out: np.ndarray) -> None:
-    # fill out with the states after `state`, one per uniform drawn from gen
+def _chain_walk(chain):
+    # the chain's cached walk, built anew under changed module constants
     setting = (_CHUNK, _CELLS, _STEPS, _MAX_CONTEXTS, _GRAM_CELLS, _GUIDE)
     cached = _WALKS.get(chain)
     if cached is None or cached[0] != setting:
@@ -99,10 +136,47 @@ def _walk(chain, state: int, gen: np.random.Generator,
         else:
             cached = setting, _ChunkedWalk(chain)
         _WALKS[chain] = cached
-    walk = cached[1]
-    for start in range(0, len(out), walk.size):
-        part = out[start:start + walk.size]
-        state = walk.block(gen.random(len(part)), state, part)
+    return cached[1]
+
+
+def rows_per_block(chain: MarkovizedChain, length: int) -> int:
+    """How many rows of `length` states one block of the chain's walk holds.
+
+    At least one: a longer row walks alone, block by block.
+    """
+    return max(1, _chain_walk(chain).size // length)
+
+
+def _walk(chain, seeds: list[SeedSpec], x_last: int | None,
+          out: np.ndarray) -> None:
+    # fill row i of out with states drawn from the stream of seeds[i], one
+    # per uniform.  Every uniform walks one step on from x_last; with x_last
+    # None a row's first uniform draws X_1 ~ Q and the rest walk on from it
+    walk = _chain_walk(chain)
+    first = x_last is None
+    if first:
+        law = _cumulative(chain.stationary)
+    streams = _streams(seeds)
+    per = rows_per_block(chain, out.shape[1])
+    for lo in range(0, len(out), per):
+        rows = out[lo:lo + per]
+        # each row's uniforms, or the first block of a longer row's
+        u = np.empty((len(rows), min(out.shape[1], walk.size + first)))
+        for row in u:
+            gen = next(streams)
+            gen.random(out=row)
+        if first:
+            starts = law.searchsorted(u[:, 0], side="right")
+            rows[:, 0] = starts
+            u, rows = u[:, 1:], rows[:, 1:]
+        else:
+            starts = np.full(len(rows), x_last)
+        for start in range(0, rows.shape[1], walk.size):
+            part = rows[:, start:start + walk.size]
+            if start:
+                # a lone row, so gen is still keyed to its seed
+                u = gen.random(part.shape)
+            starts = walk.block(u, starts, part)
 
 
 class _BisectWalk:
@@ -119,13 +193,20 @@ class _BisectWalk:
         self.symbols, self.high = s, s ** p
         self.size = _CELLS
 
-    def block(self, u: np.ndarray, state: int, out: np.ndarray) -> int:
-        """Write the len(u) states after `state` into out; return the last."""
+    def block(self, u: np.ndarray, starts: np.ndarray,
+              out: np.ndarray) -> np.ndarray:
+        """Write the states after starts[i], one per uniform of u[i], into
+        out[i]; return each row's last state."""
         rows, s, high = self.rows, self.symbols, self.high
-        for i, v in enumerate(u.tolist()):
-            state = bisect_right(rows[state], v) * high + state // s
-            out[i] = state
-        return state
+        last = []
+        for uniforms, state, dest in zip(u.tolist(), starts.tolist(), out):
+            path = []
+            for v in uniforms:
+                state = bisect_right(rows[state], v) * high + state // s
+                path.append(state)
+            dest[:] = path
+            last.append(state)
+        return np.array(last)
 
 
 class _ChunkedWalk:
@@ -192,93 +273,106 @@ class _ChunkedWalk:
         self.moves = after
         self.symbol_rows = symbol_rows.reshape(-1, g)
         self.digit_weights = buckets ** np.arange(g - 1, -1, -1)
+        self.digit_units = s ** np.arange(1, chain.embedding_order + 1)
         self.state_type = np.min_scalar_type(-chain.n_states)
         self.size = g * max(_CHUNK, min(_CELLS // contexts, _STEPS // g))
 
-    def block(self, u: np.ndarray, state: int, out: np.ndarray) -> int:
-        """Write the len(u) states after `state` into out; return the last."""
+    def block(self, u: np.ndarray, starts: np.ndarray,
+              out: np.ndarray) -> np.ndarray:
+        """Write the states after starts[i], one per uniform of u[i], into
+        out[i]; return each row's last state."""
         s, p, contexts, g = (self.symbols, self.embedding_order,
                              self.contexts, self.gram)
-        w = len(u)
+        rows, w = u.shape
         grams = -(-w // g)
         chunks = -(-grams // _CHUNK)
         length = -(-grams // chunks)
         # the steps past w draw bucket 0; nothing reads their symbols, and
-        # only the last chunk, whose end no later chunk starts from, has them
-        bucket = np.zeros(chunks * length * g, dtype=np.intp)
-        b = bucket[:w]
+        # only a row's last chunk, whose end no later chunk starts from, has
+        # them
+        bucket = np.zeros((rows, chunks * length * g), dtype=np.intp)
+        b = bucket[:, :w]
         # every index is in range; mode="clip" only spares the copy that
         # take makes of `out` under the default mode="raise"
         self.guide.take((u * _GUIDE).astype(np.intp), out=b, mode="clip")
         for _ in range(self.passes):
             b += u >= self.edges.take(b)
-        gram = bucket.reshape(chunks, length, g) @ self.digit_weights
-        # slab i of maps holds gram i of every chunk.  Walker (j, c) has the
-        # value j * contexts + c, its own index into the slab, so chunk j's
-        # maps are biased by j * contexts once taken
-        here = np.arange(chunks * contexts)
+        gram = bucket.reshape(rows * chunks, length, g) @ self.digit_weights
+        # slab i of maps holds gram i of every chunk of every row.  Walker
+        # (j, c) has the value j * contexts + c, its own index into the
+        # slab, so chunk j's maps are biased by j * contexts once taken
+        here = np.arange(rows * chunks * contexts)
         maps = self.moves.take(gram.T, axis=0).reshape(length, -1)
         maps += here - here % contexts
         walkers = np.empty_like(maps)
         for table, after in zip(maps, walkers):
             here = table.take(here, out=after, mode="clip")
         ends = (here % contexts).tolist()
-        start = state // self.context_unit
-        starts = [start]
-        for j in range(chunks - 1):
-            start = ends[j * contexts + start]
-            starts.append(start)
+        # each row's chunks are chained from the row's start context
+        firsts = []
+        for i, start in enumerate((starts // self.context_unit).tolist()):
+            firsts.append(start)
+            for j in range(i * chunks, (i + 1) * chunks - 1):
+                start = ends[j * contexts + start]
+                firsts.append(start)
         # the context before each gram picks its row of symbols
-        bias = np.arange(chunks) * contexts
-        before = np.empty((length, chunks), dtype=np.intp)
-        before[0] = starts
-        walkers[:-1].take(bias + starts, axis=1, out=before[1:], mode="clip")
+        bias = np.arange(rows * chunks) * contexts
+        before = np.empty((length, rows * chunks), dtype=np.intp)
+        before[0] = firsts
+        walkers[:-1].take(bias + firsts, axis=1, out=before[1:], mode="clip")
         before[1:] -= bias
         gram *= contexts
         gram += before.T
-        rows = self.symbol_rows.take(gram.reshape(-1), axis=0)
-        # x_t = sum_j y_(t-j) S^(p-j), with the digits of `state` for t <= p;
-        # the sums are < S, so they are taken in the smallest type that fits
-        y = rows.reshape(-1)[:w].astype(self.state_type)
+        symbols = self.symbol_rows.take(gram.reshape(-1), axis=0)
+        # x_t = sum_j y_(t-j) S^(p-j), with the digits of the start for
+        # t <= p; the sums are < S, so they are taken in the smallest type
+        # that fits
+        y = symbols.reshape(rows, -1)[:, :w].astype(self.state_type)
         x = y * s ** p
         for j in range(1, p + 1):
-            x[j:] += y[:-j] * s ** (p - j)
+            x[:, j:] += y[:, :-j] * s ** (p - j)
         out[:] = x
-        for t in range(1, min(p, w) + 1):
-            out[t - 1] += state // s ** t
-        return int(out[-1])
+        digits = min(p, w)
+        out[:, :digits] += starts[:, None] // self.digit_units[:digits]
+        return out[:, -1]
 
 
 def sample_stationary_trajectory(chain: MarkovizedChain, n: int, m: int,
-                                 seed: SeedSpec) -> np.ndarray:
-    """Draw X_1 ~ Q and n + m - 1 transitions from one stream.
+                                 seed: SeedSpec | Sequence[SeedSpec]
+                                 ) -> np.ndarray:
+    """Draw X_1 ~ Q and n + m - 1 transitions from each seed's stream.
 
-    Returns the n + m states; the first n are the learning part and the
-    last m the validation part.
+    Returns the n + m states of each seed, back to back in the order of the
+    seeds (one SeedSpec counts as a sequence of one); the first n of a row
+    are its learning part and the last m its validation part.  A row is
+    the same whichever seeds share the call.
     """
     if n < 1:
         raise RangeError("need n >= 1 learning states")
     if m < 0:
         raise RangeError("validation length must be >= 0")
-    gen = seed.generator()
-    states = np.empty(n + m, dtype=np.int64)
-    first = bisect_right(_cumulative(chain.stationary).tolist(), gen.random())
-    states[0] = first
-    _walk(chain, first, gen, states[1:])
+    seeds = _seed_list(seed)
+    states = np.empty(len(seeds) * (n + m), dtype=np.int64)
+    _walk(chain, seeds, None, states.reshape(len(seeds), n + m))
     return states
 
 
 def sample_conditional_continuation(chain: MarkovizedChain, x_last: int,
-                                    m: int, seed: SeedSpec) -> np.ndarray:
+                                    m: int,
+                                    seed: SeedSpec | Sequence[SeedSpec]
+                                    ) -> np.ndarray:
     """Draw m further states of the chain started from X_n = x_last.
 
-    Returns the new states only (x_last excluded); the first entry is
-    distributed as row x_last of the kernel.
+    Returns the m new states of each seed (x_last excluded), back to back
+    in the order of the seeds (one SeedSpec counts as a sequence of one);
+    the first state of a row is distributed as row x_last of the kernel.
+    A row is the same whichever seeds share the call.
     """
     if not 0 <= x_last < chain.n_states:
         raise RangeError(f"state {x_last} outside [0, {chain.n_states})")
     if m < 1:
         raise EmptySegmentError("continuation needs m >= 1 states")
-    states = np.empty(m, dtype=np.int64)
-    _walk(chain, x_last, seed.generator(), states)
+    seeds = _seed_list(seed)
+    states = np.empty(len(seeds) * m, dtype=np.int64)
+    _walk(chain, seeds, x_last, states.reshape(len(seeds), m))
     return states

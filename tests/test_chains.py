@@ -344,6 +344,28 @@ def test_gap_rejects_bad_stationary_law():
         pseudo_spectral_gap(kernel, np.array([1.0, 0.0]))
 
 
+def test_gap_rejects_non_finite_stationary_law():
+    # NaN fails every comparison, so it used to pass the zero-mass and the
+    # reversed-row checks and give gamma_ps = 0 from NaN gammas
+    kernel = TransitionKernel([[0.9, 0.1], [0.2, 0.8]])
+    for bad in ([np.nan, 0.5], [np.inf, 0.5]):
+        with pytest.raises(RangeError):
+            pseudo_spectral_gap(kernel, np.array(bad))
+        with pytest.raises(RangeError):
+            time_reversal(kernel, np.array(bad))
+
+
+def test_mixing_time_rejects_bad_stationary_law(two_state_kernel):
+    # a short q used to raise a bare numpy ValueError on a 3-state kernel,
+    # and a NaN q ran to the step cap
+    three = TransitionKernel([[0.1, 0.6, 0.3], [0.2, 0.3, 0.5],
+                              [0.7, 0.2, 0.1]])
+    with pytest.raises(DimensionMismatchError):
+        mixing_time(three, q=np.array([0.5, 0.5]))
+    with pytest.raises(RangeError):
+        mixing_time(two_state_kernel, q=np.array([np.nan, 0.5]))
+
+
 def test_gap_never_exceeds_one_over_k():
     rng = np.random.default_rng(41)
     for _ in range(20):

@@ -397,21 +397,25 @@ def test_replication_rows_match_public_calls_in_edge_cases(two_state_chain,
     assert (k_hat == 0).all() and (k_tilde == 0).all()
 
 
-@pytest.mark.parametrize("position", [0, -1])
+@pytest.mark.parametrize("position", [0, -1, "row-end"])
 @pytest.mark.parametrize("mode", ["conditional", "marginal"])
 def test_replication_rows_reject_states_outside_range(two_state_chain,
                                                       monkeypatch, mode,
                                                       position):
-    # a state S would count in the next segment's block, or past the last
-    # block; the chunk's segment totals catch both
+    # a state S would count in the next segment's block, in the next row's
+    # first block (at the end of a row that shares its draw with the next),
+    # or past the last block; the chunk's segment totals catch all three
     chain = two_state_chain
     name = ("sample_stationary_trajectory" if mode == "marginal"
             else "sample_conditional_continuation")
     draw = getattr(harness, name)
+    row = 140 if mode == "marginal" else 80
 
     def corrupt(*args):
         states = draw(*args)
-        states[position] = chain.n_states
+        assert len(states) == 4 * row
+        states[row - 1 if position == "row-end" else position] = (
+            chain.n_states)
         return states
 
     monkeypatch.setattr(harness, name, corrupt)

@@ -102,11 +102,14 @@ def test_largest_uniform_never_selects_zero_mass(monkeypatch):
     top = np.nextafter(1.0, 0.0)
 
     class LargestUniform:
-        def random(self, k):
-            return np.full(k, top)
+        def random(self, size=None, out=None):
+            if out is None:
+                return np.full(size, top)
+            out[:] = top
+            return out
 
-    monkeypatch.setattr(SeedSpec, "generator",
-                        lambda self: LargestUniform())
+    monkeypatch.setattr(sampling, "_streams",
+                        lambda seeds: (LargestUniform() for _ in seeds))
     matrix = chain.kernel.matrix
     for start in range(chain.n_states):
         states = sample_conditional_continuation(chain, start, 4, SeedSpec(0))
@@ -196,11 +199,12 @@ def test_sampler_matches_dense_row_reference(monkeypatch, top_every, gram):
     # both entry points of both walks against the dense-row reference on the
     # same uniforms; with top_every set, every third uniform of the stream is
     # the largest double below 1, which reaches the clamped end of each
-    # table.  The injection counts positions in the stream, not in one draw,
-    # so the walks may draw blocks of any length.  With gram set, the chunked
-    # walk alone runs, with grams of that many steps; by default its grams
-    # are as long as _GRAM_CELLS allows.
-    real = SeedSpec.generator
+    # table.  The injection wraps each row's generator from the stream seam
+    # and counts positions in that row's stream, not in one draw, so the
+    # walks may draw blocks of any length.  With gram set, the chunked walk
+    # alone runs, with grams of that many steps; by default its grams are as
+    # long as _GRAM_CELLS allows.
+    real = sampling._streams
 
     class Injected:
         grid = None
@@ -209,17 +213,23 @@ def test_sampler_matches_dense_row_reference(monkeypatch, top_every, gram):
             self.gen = gen
             self.drawn = 0
 
-        def random(self, k=None):
-            u = self.gen.random(1 if k is None else k)
+        def random(self, size=None, out=None):
+            u = self.gen.random(size, out=out)
+            flat = u.reshape(-1)
             if Injected.grid is not None:
-                u = np.floor(u * Injected.grid) / Injected.grid
+                flat[:] = np.floor(flat * Injected.grid) / Injected.grid
             if top_every is not None:
-                u[-self.drawn % top_every::top_every] = np.nextafter(1.0, 0.0)
-            self.drawn += len(u)
-            return u[0] if k is None else u
+                top = np.nextafter(1.0, 0.0)
+                flat[-self.drawn % top_every::top_every] = top
+            self.drawn += len(flat)
+            return u
 
-    monkeypatch.setattr(SeedSpec, "generator",
-                        lambda self: Injected(real(self)))
+    monkeypatch.setattr(sampling, "_streams",
+                        lambda seeds: map(Injected, real(seeds)))
+
+    def uniforms(seed, length):
+        return Injected(seed.generator()).random(length).tolist()
+
     walks = ((2 ** 64, sampling._ChunkedWalk), (0, sampling._BisectWalk))
     if gram is not None:
         walks = walks[:1]
@@ -235,7 +245,8 @@ def test_sampler_matches_dense_row_reference(monkeypatch, top_every, gram):
                     walk = kind(chain)
                     assert gram is None or walk.gram == gram
                     Injected.grid = grid
-                    _check_against_reference(chain, c, _lengths(walk, blocks))
+                    _check_against_reference(chain, c, _lengths(walk, blocks),
+                                             uniforms)
 
     check_both_walks(2)
     # blocks of a few states: a long draw spans many blocks of both walks
@@ -243,14 +254,15 @@ def test_sampler_matches_dense_row_reference(monkeypatch, top_every, gram):
     check_both_walks(20)
 
 
-def _check_against_reference(chain, c, lengths):
+def _check_against_reference(chain, c, lengths, uniforms):
+    # uniforms(seed, length): the first `length` uniforms of seed's stream
     rows = _dense_rows(chain)
     for length in lengths:
         seed = SeedSpec(41, c)
-        uniforms = seed.generator().random(length).tolist()
+        u = uniforms(seed, length)
         traj = sample_stationary_trajectory(chain, 1, length - 1, seed)
-        first = bisect_right(_clamped_cumsum(chain.stationary), uniforms[0])
-        expected = [first, *_dense_reference_walk(rows, first, uniforms[1:])]
+        first = bisect_right(_clamped_cumsum(chain.stationary), u[0])
+        expected = [first, *_dense_reference_walk(rows, first, u[1:])]
         assert traj.tolist() == expected
     # every start for lengths up to p + 1, where the first states still
     # carry the start's digits, and a few starts for the long lengths
@@ -259,10 +271,63 @@ def _check_against_reference(chain, c, lengths):
         few = start in (0, 1, chain.n_states // 2, chain.n_states - 1)
         for m in sorted({*short, *(lengths if few else [40])}):
             seed = SeedSpec(43 + c, start)
-            uniforms = seed.generator().random(m).tolist()
             states = sample_conditional_continuation(chain, start, m, seed)
-            assert states.tolist() == _dense_reference_walk(rows, start,
-                                                            uniforms)
+            assert states.tolist() == _dense_reference_walk(
+                rows, start, uniforms(seed, m))
+
+
+@pytest.mark.parametrize("cells", [None, 3 * sampling._CHUNK],
+                         ids=["default-blocks", "small-blocks"])
+@pytest.mark.parametrize("max_contexts", [2 ** 64, 0],
+                         ids=["chunked", "bisect"])
+def test_rows_do_not_depend_on_grouping(monkeypatch, max_contexts, cells):
+    # row i of a call with many seeds is the draw of seed i alone, and the
+    # dense-row reference walk on the uniforms of seed i's own generator,
+    # whichever seeds share the call or a pass of the walk.  The lengths
+    # cover a row that still carries the start's digits (up to p + 1), a
+    # chunk boundary, three rows to a block and a row longer than a block
+    monkeypatch.setattr(sampling, "_MAX_CONTEXTS", max_contexts)
+    if cells is not None:
+        monkeypatch.setattr(sampling, "_CELLS", cells)
+    chain = _fresh_chain()
+    walk = sampling._chain_walk(chain)
+    kind = sampling._BisectWalk if max_contexts == 0 else sampling._ChunkedWalk
+    assert type(walk) is kind
+    p = chain.embedding_order
+    chunk = sampling._CHUNK * getattr(walk, "gram", 1)
+    rows = _dense_rows(chain)
+    law = _clamped_cumsum(chain.stationary)
+    start = chain.n_states - 3
+    seeds = [SeedSpec(71, r) for r in range(9)]
+    for length in sorted({1, 2, p, p + 1, chunk, chunk + 1, walk.size // 3,
+                          walk.size + 1}):
+        continued, stationary = [], []
+        for seed in seeds:
+            u = seed.generator().random(length).tolist()
+            continued.append(_dense_reference_walk(rows, start, u))
+            first = bisect_right(law, u[0])
+            stationary.append([first,
+                               *_dense_reference_walk(rows, first, u[1:])])
+        for size in (1, 7, len(seeds)):
+            groups = [seeds[i] if size == 1 else seeds[i:i + size]
+                      for i in range(0, len(seeds), size)]
+            drawn = [sample_conditional_continuation(chain, start, length, g)
+                     for g in groups]
+            assert np.concatenate(drawn).reshape(
+                len(seeds), length).tolist() == continued
+            drawn = [sample_stationary_trajectory(chain, 1, length - 1, g)
+                     for g in groups]
+            assert np.concatenate(drawn).reshape(
+                len(seeds), length).tolist() == stationary
+
+
+def test_samplers_take_sequences_of_seeds(two_state_chain):
+    seeds = (SeedSpec(3, 1), SeedSpec(3, 2))
+    states = sample_conditional_continuation(two_state_chain, 1, 5, seeds)
+    assert states.dtype == np.int64 and states.shape == (10,)
+    assert sample_stationary_trajectory(two_state_chain, 2, 3, []).shape == (0,)
+    with pytest.raises(TypeError):
+        sample_conditional_continuation(two_state_chain, 1, 5, [SeedSpec(3), 4])
 
 
 def test_deterministic_cycle_base_symbols():
@@ -407,12 +472,11 @@ def test_conditional_law_matches_kernel_powers(two_state_chain):
     reps = 200_000
     start = two_state_chain.encode((0, 0))
     horizon = 3
-    counts = np.zeros((horizon, 4))
-    for r in range(reps):
-        states = sample_conditional_continuation(two_state_chain, start,
-                                                 horizon, SeedSpec(863, r))
-        for b in range(horizon):
-            counts[b, states[b]] += 1.0
+    # replication r's states are row r, as one call per seed would give them
+    states = sample_conditional_continuation(
+        two_state_chain, start, horizon,
+        [SeedSpec(863, r) for r in range(reps)]).reshape(reps, horizon)
+    counts = np.stack([np.bincount(col, minlength=4) for col in states.T])
     matrix = two_state_chain.kernel.matrix
     for b in range(horizon):
         law = np.linalg.matrix_power(matrix, b + 1)[start]
@@ -423,12 +487,10 @@ def test_conditional_law_matches_kernel_powers(two_state_chain):
 
 def test_first_state_of_stationary_trajectory_has_stationary_law(two_state_chain):
     reps = 100_000
-    counts = np.zeros(4)
-    # vector of first states across replications, one Philox stream each
-    for r in range(reps):
-        traj = sample_stationary_trajectory(two_state_chain, 1, 0,
-                                            SeedSpec(977, r))
-        counts[traj[0]] += 1.0
+    # the first state of each replication, one Philox stream each
+    firsts = sample_stationary_trajectory(
+        two_state_chain, 1, 0, [SeedSpec(977, r) for r in range(reps)])
+    counts = np.bincount(firsts, minlength=4)
     freq = counts / reps
     law = two_state_chain.stationary
     se = np.sqrt(law * (1 - law) / reps)
