@@ -17,6 +17,7 @@ depends on x only through its top max(k, p+1-j) symbols).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -206,6 +207,12 @@ class MixingProfile:
         if self.t_mix < 1:
             raise RangeError("mixing time must be >= 1")
         d = np.asarray(self.d_values, dtype=float)
+        if d.ndim != 1 or d.size == 0:
+            raise DimensionMismatchError(
+                f"distance profile must be 1-d and non-empty, got {d.shape}")
+        # NaN fails every comparison of the monotone check below
+        if not np.isfinite(d).all():
+            raise RangeError("distance profile has a non-finite entry")
         if np.any(d[1:] - d[:-1] > MONOTONE_SLACK):
             raise NumericalFailureError("distance profile is not non-increasing")
         object.__setattr__(self, "d_values", d)
@@ -239,13 +246,44 @@ def _checked_law(kernel, q) -> np.ndarray:
     return q
 
 
-def _append_step(base: HigherOrderChainSpec, p: int, summed: np.ndarray):
-    # rows P K of the (p+1)-tuple chain from their oldest-symbol sums
-    # summed[:, u] = sum_a P[:, u*s + a]: the s predecessors u*s + a of
-    # column y*s^p + u all append y with weight conditional[u // s^(p-k), y]
+def _append_weights(base: HigherOrderChainSpec, p: int) -> np.ndarray:
+    # weights[y, u] = conditional[u // s^(p-k), y], the weight with which
+    # column y*s^p + u of the (p+1)-tuple chain appends y.  Held as a
+    # contiguous (s, s^p) array: the transposed view of the same entries
+    # sends numpy's broadcast product down a strided slow path, 2.2 ms
+    # against 0.47 ms at the second power of an S = 1024 chain, for the
+    # same bits
     s, k = base.symbols, base.order
-    weights = base.conditional[np.arange(s ** p) // s ** (p - k)].T
-    return (summed[:, None, :] * weights[None]).reshape(len(summed), -1)
+    return np.ascontiguousarray(
+        base.conditional[np.arange(s ** p) // s ** (p - k)].T)
+
+
+def _append_step(summed: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Rows P K of the (p+1)-tuple chain from their oldest-symbol sums.
+
+    ``summed[:, u] = sum_a P[:, u*s + a]``: the s predecessors u*s + a of
+    column y*s^p + u all append y with weight ``weights[y, u]``, from
+    :func:`_append_weights`.  Both operands are contiguous, so the product
+    runs on numpy's contiguous inner loop; the bits are those of any
+    layout, as each entry is one multiplication.
+    """
+    return (summed[:, None, :] * weights).reshape(len(summed), -1)
+
+
+def _class_sums(rows: np.ndarray, s: int) -> np.ndarray:
+    # rows.reshape(-1, s^p, s).sum(axis=2) with numpy's bits.  numpy's
+    # pairwise sum adds fewer than 8 terms one by one, left to right from
+    # -0.0 (which leaves the first term as it is), but a reduction over so
+    # short an axis pays its inner-loop set-up once per output entry: 2.7 ms
+    # against 0.33 ms for s - 1 whole-column adds at S = 1024.  From 8 terms
+    # on numpy adds in eight interleaved partial sums, so those stay with it
+    terms = rows.reshape(len(rows), -1, s)
+    if s >= 8:
+        return terms.sum(axis=2)
+    out = terms[:, :, 0] + terms[:, :, 1]
+    for a in range(2, s):
+        out += terms[:, :, a]
+    return out
 
 
 def _power_rows(kernel, q: np.ndarray):
@@ -267,6 +305,16 @@ def _power_rows(kernel, q: np.ndarray):
     The representatives of step j+1 are every s^(r_j - r_{j+1})-th of
     step j, and each later step is one :func:`_append_step`: O(R_j * S)
     work.
+
+    Each step does the floating-point operations of the plain numpy
+    expressions on contiguous operands, which keeps its bits and takes
+    about half the time at S = 1024.  The append weights are built once
+    per sequence as a contiguous array, not read through a transposed
+    view each step, and for s < 8 the class sums over the oldest symbol
+    are unrolled into whole-column adds by :func:`_class_sums`, in the
+    order numpy adds so few terms, not reduced along a length-s axis.
+    Going back to either form keeps the bits and brings back its slow
+    path.
     """
     if not isinstance(kernel, MarkovizedChain):
         power = kernel.matrix
@@ -274,27 +322,33 @@ def _power_rows(kernel, q: np.ndarray):
             yield power, q
             power = power @ kernel.matrix
     s, k, p = kernel.symbols, kernel.base.order, kernel.embedding_order
+    weights = _append_weights(kernel.base, p)
     classes = np.arange(s ** p)[:, None]
     rows = np.zeros((s ** p, s ** (p + 1)))
-    rows[classes, np.arange(s) * s ** p + classes] = (
-        kernel.base.conditional[classes[:, 0] // s ** (p - k)])
+    rows[classes, np.arange(s) * s ** p + classes] = weights.T
     digits = p
     j = 1
     while True:
         yield rows, q.reshape(len(rows), -1).sum(axis=1)
         nxt = max(k, p - j)
-        summed = rows[::s ** (digits - nxt)].reshape(-1, s ** p, s).sum(axis=2)
-        rows = _append_step(kernel.base, p, summed)
+        rows = _append_step(_class_sums(rows[::s ** (digits - nxt)], s),
+                            weights)
         digits = nxt
         j += 1
 
 
-def _distances(kernel, q: np.ndarray):
-    # d(t) for t = 0, 1, ...: the worst start's TV distance to q; row x of
-    # K^0 is the point mass at x
+def _distances(q: np.ndarray, powers):
+    # d(t) for t = 0, 1, ...: the worst start's TV distance to q, from the
+    # (C_j, W_j) of _power_rows; row x of K^0 is the point mass at x.
+    # |C_j - q| goes to one buffer sized for C_1, which has the most rows,
+    # instead of two new temporaries a step
     yield 0.5 * float(np.max((1.0 - q) + (q.sum() - q)))
-    for rows, _ in _power_rows(kernel, q):
-        yield 0.5 * np.abs(rows - q[None, :]).sum(axis=1).max()
+    buffer = None
+    for rows, _ in powers:
+        if buffer is None:
+            buffer = np.empty_like(rows)
+        gaps = np.subtract(rows, q, out=buffer[:len(rows)])
+        yield 0.5 * np.abs(gaps, out=gaps).sum(axis=1).max()
 
 
 def mixing_time(kernel: TransitionKernel | MarkovizedChain,
@@ -317,15 +371,34 @@ def mixing_time(kernel: TransitionKernel | MarkovizedChain,
     DimensionMismatchError
         ``q`` does not have one entry per state.
     RangeError
-        ``q`` has a non-finite entry.
+        ``q`` has a non-finite or a negative entry.
+    NumericalFailureError
+        ``q`` is not a stationary law: ||QK - Q||_1 + |sum(Q) - 1| exceeds
+        ``STATIONARY_RESIDUAL_TOL``.
     HorizonExceededError
         d(t) stays above ``level`` through the step cap 10 * S**2.
     """
     if not 0.0 < level < 1.0:
         raise RangeError("level must lie in (0, 1)")
     q = _law(kernel, q)
+    # d(t) tends to the TV distance from Q to the true law, so a Q that is
+    # not one would walk to the step cap before it failed.  QK = W_1 C_1
+    # comes from the first power, which the walk then reuses; a TV distance
+    # needs no positive mass, so the zero-mass rule of the reversal does not
+    # apply
+    if np.any(q < 0.0):
+        raise RangeError(
+            f"stationary law has a negative entry at state {int(np.argmin(q))}")
+    powers = _power_rows(kernel, q)
+    first = next(powers)
+    rows, masses = first
+    residual = np.abs(masses @ rows - q).sum() + abs(q.sum() - 1.0)
+    if residual > STATIONARY_RESIDUAL_TOL:
+        raise NumericalFailureError(
+            f"stationary residual {residual:.3e} exceeds "
+            f"{STATIONARY_RESIDUAL_TOL:.1e}")
     cap = 10 * kernel.size ** 2
-    distances = _distances(kernel, q)
+    distances = _distances(q, itertools.chain([first], powers))
     d_values = []
     t_mix = None
     t = 0
@@ -663,7 +736,8 @@ def markovize(base: HigherOrderChainSpec, embedding_order: int,
     if kernel.primitive:
         stationary = stationary_distribution(kernel)
         for j in range(k + 1, p + 1):
-            stationary = _append_step(base, j, stationary[None])[0]
+            stationary = _append_step(stationary[None],
+                                      _append_weights(base, j))[0]
     else:
         # no unique stationary law; use a uniform placeholder so sampling
         # from explicit starts still works

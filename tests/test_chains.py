@@ -10,12 +10,13 @@ maximized at k = 1 with value 0.51.
 import numpy as np
 import pytest
 
-from markov_holdout import chains
+from markov_holdout import chains, harness
 from markov_holdout import (
     DimensionMismatchError,
     EigensolverFailureError,
     HigherOrderChainSpec,
     HorizonExceededError,
+    LossSpec,
     MixingProfile,
     NonPrimitiveError,
     NumericalFailureError,
@@ -23,6 +24,8 @@ from markov_holdout import (
     SizeOverflowError,
     TransitionKernel,
     ZeroStationaryMassError,
+    bayes_predictor,
+    coupling_check,
     markovize,
     mixing_time,
     pseudo_spectral_gap,
@@ -32,6 +35,7 @@ from markov_holdout import (
 )
 from markov_holdout.chains import (
     _append_step,
+    _append_weights,
     _check_stationary,
     _gram_matrices,
     _power_rows,
@@ -242,6 +246,15 @@ def test_mixing_profile_rejects_non_monotone_distances():
         MixingProfile(d_values=np.array([0.5, 0.2, 0.3]), t_mix=1)
 
 
+def test_mixing_profile_rejects_nan_and_empty_distances():
+    # NaN fails every comparison of the monotone check, so that check
+    # alone lets it through
+    with pytest.raises(RangeError):
+        MixingProfile(d_values=[1.0, np.nan, 0.1], t_mix=2)
+    with pytest.raises(DimensionMismatchError):
+        MixingProfile(d_values=[], t_mix=1)
+
+
 # ---------------------------------------------------------------------------
 # time reversal
 
@@ -366,6 +379,46 @@ def test_mixing_time_rejects_bad_stationary_law(two_state_kernel):
         mixing_time(two_state_kernel, q=np.array([np.nan, 0.5]))
 
 
+def test_mixing_time_rejects_a_law_that_is_not_stationary_at_once(
+        two_state_matrix, order2_spec, monkeypatch):
+    # a negative or non-stationary q keeps d(t) above the level, so the
+    # walk would run to the 10 S^2 step cap: 640 powers for a uniform q on
+    # the 8-state embedded two-state chain.  It must fail from the first
+    # power, which checks QK = Q
+    drawn = []
+
+    def counted(kernel, q):
+        for power in _power_rows(kernel, q):
+            drawn.append(power)
+            yield power
+
+    monkeypatch.setattr(chains, "_power_rows", counted)
+    chain = markovize(HigherOrderChainSpec.from_kernel(two_state_matrix), 2)
+    s1024 = markovize(order2_spec, 9)
+    for kernel, q, error in [
+            (chain, np.full(8, 1.0 / 8), NumericalFailureError),
+            (chain, 2.0 * chain.stationary, NumericalFailureError),
+            (chain.kernel, np.full(8, 1.0 / 8), NumericalFailureError),
+            (s1024, np.full(1024, 1.0 / 1024), NumericalFailureError),
+            (chain, chain.stationary * [2.0] + [0, -1, 0, 0, 0, 0, 0, 0],
+             RangeError),
+            (TransitionKernel(two_state_matrix), np.array([1.5, -0.5]),
+             RangeError)]:
+        drawn.clear()
+        with pytest.raises(error):
+            mixing_time(kernel, q=q)
+        assert len(drawn) <= 1
+    assert mixing_time(chain, q=chain.stationary).t_mix == 5
+    # a TV distance needs no positive mass: state 2 is transient, and its
+    # row of K^2 is (1/2, 1/4, 1/4), 1/4 from Q
+    transient = TransitionKernel([[0.5, 0.5, 0.0], [0.5, 0.5, 0.0],
+                                  [0.5, 0.0, 0.5]], require_primitive=False)
+    q = np.array([0.5, 0.5, 0.0])
+    assert mixing_time(transient, q=q).d_values.tolist() == [1.0, 0.5, 0.25]
+    with pytest.raises(ZeroStationaryMassError):
+        pseudo_spectral_gap(transient, q)
+
+
 def test_gap_never_exceeds_one_over_k():
     rng = np.random.default_rng(41)
     for _ in range(20):
@@ -438,7 +491,8 @@ def test_first_power_has_the_bits_of_the_append_step(spec, p):
     # sign bits of the zeros included; "zeros" has structural zero weights
     chain = markovize(spec, p, require_primitive=False)
     rows, masses = next(_power_rows(chain, chain.stationary))
-    expected = _append_step(spec, p, np.eye(spec.symbols ** p))
+    expected = _append_step(np.eye(spec.symbols ** p),
+                            _append_weights(spec, p))
     assert rows.shape == expected.shape
     assert np.array_equal(rows, expected)
     assert np.array_equal(np.signbit(rows), np.signbit(expected))
@@ -497,6 +551,102 @@ def test_quotient_path_rejects_bad_stationary_law(order2_chain):
         pseudo_spectral_gap(order2_chain, zero)
     with pytest.raises(DimensionMismatchError):
         pseudo_spectral_gap(order2_chain, np.full(4, 0.25))
+
+
+def _reference_power_rows(chain, q):
+    # _power_rows in its plain numpy form: the append weights read through
+    # a transposed view, the class sum a reduction along a length-s axis
+    s, k, p = chain.symbols, chain.base.order, chain.embedding_order
+    classes = np.arange(s ** p)[:, None]
+    rows = np.zeros((s ** p, s ** (p + 1)))
+    rows[classes, np.arange(s) * s ** p + classes] = (
+        chain.base.conditional[classes[:, 0] // s ** (p - k)])
+    digits = p
+    j = 1
+    while True:
+        yield rows, q.reshape(len(rows), -1).sum(axis=1)
+        nxt = max(k, p - j)
+        summed = rows[::s ** (digits - nxt)].reshape(-1, s ** p, s).sum(axis=2)
+        weights = chain.base.conditional[np.arange(s ** p) // s ** (p - k)].T
+        rows = (summed[:, None, :] * weights[None]).reshape(len(summed), -1)
+        digits = nxt
+        j += 1
+
+
+def _reference_distances(q, powers):
+    # _distances with its two out-of-place temporaries per step
+    yield 0.5 * float(np.max((1.0 - q) + (q.sum() - q)))
+    for rows, _ in powers:
+        yield 0.5 * np.abs(rows - q[None, :]).sum(axis=1).max()
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).view(np.uint64)
+
+
+def _power_chains():
+    # s = 2, 3, 4 at k = 1..3, each at p = k and at the largest p with
+    # S <= 1024; a 4-symbol chain at S = 4096; 8-symbol chains, whose class
+    # sums numpy adds pairwise.  Each with seeded Dirichlet entries and
+    # with dyadic entries that include zeros
+    largest = {2: 9, 3: 5, 4: 4}
+    cases = [(s, k, p) for s in (2, 3, 4) for k in (1, 2, 3)
+             for p in sorted({k, largest[s]})]
+    cases += [(4, 3, 5), (8, 1, 1), (8, 1, 3)]
+    out = []
+    for s, k, p in cases:
+        rng = np.random.default_rng(1000 * s + 10 * k + p)
+        contexts = s ** k
+        dyadic = rng.multinomial(16, np.full(s, 1.0 / s), size=contexts) / 16
+        dyadic[::2, 1] += dyadic[::2, 0]
+        dyadic[::2, 0] = 0.0
+        for name, conditional in (
+                ("dirichlet", rng.dirichlet(np.ones(s), size=contexts)),
+                ("dyadic", dyadic)):
+            out.append(pytest.param(
+                HigherOrderChainSpec(s, k, conditional), p,
+                id=f"s{s}k{k}p{p}-{name}"))
+    return out
+
+
+@pytest.mark.parametrize("spec,p", _power_chains())
+def test_power_steps_keep_the_bits_of_the_plain_numpy_form(spec, p):
+    # rows, masses and d(t) of 14 power steps, bit for bit and sign bits
+    # of zeros included, against the plain numpy expressions they replace
+    chain = markovize(spec, p, require_primitive=False)
+    q = chain.stationary
+    steps = zip(range(14), _power_rows(chain, q), _reference_power_rows(chain, q))
+    for j, (rows, masses), (ref_rows, ref_masses) in steps:
+        assert rows.shape == ref_rows.shape, j
+        assert np.array_equal(_bits(rows), _bits(ref_rows)), j
+        assert np.array_equal(_bits(masses), _bits(ref_masses)), j
+    distances = chains._distances(q, _power_rows(chain, q))
+    reference = _reference_distances(q, _reference_power_rows(chain, q))
+    assert np.array_equal(_bits([next(distances) for _ in range(15)]),
+                          _bits([next(reference) for _ in range(15)]))
+
+
+def test_gap_and_coupling_keep_their_bits_on_the_s1024_chain(order2_spec,
+                                                            monkeypatch):
+    # the verify-cond-s1024 chain: gammas and coupling entries against the
+    # same diagnostics run on the plain numpy power steps
+    chain = markovize(order2_spec, 9)
+    loss = LossSpec.misclassification(2)
+    bayes = bayes_predictor(chain, loss)
+
+    def diagnostics():
+        return (pseudo_spectral_gap(chain, chain.stationary).gammas,
+                coupling_check(chain, bayes, loss).entries)
+
+    gammas, entries = diagnostics()
+    monkeypatch.setattr(chains, "_power_rows", _reference_power_rows)
+    monkeypatch.setattr(harness, "_power_rows", _reference_power_rows)
+    monkeypatch.setattr(chains, "_distances", _reference_distances)
+    ref_gammas, ref_entries = diagnostics()
+    assert len(gammas) == len(ref_gammas) > 1
+    assert np.array_equal(_bits(gammas), _bits(ref_gammas))
+    assert len(entries) == len(ref_entries) == 21
+    assert np.array_equal(_bits(entries), _bits(ref_entries))
 
 
 def test_markovized_chain_answers_size(order2_spec):
