@@ -420,15 +420,17 @@ def mixing_time(kernel: TransitionKernel | MarkovizedChain,
                          epsilon_level=level)
 
 
-def _check_stationary(kernel, q) -> np.ndarray:
+def _check_stationary(kernel, q, first=None) -> np.ndarray:
     # the checks that make K* well defined for a caller-supplied Q; row x of
-    # K* sums to (QK)(x) / Q(x), which is 1 exactly when Q is stationary
+    # K* sums to (QK)(x) / Q(x), which is 1 exactly when Q is stationary.
+    # QK = W_1 C_1 comes from `first`, the first power of a sequence the
+    # caller has started on this Q, else from a sequence of its own
     q = _checked_law(kernel, q)
     if np.any(q <= ZERO_MASS_TOL):
         raise ZeroStationaryMassError(
             f"stationary mass <= {ZERO_MASS_TOL:.1e} at state "
             f"{int(np.argmin(q))}")
-    rows, masses = next(_power_rows(kernel, q))
+    rows, masses = next(_power_rows(kernel, q)) if first is None else first
     qk = masses @ rows
     if np.any(np.abs(qk / q - 1.0) > REVERSAL_ROW_SUM_TOL):
         raise NumericalFailureError("reversed rows do not sum to 1")
@@ -487,11 +489,17 @@ def _gram_matrices(kernel, q: np.ndarray):
     chain gives an R_k x R_k matrix, and the other eigenvalues are 0.
     For k <= p+1-order the classes of a chain's K^k reach disjoint
     columns, so G_k is exactly diagonal; its diagonal still comes from
-    the product, as every other entry does.
+    the product, as every other entry does.  Before the first G, the
+    first power checks Q as :func:`_check_stationary` does, so a gap
+    starts one sequence of powers.
     """
-    for rows, masses in _power_rows(kernel, q):
+    powers = _power_rows(kernel, q)
+    rows, masses = next(powers)
+    q = _check_stationary(kernel, q, (rows, masses))
+    while True:
         h = np.sqrt(masses)[:, None] * rows
         yield h @ (h / q[None, :]).T
+        rows, masses = next(powers)
 
 
 def _eigenvalues(gram: np.ndarray) -> np.ndarray:
@@ -541,7 +549,7 @@ def pseudo_spectral_gap(kernel: TransitionKernel | MarkovizedChain,
     """
     if kernel.size < 2:
         raise DimensionMismatchError("need at least 2 states for a spectral gap")
-    grams = _gram_matrices(kernel, _check_stationary(kernel, _law(kernel, q)))
+    grams = _gram_matrices(kernel, _law(kernel, q))
     gammas = []
     best = 0.0
     best_k = 0

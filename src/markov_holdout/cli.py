@@ -18,7 +18,6 @@ import datetime
 import json
 import logging
 import sys
-from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -325,10 +324,12 @@ def cmd_verify(cfg: dict, out_dir: Path, config_path: str,
             "k_hat_frequency": run.selection_frequency(),
             "k_tilde_mode": int(np.bincount(run.k_tilde).argmax()),
         },
-        "tails": [asdict(e) for e in verification.estimates],
-        "oracle_checks": [asdict(r) for r in oracle_reports],
-        "coupling": asdict(coupling),
-        "noise_condition": None if noise_report is None else asdict(noise_report),
+        # the records' own field dicts, not copies: every field is a scalar,
+        # a tuple of scalars or a dict of scalars, and writing only reads them
+        "tails": [vars(e) for e in verification.estimates],
+        "oracle_checks": [vars(r) for r in oracle_reports],
+        "coupling": vars(coupling),
+        "noise_condition": None if noise_report is None else vars(noise_report),
         "verdict_summary": {
             "violations": verification.violations,
             "vacuous": verification.vacuous,
@@ -366,7 +367,7 @@ def cmd_noise(cfg: dict, out_dir: Path, config_path: str) -> int:
     check = None
     order = read(cfg, "noise_check_order", "int", None, null=True)
     if order is not None:
-        check = asdict(noise_condition_check(chain, order, noise=noise))
+        check = vars(noise_condition_check(chain, order, noise=noise))
     payload = {"margin": h, "zero_margin": zero_margin,
                "noise": None if noise is None else type(noise).__name__,
                "tau_star": tau_table, "condition_check": check}

@@ -14,9 +14,10 @@ draws each block's uniforms from the rows' streams as it goes.  Philox draws
 of consecutive sizes give the doubles of one draw of the whole length, so
 the block size never changes a state.  Rows of at most half a block share a
 pass of the walk, as many as fit; a longer row walks alone, block by block,
-so a walk holds its states plus O(_CELLS + _STEPS) more.  One call builds
-one Philox and re-keys it to each row's seed (:func:`_streams`), so which
-rows share a call or a pass never changes a row either.
+so a walk holds its states plus O(_CELLS + _STEPS) more.  Each thread keeps
+one Philox and re-keys it to each row's seed (:func:`_streams`), setting
+its whole state, so which rows share a call or a pass, and what the thread
+drew before, never changes a row either.
 Each chain's walk is built at its first draw and kept in a weak-keyed cache
 until the chain is collected; a change to a module constant the walk was
 built under builds it anew.  Two walks give the same states from the same
@@ -35,6 +36,7 @@ uniforms:
 
 from __future__ import annotations
 
+import threading
 import weakref
 from bisect import bisect_right
 from collections.abc import Sequence
@@ -62,6 +64,8 @@ _GRAM_CELLS = 2 ** 14
 _GUIDE = 4096
 # each chain's walk, built at its first draw and dropped with the chain
 _WALKS = weakref.WeakKeyDictionary()
+# each thread's kept generator and its fresh state, built at its first draw
+_KEPT = threading.local()
 
 
 @dataclass(frozen=True)
@@ -98,22 +102,23 @@ def _seed_list(seed) -> list[SeedSpec]:
 def _streams(seeds):
     """Yield the generator of each seed's stream in turn.
 
-    Every row draws its uniforms through here.  The first seed's generator
-    is built as :meth:`SeedSpec.generator` builds it.  Each later seed sets
-    that Philox's state to a new Philox's, counter 0 and buffer empty, with
-    the seed's key: a new Philox would draw OS entropy and throw it away.
-    A generator is valid until the next one is yielded.
+    Every row draws its uniforms through here.  Each thread keeps one
+    Philox generator, so concurrent callers never share a stream, and sets
+    its state for every seed to a new Philox's, counter 0 and buffer empty,
+    with the seed's key: the stream :meth:`SeedSpec.generator` builds,
+    without the OS entropy a new Philox draws and the key throws away.
+    The whole state is set, so nothing carries over from an earlier seed
+    or call.  A generator is valid until the thread's next one is yielded.
     """
-    gen = fresh = None
+    kept = getattr(_KEPT, "generator", None)
+    if kept is None:
+        kept = _KEPT.generator = np.random.Generator(np.random.Philox())
+        _KEPT.fresh = kept.bit_generator.state
+    fresh = _KEPT.fresh
     for seed in seeds:
-        if gen is None:
-            gen = seed.generator()
-        else:
-            if fresh is None:
-                fresh = np.random.Philox().state
-            fresh["state"]["key"] = seed.key
-            gen.bit_generator.state = fresh
-        yield gen
+        fresh["state"]["key"] = seed.key
+        kept.bit_generator.state = fresh
+        yield kept
 
 
 def _cumulative(law: np.ndarray) -> np.ndarray:
@@ -157,7 +162,7 @@ def _walk(chain, seeds: list[SeedSpec], x_last: int | None,
     if first:
         law = _cumulative(chain.stationary)
     streams = _streams(seeds)
-    per = rows_per_block(chain, out.shape[1])
+    per = max(1, walk.size // out.shape[1])
     for lo in range(0, len(out), per):
         rows = out[lo:lo + per]
         # each row's uniforms, or the first block of a longer row's

@@ -539,6 +539,27 @@ def test_gap_rejects_non_finite_diagonal_gram(two_state_kernel, monkeypatch,
         pseudo_spectral_gap(two_state_kernel)
 
 
+def test_gap_starts_one_sequence_of_powers(order2_chain, two_state_kernel,
+                                          monkeypatch):
+    # the stationarity check reads the first power of the sequence the Gram
+    # matrices go on with; time_reversal, which needs no later power, keeps
+    # its own check
+    starts = []
+
+    def counted(kernel, q):
+        starts.append(kernel)
+        return _power_rows(kernel, q)
+
+    monkeypatch.setattr(chains, "_power_rows", counted)
+    for kernel in (order2_chain, order2_chain.kernel, two_state_kernel):
+        starts.clear()
+        pseudo_spectral_gap(kernel)
+        assert starts == [kernel]
+    starts.clear()
+    time_reversal(two_state_kernel, stationary_distribution(two_state_kernel))
+    assert starts == [two_state_kernel]
+
+
 def test_quotient_path_rejects_bad_stationary_law(order2_chain):
     uniform = np.full(order2_chain.size, 1.0 / order2_chain.size)
     with pytest.raises(NumericalFailureError):

@@ -6,6 +6,8 @@ are deterministic once the seed is frozen.
 """
 
 import gc
+import sys
+import threading
 import weakref
 from bisect import bisect_right
 
@@ -136,6 +138,17 @@ def _dense_reference_walk(rows, state, uniforms):
 
 def _dense_rows(chain):
     return [_clamped_cumsum(row) for row in chain.kernel.matrix]
+
+
+def _reference_row(chain, seed, length, start=None):
+    # the dense-row reference walk on the first `length` uniforms of seed's
+    # own generator: from start, or from X_1 ~ Q when start is None
+    u = seed.generator().random(length).tolist()
+    rows = _dense_rows(chain)
+    if start is None:
+        start = bisect_right(_clamped_cumsum(chain.stationary), u.pop(0))
+        return [start, *_dense_reference_walk(rows, start, u)]
+    return _dense_reference_walk(rows, start, u)
 
 
 def _reference_chains():
@@ -295,19 +308,13 @@ def test_rows_do_not_depend_on_grouping(monkeypatch, max_contexts, cells):
     assert type(walk) is kind
     p = chain.embedding_order
     chunk = sampling._CHUNK * getattr(walk, "gram", 1)
-    rows = _dense_rows(chain)
-    law = _clamped_cumsum(chain.stationary)
     start = chain.n_states - 3
     seeds = [SeedSpec(71, r) for r in range(9)]
     for length in sorted({1, 2, p, p + 1, chunk, chunk + 1, walk.size // 3,
                           walk.size + 1}):
-        continued, stationary = [], []
-        for seed in seeds:
-            u = seed.generator().random(length).tolist()
-            continued.append(_dense_reference_walk(rows, start, u))
-            first = bisect_right(law, u[0])
-            stationary.append([first,
-                               *_dense_reference_walk(rows, first, u[1:])])
+        continued = [_reference_row(chain, seed, length, start)
+                     for seed in seeds]
+        stationary = [_reference_row(chain, seed, length) for seed in seeds]
         for size in (1, 7, len(seeds)):
             groups = [seeds[i] if size == 1 else seeds[i:i + size]
                       for i in range(0, len(seeds), size)]
@@ -428,6 +435,92 @@ def test_walk_cache_follows_patched_settings(monkeypatch, name, value):
         assert type(patched) is bisect
     else:
         assert (patched.size, patched.gram) != (first.size, first.gram)
+
+
+# ---------------------------------------------------------------------------
+# the kept stream of each thread
+
+
+@pytest.mark.parametrize("max_contexts", [2 ** 64, 0],
+                         ids=["chunked", "bisect"])
+def test_no_philox_is_built_after_a_threads_first_draw(monkeypatch,
+                                                       max_contexts):
+    # every stream re-keys the thread's kept generator: single- and
+    # multi-seed calls of both samplers, rows shorter and longer than a block
+    monkeypatch.setattr(sampling, "_MAX_CONTEXTS", max_contexts)
+    monkeypatch.setattr(sampling, "_CELLS", 3 * sampling._CHUNK)
+    chain = _fresh_chain()
+    sample_conditional_continuation(chain, 3, 5, SeedSpec(9))
+    built = []
+    real = np.random.Philox
+
+    def counted(*args, **kwargs):
+        built.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "Philox", counted)
+    seeds = [SeedSpec(9, r) for r in range(1, 6)]
+    for m in (5, sampling._chain_walk(chain).size + 1):
+        for seed in (seeds[0], seeds):
+            sample_conditional_continuation(chain, 3, m, seed)
+            sample_stationary_trajectory(chain, 1, m, seed)
+    assert built == []
+    # the count sees a build
+    SeedSpec(9).generator()
+    assert len(built) == 1
+
+
+def test_threads_draw_their_own_streams(monkeypatch):
+    # four threads, more than a small machine's cores, draw interleaved
+    # seeds of one chain under a short switch interval.  Each row must be
+    # the serial single-seed draw: a generator shared between threads would
+    # be re-keyed by one thread while another draws from it
+    monkeypatch.setattr(sampling, "_CELLS", 3 * sampling._CHUNK)
+    chain = _fresh_chain()
+    lengths = (3, 2 * sampling._chain_walk(chain).size + 1)
+    seeds = [SeedSpec(17, r) for r in range(48)]
+    expected = {(seed, m): sample_conditional_continuation(
+        chain, 3, m, seed).tolist() for seed in seeds for m in lengths}
+    drawn = {}
+    workers = 4
+    barrier = threading.Barrier(workers, timeout=60)
+
+    def draw(first):
+        barrier.wait()
+        for seed in seeds[first::workers]:
+            for m in lengths:
+                drawn[seed, m] = sample_conditional_continuation(
+                    chain, 3, m, seed).tolist()
+
+    threads = [threading.Thread(target=draw, args=(t,))
+               for t in range(workers)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert drawn == expected
+
+
+def test_rows_do_not_depend_on_earlier_draws():
+    # draws of 1, 5 and 10 001 uniforms leave the kept Philox part way
+    # through its four-word buffer, at a counter past 0; each later seed's
+    # row must still be its own generator's reference
+    chain = _fresh_chain()
+    for r, length in enumerate((1, 5, 10001, 1, 5)):
+        seed = SeedSpec(23, r)
+        assert sample_conditional_continuation(
+            chain, 3, length, seed).tolist() == _reference_row(
+                chain, seed, length, 3)
+        seed = SeedSpec(29, r)
+        assert sample_stationary_trajectory(
+            chain, 1, length - 1, seed).tolist() == _reference_row(
+                chain, seed, length)
 
 
 # ---------------------------------------------------------------------------
