@@ -48,6 +48,19 @@ GAP_K_CAP = 64
 MARKOVIZE_STATE_CAP = 4096
 
 
+def _stochastic_rows(m: np.ndarray, entries: str, row: str) -> np.ndarray:
+    # m frozen, once its entries lie in [0, 1] and each row sums to 1 within
+    # ROW_SUM_TOL; `entries` and `row` name them in the messages
+    if np.any(m < 0.0) or np.any(m > 1.0):
+        raise RangeError(f"{entries} entries must lie in [0, 1]")
+    sums = m.sum(axis=1)
+    bad = np.nonzero(np.abs(sums - 1.0) > ROW_SUM_TOL)[0]
+    if bad.size:
+        raise RangeError(f"{row} {bad[0]} sums to {sums[bad[0]]:.17g}, not 1")
+    m.setflags(write=False)
+    return m
+
+
 class TransitionKernel:
     """Validated row-stochastic matrix.
 
@@ -77,15 +90,7 @@ class TransitionKernel:
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] == 0:
             raise DimensionMismatchError(
                 f"kernel must be a non-empty square matrix, got shape {m.shape}")
-        if np.any(m < 0.0) or np.any(m > 1.0):
-            raise RangeError("kernel entries must lie in [0, 1]")
-        sums = m.sum(axis=1)
-        bad = np.nonzero(np.abs(sums - 1.0) > ROW_SUM_TOL)[0]
-        if bad.size:
-            raise RangeError(
-                f"row {bad[0]} sums to {sums[bad[0]]:.17g}, not 1")
-        m.setflags(write=False)
-        self.matrix = m
+        self.matrix = _stochastic_rows(m, "kernel", "row")
         self.size = int(m.shape[0])
         self._primitive: bool | None = None
         if require_primitive and not self.primitive:
@@ -111,8 +116,6 @@ def is_primitive(matrix: np.ndarray) -> bool:
     row has a positive entry), so squaring cannot skip over positivity.
     """
     s = matrix.shape[0]
-    if s == 1:
-        return matrix[0, 0] > 0.0
     # positivity pattern in {0,1}; float dtype so BLAS does the matmul
     c = (matrix > 0.0).astype(float)
     bound = (s - 1) ** 2 + 1
@@ -258,6 +261,18 @@ def _append_weights(base: HigherOrderChainSpec, p: int) -> np.ndarray:
         base.conditional[np.arange(s ** p) // s ** (p - k)].T)
 
 
+def _class_kernel(weights: np.ndarray) -> np.ndarray:
+    # K of the (p+1)-tuple chain as one row per class c = x // s: class c
+    # appends y with weight weights[y, c] at column y*s^p + c, and every
+    # other entry is +0.0.  Values are only placed, so the bits are those of
+    # the weights
+    s, classes = weights.shape
+    c = np.arange(classes)[:, None]
+    rows = np.zeros((classes, s * classes))
+    rows[c, np.arange(s) * classes + c] = weights.T
+    return rows
+
+
 def _append_step(summed: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Rows P K of the (p+1)-tuple chain from their oldest-symbol sums.
 
@@ -298,10 +313,9 @@ def _power_rows(kernel, q: np.ndarray):
     its top r_j = max(k, p+1-j) symbols: the p+1-j it still keeps and the
     k that set the first draw.  C_j holds one row per class
     c = x // s^(p+1-r_j), taken at the representative c * s^(p+1-r_j).
-    C_1 is placed directly: class c = x // s appends y with weight
-    conditional[c // s^(p-k), y] at column y * s^p + c, and every other
-    entry is +0.0: the bits :func:`_append_step` gives on the identity,
-    where 0 * w = +0.0 for every weight w but -0.0.
+    C_1 is :func:`_class_kernel`, placed directly: the bits
+    :func:`_append_step` gives on the identity, where 0 * w = +0.0 for
+    every weight w but -0.0.
     The representatives of step j+1 are every s^(r_j - r_{j+1})-th of
     step j, and each later step is one :func:`_append_step`: O(R_j * S)
     work.
@@ -323,9 +337,7 @@ def _power_rows(kernel, q: np.ndarray):
             power = power @ kernel.matrix
     s, k, p = kernel.symbols, kernel.base.order, kernel.embedding_order
     weights = _append_weights(kernel.base, p)
-    classes = np.arange(s ** p)[:, None]
-    rows = np.zeros((s ** p, s ** (p + 1)))
-    rows[classes, np.arange(s) * s ** p + classes] = weights.T
+    rows = _class_kernel(weights)
     digits = p
     j = 1
     while True:
@@ -399,23 +411,19 @@ def mixing_time(kernel: TransitionKernel | MarkovizedChain,
             f"{STATIONARY_RESIDUAL_TOL:.1e}")
     cap = 10 * kernel.size ** 2
     distances = _distances(q, itertools.chain([first], powers))
-    d_values = []
-    t_mix = None
-    t = 0
-    while True:
-        d = next(distances)
-        d_values.append(d)
-        if t_mix is None and d <= level:
-            t_mix = t
-        if t_mix is not None and (horizon is None or t >= horizon):
-            break
-        if t_mix is None and t >= cap:
+    # d_values[t] = d(t); a NaN distance is never <= level, so it walks to
+    # the cap
+    d_values = [next(distances)]
+    while not d_values[-1] <= level:
+        if len(d_values) > cap:
             raise HorizonExceededError(
                 f"d(t) > {level} for all t <= {cap}")
-        t += 1
+        d_values.append(next(distances))
     # d(0) = 1 - min(Q) >= 1/2 for S >= 2, so t_mix >= 1 at any level <= 1/2;
     # guard anyway for exotic levels
-    t_mix = max(int(t_mix), 1)
+    t_mix = max(len(d_values) - 1, 1)
+    while horizon is not None and len(d_values) <= horizon:
+        d_values.append(next(distances))
     return MixingProfile(d_values=np.array(d_values), t_mix=t_mix,
                          epsilon_level=level)
 
@@ -595,15 +603,8 @@ class HigherOrderChainSpec:
         if cond.shape != expected:
             raise DimensionMismatchError(
                 f"conditional must have shape {expected}, got {cond.shape}")
-        if np.any(cond < 0.0) or np.any(cond > 1.0):
-            raise RangeError("conditional entries must lie in [0, 1]")
-        sums = cond.sum(axis=1)
-        bad = np.nonzero(np.abs(sums - 1.0) > ROW_SUM_TOL)[0]
-        if bad.size:
-            raise RangeError(
-                f"conditional row {bad[0]} sums to {sums[bad[0]]:.17g}, not 1")
-        cond.setflags(write=False)
-        object.__setattr__(self, "conditional", cond)
+        object.__setattr__(self, "conditional", _stochastic_rows(
+            cond, "conditional", "conditional row"))
 
     @classmethod
     def from_kernel(cls, matrix) -> "HigherOrderChainSpec":
@@ -694,14 +695,11 @@ class MarkovizedChain:
 
 def _tuple_kernel(base: HigherOrderChainSpec, p: int,
                   require_primitive: bool) -> TransitionKernel:
-    # (p+1)-tuple chain: x -> y*s^p + x // s, weight cond[x // s^(p+1-k), y]
+    # (p+1)-tuple chain: state x has the row of its class x // s
     s = base.symbols
-    xs = np.arange(s ** (p + 1))
-    matrix = np.zeros((len(xs), len(xs)))
-    for y in range(s):
-        matrix[xs, y * s ** p + xs // s] = base.conditional[
-            xs // s ** (p + 1 - base.order), y]
-    return TransitionKernel(matrix, require_primitive=require_primitive)
+    return TransitionKernel(
+        _class_kernel(_append_weights(base, p))[np.arange(s ** (p + 1)) // s],
+        require_primitive=require_primitive)
 
 
 def markovize(base: HigherOrderChainSpec, embedding_order: int,

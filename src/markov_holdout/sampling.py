@@ -19,9 +19,9 @@ one Philox and re-keys it to each row's seed (:func:`_streams`), setting
 its whole state, so which rows share a call or a pass, and what the thread
 drew before, never changes a row either.
 Each chain's walk is built at its first draw and kept in a weak-keyed cache
-until the chain is collected; a change to a module constant the walk was
-built under builds it anew.  Two walks give the same states from the same
-uniforms:
+until the chain is collected, under the module constants of that draw: a
+test that patches a walk constant must draw from a chain built after the
+patch.  Two walks give the same states from the same uniforms:
 
 - the chunked walk (:class:`_ChunkedWalk`) composes the one-step context
   maps into tables over grams of g steps, finds each uniform's bucket with
@@ -132,16 +132,14 @@ def _cumulative(law: np.ndarray) -> np.ndarray:
 
 
 def _chain_walk(chain):
-    # the chain's cached walk, built anew under changed module constants
-    setting = (_CHUNK, _CELLS, _STEPS, _MAX_CONTEXTS, _GRAM_CELLS, _GUIDE)
-    cached = _WALKS.get(chain)
-    if cached is None or cached[0] != setting:
-        if chain.base.symbols ** chain.base.order > _MAX_CONTEXTS:
-            cached = setting, _BisectWalk(chain)
-        else:
-            cached = setting, _ChunkedWalk(chain)
-        _WALKS[chain] = cached
-    return cached[1]
+    # the chain's cached walk, built at its first draw under the module
+    # constants of then: a test that patches a walk constant must draw from
+    # a chain built after the patch
+    walk = _WALKS.get(chain)
+    if walk is None:
+        many = chain.base.symbols ** chain.base.order > _MAX_CONTEXTS
+        walk = _WALKS[chain] = (_BisectWalk if many else _ChunkedWalk)(chain)
+    return walk
 
 
 def rows_per_block(chain: MarkovizedChain, length: int) -> int:
@@ -252,12 +250,11 @@ class _ChunkedWalk:
         self.guide = np.searchsorted(edges, lower, side="right")
         ahead = np.searchsorted(edges, lower + 1.0 / _GUIDE) - self.guide
         self.passes = int(ahead.max())
+        # the symbol bucket b draws from context c is the count of c's
+        # entries <= the bucket's lower edge: edges[b - 1], or -1.0 for b = 0
+        floors = np.append(-1.0, edges)
+        drawn = (cum <= floors[:, None, None]).sum(axis=2)
         self.edges = np.append(edges, 2.0)
-        # entry e of row c is <= u from bucket searchsorted(edges, e) + 1 on
-        first = np.searchsorted(edges, cum) + 1
-        cells = (first * contexts + np.arange(contexts)[:, None]).reshape(-1)
-        drawn = np.bincount(cells, minlength=(buckets + 1) * contexts)
-        drawn = drawn.reshape(-1, contexts).cumsum(axis=0)[:buckets]
         context = np.arange(contexts)
         step = (drawn * s ** (k - 1) + context // s).reshape(-1)
         drawn = drawn.astype(np.min_scalar_type(s - 1)).reshape(-1)

@@ -408,35 +408,6 @@ def test_walk_cache_drops_collected_chains():
     assert len(sampling._WALKS) <= cached
 
 
-@pytest.mark.parametrize("name, value", [("_CELLS", 3 * sampling._CHUNK),
-                                         ("_MAX_CONTEXTS", 0),
-                                         ("_GRAM_CELLS", 1)])
-def test_walk_cache_follows_patched_settings(monkeypatch, name, value):
-    # a walk cached under one setting is never reused under another, in
-    # either direction, and every setting draws the same states
-    chunked, bisect = sampling._ChunkedWalk, sampling._BisectWalk
-    built = _count_builds(monkeypatch)
-    chain = _fresh_chain()
-
-    def draw():
-        return sample_conditional_continuation(chain, 3, 500,
-                                               SeedSpec(5)).tolist()
-
-    before = draw()
-    with monkeypatch.context() as patch:
-        patch.setattr(sampling, name, value)
-        during = draw()
-    after = draw()
-    assert before == during == after
-    assert len(built) == 3
-    first, patched, last = built
-    assert type(first) is type(last) is chunked
-    if name == "_MAX_CONTEXTS":
-        assert type(patched) is bisect
-    else:
-        assert (patched.size, patched.gram) != (first.size, first.gram)
-
-
 # ---------------------------------------------------------------------------
 # the kept stream of each thread
 
