@@ -188,6 +188,8 @@ def cmd_bounds(cfg: dict, out_dir: Path, config_path: str) -> int:
     noise = parse_noise(cfg, chain)
     delta_grid = read(cfg, "delta_grid", "numbers",
                       (params.get("delta", 0.05),))
+    if not delta_grid:
+        raise ConfigError("delta grid is empty")
     eps_grid = (parse_epsilon_grid(cfg) if "epsilon_grid" in cfg
                 else (params.get("epsilon"),))
     rows = []

@@ -186,19 +186,21 @@ def parse_noise(d: dict, chain: MarkovizedChain | None):
 def parse_epsilon_grid(d: dict) -> tuple[float, ...]:
     """``d["epsilon_grid"]``: a list, or {"start", "stop", "step"}."""
     spec = d.get("epsilon_grid")
-    if not isinstance(spec, dict):
-        return read(d, "epsilon_grid", "numbers")
-    start, stop, step = (read(spec, k, "number")
-                         for k in ("start", "stop", "step"))
-    if step <= 0:
-        raise ConfigError("epsilon grid step must be positive")
-    steps = (stop - start) / step  # inf when stop - start overflows
-    if not math.isfinite(steps) or round(steps) + 1 > EPSILON_GRID_MAX_POINTS:
-        raise ConfigError("epsilon grid start/stop/step gives more than "
-                          f"{EPSILON_GRID_MAX_POINTS} points")
-    count = round(steps) + 1
-    grid = tuple(round(start + i * step, 12) for i in range(count)
-                 if start + i * step <= stop + 1e-12)
+    if isinstance(spec, dict):
+        start, stop, step = (read(spec, k, "number")
+                             for k in ("start", "stop", "step"))
+        if step <= 0:
+            raise ConfigError("epsilon grid step must be positive")
+        steps = (stop - start) / step  # inf when stop - start overflows
+        if (not math.isfinite(steps)
+                or round(steps) + 1 > EPSILON_GRID_MAX_POINTS):
+            raise ConfigError("epsilon grid start/stop/step gives more than "
+                              f"{EPSILON_GRID_MAX_POINTS} points")
+        count = round(steps) + 1
+        grid = tuple(round(start + i * step, 12) for i in range(count)
+                     if start + i * step <= stop + 1e-12)
+    else:
+        grid = read(d, "epsilon_grid", "numbers")
     if not grid:
         raise ConfigError("epsilon grid is empty")
     return grid

@@ -36,6 +36,7 @@ patch.  Two walks give the same states from the same uniforms:
 
 from __future__ import annotations
 
+import numbers
 import threading
 import weakref
 from bisect import bisect_right
@@ -78,6 +79,10 @@ class SeedSpec:
     def __post_init__(self):
         for name in ("master_seed", "replication_index"):
             v = getattr(self, name)
+            # numpy casts a float or a bool key to an integer one, so 1.5
+            # and True would draw seed 1's stream
+            if isinstance(v, bool) or not isinstance(v, numbers.Integral):
+                raise RangeError(f"{name} must be an integer, got {v!r}")
             if not 0 <= v < _UINT64_CEIL:
                 raise RangeError(f"{name} must lie in [0, 2**64), got {v}")
 

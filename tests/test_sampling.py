@@ -38,6 +38,15 @@ def test_seed_spec_validates_range():
         SeedSpec(-1, 0)
     with pytest.raises(RangeError):
         SeedSpec(0, 2 ** 64)
+    # numpy would truncate these keys to seed 1's stream
+    for bad in (1.5, True, 1.0, np.float64(1.0), np.True_):
+        with pytest.raises(RangeError):
+            SeedSpec(bad)
+        with pytest.raises(RangeError):
+            SeedSpec(0, bad)
+    # numpy integers and keys past 2^63 are integers too
+    for v in (np.int64(3), np.uint64(2 ** 64 - 1), 2 ** 63):
+        assert SeedSpec(v, v).key.tolist() == [int(v), int(v)]
 
 
 def test_sample_rejects_empty_segments(two_state_chain):
