@@ -13,7 +13,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from markov_holdout import event_table, pseudo_spectral_gap, run_replications
+from markov_holdout import (
+    MammenTsybakovNoise,
+    event_table,
+    pseudo_spectral_gap,
+    run_replications,
+)
 from markov_holdout.cli import main
 from markov_holdout.config import (
     EPSILON_GRID_MAX_POINTS,
@@ -238,6 +243,15 @@ def test_malformed_json(tmp_path, capsys):
     ("bounds", {"bounds": ["hoeffding"], "params": {"m": 100, "t_mix": 1},
                 "epsilon_grid": {"start": 0.1, "stop": float("inf"),
                                  "step": 0.1}}),
+    # empty grid lists, as the {start, stop, step} form that expands to
+    # nothing is
+    ("bounds", {"bounds": ["hoeffding"], "params": {"m": 100, "t_mix": 1},
+                "epsilon_grid": []}),
+    ("bounds", {"bounds": ["bernstein_radius"],
+                "params": {"m": 1000, "t_mix": 3, "gamma_ps": 0.51,
+                           "variance": 0.25, "n_candidates": 2},
+                "delta_grid": []}),
+    ("verify", {**VERIFY_BASE, "epsilon_grid": []}),
     # bound forms that overflow, divide by zero or evaluate to NaN
     ("bounds", {"bounds": ["bernstein_raw"],
                 "params": {"m": 100, "gamma_ps": 0.5, "variance": 0.25},
@@ -372,6 +386,20 @@ def test_bounds_shift_column(tmp_path):
     assert rows[0]["shift"] == "1/10"
     assert float(rows[0]["raw"]) == pytest.approx(0.46906965974059917,
                                                   rel=1e-12)
+
+
+def test_bounds_tau_star_from_noise_model_and_m(tmp_path):
+    # the shipped grid config names a noise model and m but no tau_star:
+    # the noise forms take tau_star(m) of that model
+    out = tmp_path / "out"
+    assert main(["bounds", "--config", str(CONFIGS / "bounds_grid.json"),
+                 "--out", str(out), "--quiet"]) == 0
+    rows = read_csv(out, "bounds.csv")
+    tau = MammenTsybakovNoise(alpha=1.0, h=0.6).tau_star(1000)
+    noise_rows = [r for r in rows if r["bound_id"] in ("noise", "noise_gap")]
+    assert len(noise_rows) == 20
+    assert all(float(r["tau_star"]) == tau for r in noise_rows)
+    assert all(r["tau_star"] == "" for r in rows if r not in noise_rows)
 
 
 def test_bounds_unknown_id(tmp_path, capsys):
@@ -758,6 +786,25 @@ def test_noise_zero_margin_chain(tmp_path):
     payload = read_json(out, "noise.json")
     assert payload["zero_margin"] is True
     assert payload["tau_star"] is None
+
+
+def test_noise_on_a_non_binary_chain(tmp_path, capsys):
+    # the margin and its noise model are binary-only: a 3-state chain
+    # reports none of them, and the exhaustive check refuses to run
+    three = {"chain": {"kernel": [[0.6, 0.3, 0.1], [0.2, 0.5, 0.3],
+                                  [0.1, 0.2, 0.7]]}}
+    out = tmp_path / "out"
+    assert main(["noise", "--config", write_config(tmp_path, three),
+                 "--out", str(out), "--quiet"]) == 0
+    payload = read_json(out, "noise.json")
+    for key in ("margin", "zero_margin", "noise", "tau_star"):
+        assert payload[key] is None
+    cfg = write_config(tmp_path, {**three, "noise_check_order": 1},
+                       name="check.json")
+    assert main(["noise", "--config", cfg, "--out", str(tmp_path / "check"),
+                 "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.splitlines()) == 1
 
 
 # ---------------------------------------------------------------------------

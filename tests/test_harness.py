@@ -23,6 +23,7 @@ from markov_holdout import (
     HigherOrderChainSpec,
     LossSpec,
     MammenTsybakovNoise,
+    MixingProfile,
     PredictorTable,
     RangeError,
     SeedSpec,
@@ -684,6 +685,22 @@ def test_coupling_check_two_state(two_state_chain, zero_one_loss):
     for b, lhs, rhs in report.entries:
         assert lhs <= rhs + 1e-12
         assert rhs == pytest.approx(2.0 * np.exp(-b * np.log(2) / 4))
+
+
+def test_coupling_check_fails_under_a_too_fast_profile(zero_one_loss):
+    # negative control: a slow chain judged against a profile that claims
+    # t_mix = 1 breaks the certificate once 2 * 2^-b falls below the true
+    # deviation, so the check must fail
+    chain = markovize(HigherOrderChainSpec.from_kernel(
+        [[0.97, 0.03], [0.03, 0.97]]), 1)
+    assert mixing_time(chain).t_mix == 13
+    g = PredictorTable(order=0, symbols=2, table=np.array([0]))
+    fast = MixingProfile(d_values=np.array([0.5, 0.0]), t_mix=1)
+    report = coupling_check(chain, g, zero_one_loss, b_max=8, profile=fast)
+    assert report.t_mix == 1
+    assert report.passed is False
+    assert any(lhs > rhs + 1e-12 for _, lhs, rhs in report.entries)
+    assert coupling_check(chain, g, zero_one_loss, b_max=8).passed
 
 
 def test_coupling_check_iid_deviation_is_zero(iid_chain, zero_one_loss):
