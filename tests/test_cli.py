@@ -243,15 +243,6 @@ def test_malformed_json(tmp_path, capsys):
     ("bounds", {"bounds": ["hoeffding"], "params": {"m": 100, "t_mix": 1},
                 "epsilon_grid": {"start": 0.1, "stop": float("inf"),
                                  "step": 0.1}}),
-    # empty grid lists, as the {start, stop, step} form that expands to
-    # nothing is
-    ("bounds", {"bounds": ["hoeffding"], "params": {"m": 100, "t_mix": 1},
-                "epsilon_grid": []}),
-    ("bounds", {"bounds": ["bernstein_radius"],
-                "params": {"m": 1000, "t_mix": 3, "gamma_ps": 0.51,
-                           "variance": 0.25, "n_candidates": 2},
-                "delta_grid": []}),
-    ("verify", {**VERIFY_BASE, "epsilon_grid": []}),
     # bound forms that overflow, divide by zero or evaluate to NaN
     ("bounds", {"bounds": ["bernstein_raw"],
                 "params": {"m": 100, "gamma_ps": 0.5, "variance": 0.25},
@@ -262,6 +253,15 @@ def test_malformed_json(tmp_path, capsys):
     ("bounds", {"bounds": ["bernstein_raw"],
                 "params": {"m": 100, "gamma_ps": 5e-324, "variance": 0},
                 "epsilon_grid": [0.1]}),
+    # empty grid lists, as the {start, stop, step} form that expands to
+    # nothing is
+    ("bounds", {"bounds": ["hoeffding"], "params": {"m": 100, "t_mix": 1},
+                "epsilon_grid": []}),
+    ("bounds", {"bounds": ["bernstein_radius"],
+                "params": {"m": 1000, "t_mix": 3, "gamma_ps": 0.51,
+                           "variance": 0.25, "n_candidates": 2},
+                "delta_grid": []}),
+    ("verify", {**VERIFY_BASE, "epsilon_grid": []}),
 ])
 def test_malformed_config_values_exit_two(tmp_path, capsys, command, payload):
     cfg = write_config(tmp_path, payload)
