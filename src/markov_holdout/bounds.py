@@ -14,10 +14,11 @@ the fixed point of the noise modulus at sample size m.
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 
@@ -125,28 +126,28 @@ def oracle_gap_hoeffding(n_candidates: int, m: int, t_mix: int) -> float:
 # Bernstein family
 
 
-def bernstein_tail_raw(n: int, epsilon: float, gamma_ps: float,
+def bernstein_tail_raw(m: int, epsilon: float, gamma_ps: float,
                        variance: float, centering_bound: float = 1.0) -> float:
-    """Variance-adaptive tail for a sum of n stationary evaluations."""
-    _check_common(m=n, gamma_ps=gamma_ps)
+    """Variance-adaptive tail for a sum of m stationary evaluations."""
+    _check_common(m=m, gamma_ps=gamma_ps)
     _check(epsilon >= 0.0, f"epsilon must be >= 0, got {epsilon}")
     _check(0.0 <= variance <= 0.25,
            f"variance proxy must lie in [0, 0.25], got {variance}")
     _check(0.0 < centering_bound <= 1.0,
            f"centering bound must lie in (0, 1], got {centering_bound}")
-    denom = (8.0 * (n + 1.0 / gamma_ps) * variance
-             + 20.0 * n * epsilon * centering_bound)
+    denom = (8.0 * (m + 1.0 / gamma_ps) * variance
+             + 20.0 * m * epsilon * centering_bound)
     if denom < _DENOM_GUARD:
         raise DivisionGuardError(
             f"denominator {denom!r} too small (epsilon and variance both ~0)")
-    return math.exp(-n ** 2 * epsilon ** 2 * gamma_ps / denom)
+    return math.exp(-m ** 2 * epsilon ** 2 * gamma_ps / denom)
 
 
-def bernstein_deviation_radius(n: int, delta: float, gamma_ps: float,
+def bernstein_deviation_radius(m: int, delta: float, gamma_ps: float,
                                variance: float,
                                centering_bound: float = 1.0) -> float:
     """Radius r with P(|sum deviation| > r) <= delta, inverted from the tail."""
-    _check_common(m=n, gamma_ps=gamma_ps)
+    _check_common(m=m, gamma_ps=gamma_ps)
     _check(0.0 < delta < 1.0, f"delta must lie in (0, 1), got {delta}")
     _check(0.0 <= variance <= 0.25,
            f"variance proxy must lie in [0, 0.25], got {variance}")
@@ -154,7 +155,7 @@ def bernstein_deviation_radius(n: int, delta: float, gamma_ps: float,
            f"centering bound must lie in (0, 1], got {centering_bound}")
     log_term = math.log(1.0 / delta)
     return (math.sqrt(8.0 * (gamma_ps + 1.0) / gamma_ps ** 2
-                      * n * variance * log_term)
+                      * m * variance * log_term)
             + 20.0 / gamma_ps * centering_bound * log_term)
 
 
@@ -416,81 +417,76 @@ class BoundReport:
     inputs: dict = field(default_factory=dict)
 
 
-def _gap_shift(p: dict) -> Fraction:
-    return gap_event_shift(p["m"], p["b"])
-
-
-def _nc_shift(p: dict) -> float:
-    return nc_event_shift(p["m"], p["b"], p["theta"])
-
-
 # registered tail/radius/expectation forms for grid evaluation by the CLI:
-# id -> (function, parameter names, grid parameter or None, shift or None).
-# A shift maps the parameters to the threshold shift of the full-mean event
-# that verify checks the form on; None means the form's own event is checked.
+# id -> (function, shift or None).  A form's parameters are its function's
+# positional parameters, so renaming one renames a `bounds` config key; the
+# CLI sweeps epsilon if the form takes it, else delta.  A shift maps the
+# parameters to the threshold shift of the full-mean event that verify
+# checks the form on; None means the form's own event is checked.
 BOUND_FORMS = {
-    "hoeffding_gap": (hoeffding_gap_tail,
-                      ("m", "b", "epsilon", "t_mix"), "epsilon", None),
+    "hoeffding_gap": (hoeffding_gap_tail, None),
     # the full-mean event shifted by b/m has the burn-in event's tail
-    "hoeffding_shifted": (hoeffding_gap_tail,
-                          ("m", "b", "epsilon", "t_mix"), "epsilon",
-                          _gap_shift),
-    "hoeffding": (hoeffding_tail, ("m", "epsilon", "t_mix"), "epsilon", None),
-    "selection_hoeffding": (selection_hoeffding_tail,
-                            ("n_candidates", "m", "epsilon", "t_mix"),
-                            "epsilon", None),
-    "bernstein_raw": (bernstein_tail_raw,
-                      ("m", "epsilon", "gamma_ps", "variance",
-                       "centering_bound"), "epsilon", None),
-    "bernstein_radius": (bernstein_deviation_radius,
-                         ("m", "delta", "gamma_ps", "variance",
-                          "centering_bound"), "delta", None),
+    "hoeffding_shifted": (hoeffding_gap_tail, gap_event_shift),
+    "hoeffding": (hoeffding_tail, None),
+    "selection_hoeffding": (selection_hoeffding_tail, None),
+    "bernstein_raw": (bernstein_tail_raw, None),
+    "bernstein_radius": (bernstein_deviation_radius, None),
     "bernstein_gap_over": (partial(bernstein_gap_tail, side="over"),
-                           ("m", "b", "epsilon", "a", "gamma_ps", "t_mix"),
-                           "epsilon", _gap_shift),
+                           gap_event_shift),
     "bernstein_gap_under": (partial(bernstein_gap_tail, side="under"),
-                            ("m", "b", "epsilon", "a", "gamma_ps", "t_mix"),
-                            "epsilon", _gap_shift),
-    "bernstein_over": (partial(bernstein_tail, side="over"),
-                       ("m", "epsilon", "a", "gamma_ps", "t_mix"),
-                       "epsilon", None),
-    "bernstein_under": (partial(bernstein_tail, side="under"),
-                        ("m", "epsilon", "a", "gamma_ps", "t_mix"),
-                        "epsilon", None),
-    "expectation_hoeffding": (expectation_bound_hoeffding,
-                              ("n_candidates", "m", "t_mix"), None, None),
-    "oracle_gap_hoeffding": (oracle_gap_hoeffding,
-                             ("n_candidates", "m", "t_mix"), None, None),
+                            gap_event_shift),
+    "bernstein_over": (partial(bernstein_tail, side="over"), None),
+    "bernstein_under": (partial(bernstein_tail, side="under"), None),
+    "expectation_hoeffding": (expectation_bound_hoeffding, None),
+    "oracle_gap_hoeffding": (oracle_gap_hoeffding, None),
     "expectation_bernstein_over": (
-        partial(expectation_bound_bernstein, side="over"),
-        ("n_candidates", "m", "a", "t_mix", "gamma_ps"), None, None),
+        partial(expectation_bound_bernstein, side="over"), None),
     "expectation_bernstein_under": (
-        partial(expectation_bound_bernstein, side="under"),
-        ("n_candidates", "m", "a", "t_mix", "gamma_ps"), None, None),
-    "noise_gap": (nc_gap_tail,
-                  ("n_candidates", "m", "b", "epsilon", "theta", "gamma_ps",
-                   "t_mix", "tau_star"), "epsilon", _nc_shift),
-    "noise": (nc_tail,
-              ("n_candidates", "m", "epsilon", "theta", "gamma_ps", "t_mix",
-               "tau_star"), "epsilon", None),
+        partial(expectation_bound_bernstein, side="under"), None),
+    "noise_gap": (nc_gap_tail, nc_event_shift),
+    "noise": (nc_tail, None),
 }
+
+
+@cache
+def _positional(func) -> tuple[tuple[str, object], ...]:
+    # (name, default or None) of each positional parameter, read once per
+    # function: inspect.signature costs more than evaluating a bound
+    return tuple((name, None if p.default is p.empty else p.default)
+                 for name, p in inspect.signature(func).parameters.items()
+                 if p.kind is p.POSITIONAL_OR_KEYWORD)
+
+
+def form_parameters(bound_id: str) -> tuple[str, ...]:
+    """Parameter names of a registered form, in its function's order."""
+    return tuple(name for name, _ in _positional(BOUND_FORMS[bound_id][0]))
+
+
+def event_shift(bound_id: str, params: dict):
+    """Threshold shift of the full-mean event verify checks a form on, from
+    the shift function's parameters in ``params``; None when the form's own
+    event is checked."""
+    shift = BOUND_FORMS[bound_id][1]
+    if shift is None:
+        return None
+    return shift(*(params[name] for name, _ in _positional(shift)))
 
 
 def evaluate_bound(bound_id: str, params: dict) -> BoundReport:
     """Evaluate a registered bound form from a parameter mapping.
 
-    The mapping must provide every parameter the form names
-    (``centering_bound`` defaults to 1.0); extra keys are ignored.
+    The mapping must provide every parameter the form's function takes
+    that has no default (``centering_bound`` defaults to 1.0); extra keys
+    are ignored.
     """
     if bound_id not in BOUND_FORMS:
         raise KeyMismatchError(f"unknown bound id {bound_id!r}")
-    func, names = BOUND_FORMS[bound_id][:2]
-    filled = {"centering_bound": 1.0, **params}
-    missing = [k for k in names if filled.get(k) is None]
+    func = BOUND_FORMS[bound_id][0]
+    inputs = {k: params.get(k, default) for k, default in _positional(func)}
+    missing = [k for k, v in inputs.items() if v is None]
     if missing:
         raise KeyMismatchError(
             f"bound {bound_id!r} missing parameters {missing}")
-    inputs = {k: filled[k] for k in names}
     try:
         raw = func(*inputs.values())
     except ArithmeticError as exc:

@@ -89,19 +89,6 @@ def _write_csv(path: Path, header, rows) -> None:
             writer.writerow([_fmt_cell(v) for v in row])
 
 
-def _write_manifest(out_dir: Path, command: str, config_path: str,
-                    config_echo, outputs) -> None:
-    manifest = {
-        "command": command,
-        "config_path": str(config_path),
-        "config": config_echo,
-        "outputs": sorted(str(p.name) for p in outputs),
-        "package_version": __version__,
-        "created_utc": datetime.datetime.now(datetime.timezone.utc).isoformat(),
-    }
-    _write_json(out_dir / "manifest.json", manifest)
-
-
 def _load_config(path: str) -> dict:
     try:
         with open(path) as fh:
@@ -139,7 +126,8 @@ def _diagnostics_payload(kernel: TransitionKernel | MarkovizedChain,
             **_mixing_fields(profile, spectral)}
 
 
-def cmd_diagnose(cfg: dict, out_dir: Path, config_path: str) -> int:
+def cmd_diagnose(cfg: dict, out_dir: Path,
+                 args: argparse.Namespace) -> tuple[int, list[Path], dict]:
     chain_obj = read(cfg, "chain", "object")
     level = read(cfg, "level", "number", 0.25)
     horizon = read(cfg, "horizon", "int", 50)
@@ -159,8 +147,7 @@ def cmd_diagnose(cfg: dict, out_dir: Path, config_path: str) -> int:
              payload["states"], payload["t_mix"], payload["gamma_ps"])
     out = out_dir / "diagnostics.json"
     _write_json(out, payload)
-    _write_manifest(out_dir, "diagnose", config_path, cfg, [out])
-    return 0
+    return 0, [out], cfg
 
 
 _BOUNDS_COLUMNS = ("bound_id", "m", "b", "epsilon", "delta", "a", "theta",
@@ -169,7 +156,8 @@ _BOUNDS_COLUMNS = ("bound_id", "m", "b", "epsilon", "delta", "a", "theta",
                    "vacuous")
 
 
-def cmd_bounds(cfg: dict, out_dir: Path, config_path: str) -> int:
+def cmd_bounds(cfg: dict, out_dir: Path,
+               args: argparse.Namespace) -> tuple[int, list[Path], dict]:
     requested = cfg.get("bounds")
     if (not isinstance(requested, list) or not requested
             or not all(isinstance(b, str) for b in requested)):
@@ -190,8 +178,9 @@ def cmd_bounds(cfg: dict, out_dir: Path, config_path: str) -> int:
                       (params.get("delta", 0.05),))
     if not delta_grid:
         raise ConfigError("delta grid is empty")
-    eps_grid = (parse_epsilon_grid(cfg) if "epsilon_grid" in cfg
-                else (params.get("epsilon"),))
+    grids = {"epsilon": (parse_epsilon_grid(cfg) if "epsilon_grid" in cfg
+                         else (params.get("epsilon"),)),
+             "delta": delta_grid}
     rows = []
     try:
         if noise is not None and params.get("m") is not None:
@@ -199,14 +188,9 @@ def cmd_bounds(cfg: dict, out_dir: Path, config_path: str) -> int:
         for bound_id in requested:
             if bound_id not in bnd.BOUND_FORMS:
                 raise ConfigError(f"unknown bound id {bound_id!r}")
-            grid_param, shift = bnd.BOUND_FORMS[bound_id][2:]
-            if grid_param == "epsilon":
-                grid = [("epsilon", e) for e in eps_grid]
-            elif grid_param == "delta":
-                grid = [("delta", d) for d in delta_grid]
-            else:
-                grid = [(None, None)]
-            for name, value in grid:
+            names = bnd.form_parameters(bound_id)
+            name = next((k for k in grids if k in names), None)
+            for value in grids.get(name, (None,)):
                 if name is not None and value is None:
                     raise ConfigError(f"bound {bound_id!r} needs a {name} grid")
                 p = params if name is None else {**params, name: value}
@@ -216,7 +200,7 @@ def cmd_bounds(cfg: dict, out_dir: Path, config_path: str) -> int:
                 row = {**rep.inputs, "bound_id": bound_id,
                        "m": p.get("m"), "b": p.get("b"),
                        "t_mix": p.get("t_mix"), "gamma_ps": p.get("gamma_ps"),
-                       "shift": None if shift is None else shift(p),
+                       "shift": bnd.event_shift(bound_id, p),
                        "raw": rep.raw,
                        "clamped": rep.clamped, "vacuous": rep.vacuous}
                 rows.append([row.get(col) for col in _BOUNDS_COLUMNS])
@@ -228,16 +212,15 @@ def cmd_bounds(cfg: dict, out_dir: Path, config_path: str) -> int:
              len(requested))
     out = out_dir / "bounds.csv"
     _write_csv(out, _BOUNDS_COLUMNS, rows)
-    _write_manifest(out_dir, "bounds", config_path, cfg, [out])
-    return 0
+    return 0, [out], cfg
 
 
-def cmd_simulate(cfg: dict, out_dir: Path, config_path: str,
-                 seed_override: int | None) -> int:
+def cmd_simulate(cfg: dict, out_dir: Path,
+                 args: argparse.Namespace) -> tuple[int, list[Path], dict]:
     chain = build_chain(read(cfg, "chain", "object"))
     n = read(cfg, "n", "int", 1)
     m = read(cfg, "m", "int", 0)
-    seed = run_setting(cfg, "seed", seed_override)
+    seed = run_setting(cfg, "seed", args.seed)
     replication = read(cfg, "replication", "int", 0)
     states = sample_stationary_trajectory(chain, n, m,
                                           SeedSpec(seed, replication))
@@ -252,8 +235,7 @@ def cmd_simulate(cfg: dict, out_dir: Path, config_path: str,
                      "learning" if t <= n else "validation", *symbols])
     out = out_dir / "trajectory.csv"
     _write_csv(out, header, rows)
-    _write_manifest(out_dir, "simulate", config_path, cfg, [out])
-    return 0
+    return 0, [out], cfg
 
 
 _REPORT_COLUMNS = ("event_id", "bound_id", "epsilon", "threshold", "count",
@@ -261,9 +243,9 @@ _REPORT_COLUMNS = ("event_id", "bound_id", "epsilon", "threshold", "count",
                    "vacuous", "verdict")
 
 
-def cmd_verify(cfg: dict, out_dir: Path, config_path: str,
-               seed_override: int | None, threads_override: int | None) -> int:
-    exp = experiment_from_dict(cfg, seed_override, threads_override)
+def cmd_verify(cfg: dict, out_dir: Path,
+               args: argparse.Namespace) -> tuple[int, list[Path], dict]:
+    exp = experiment_from_dict(cfg, args.seed, args.threads)
     echo = experiment_to_dict(exp)
     log.info("[verify] mode=%s R=%d n=%d m=%d candidates=%s", exp.mode,
              exp.replications, exp.n, exp.m, list(exp.orders))
@@ -345,13 +327,12 @@ def cmd_verify(cfg: dict, out_dir: Path, config_path: str,
     _write_csv(report_csv, _REPORT_COLUMNS,
                [[getattr(e, c) for c in _REPORT_COLUMNS]
                 for e in verification.estimates])
-    _write_manifest(out_dir, "verify", config_path, echo,
-                    [report_json, report_csv])
     log.info("[verify] %s", "PASS" if all_passed else "FAIL")
-    return 0 if all_passed else 1
+    return 0 if all_passed else 1, [report_json, report_csv], echo
 
 
-def cmd_noise(cfg: dict, out_dir: Path, config_path: str) -> int:
+def cmd_noise(cfg: dict, out_dir: Path,
+              args: argparse.Namespace) -> tuple[int, list[Path], dict]:
     chain = build_chain(read(cfg, "chain", "object"))
     try:
         h = bnd.margin(chain)
@@ -376,8 +357,26 @@ def cmd_noise(cfg: dict, out_dir: Path, config_path: str) -> int:
     log.info("[noise] margin=%s", f"{h:.6g}" if h is not None else "n/a")
     out = out_dir / "noise.json"
     _write_json(out, payload)
-    _write_manifest(out_dir, "noise", config_path, cfg, [out])
-    return 0 if check is None or check["passed"] else 1
+    return 0 if check is None or check["passed"] else 1, [out], cfg
+
+
+_SEED_FLAG = ("--seed", "override the master seed")
+# subcommand -> (function, help line, extra integer flags as (flag, help)).
+# Each function takes the parsed config, the output directory and the parsed
+# flags, and returns its exit code, the paths it wrote and the config echo
+# that main writes to manifest.json.
+_COMMANDS = {
+    "diagnose": (cmd_diagnose,
+                 "stationary law, mixing profile, spectral gap", ()),
+    "bounds": (cmd_bounds, "evaluate closed-form bounds over a grid", ()),
+    "simulate": (cmd_simulate, "draw one seeded trajectory to CSV",
+                 (_SEED_FLAG,)),
+    "verify": (cmd_verify, "replicate, estimate tails, check domination",
+               (_SEED_FLAG,
+                ("--threads", "override the worker process count "
+                              "(replications, either mode)"))),
+    "noise": (cmd_noise, "margin, fixed points, noise-condition check", ()),
+}
 
 
 def main(argv=None) -> int:
@@ -387,22 +386,12 @@ def main(argv=None) -> int:
                     "closed-form bounds, Monte Carlo verification.")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-            ("diagnose", "stationary law, mixing profile, spectral gap"),
-            ("bounds", "evaluate closed-form bounds over a grid"),
-            ("simulate", "draw one seeded trajectory to CSV"),
-            ("verify", "replicate, estimate tails, check domination"),
-            ("noise", "margin, fixed points, noise-condition check")):
+    for name, (_, help_text, flags) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="JSON config path")
         p.add_argument("--out", default="out", help="output directory")
-        if name in ("simulate", "verify"):
-            p.add_argument("--seed", type=int, default=None,
-                           help="override the master seed")
-        if name == "verify":
-            p.add_argument("--threads", type=int, default=None,
-                           help="override the worker process count "
-                                "(replications, either mode)")
+        for flag, flag_help in flags:
+            p.add_argument(flag, type=int, default=None, help=flag_help)
         p.add_argument("--quiet", action="store_true",
                        help="suppress stage logging")
     args = parser.parse_args(argv)
@@ -412,21 +401,19 @@ def main(argv=None) -> int:
         cfg = _load_config(args.config)
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
-        if args.command == "diagnose":
-            return cmd_diagnose(cfg, out_dir, args.config)
-        if args.command == "bounds":
-            return cmd_bounds(cfg, out_dir, args.config)
-        if args.command == "simulate":
-            return cmd_simulate(cfg, out_dir, args.config, args.seed)
-        if args.command == "verify":
-            return cmd_verify(cfg, out_dir, args.config, args.seed,
-                              args.threads)
-        if args.command == "noise":
-            return cmd_noise(cfg, out_dir, args.config)
-        raise ConfigError(f"unknown command {args.command!r}")
+        code, outputs, echo = _COMMANDS[args.command][0](cfg, out_dir, args)
     except HoldoutError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    _write_json(out_dir / "manifest.json", {
+        "command": args.command,
+        "config_path": args.config,
+        "config": echo,
+        "outputs": sorted(path.name for path in outputs),
+        "package_version": __version__,
+        "created_utc": datetime.datetime.now(datetime.timezone.utc).isoformat(),
+    })
+    return code
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -334,11 +334,10 @@ def event_table(run: RunResult) -> dict[str, EventSpec]:
     events: dict[str, EventSpec] = {}
 
     def add(event_id, bound_id, stats):
-        shift = bnd.BOUND_FORMS[bound_id][3]
         events[event_id] = EventSpec(
             event_id=event_id, bound_id=bound_id,
             stats=np.asarray(stats, dtype=float),
-            shift=0.0 if shift is None else float(shift(params)))
+            shift=float(bnd.event_shift(bound_id, params) or 0.0))
 
     for k in range(cfg.n_candidates):
         abs_dev = np.abs(run.empirical[:, k] - run.exact[:, k])
