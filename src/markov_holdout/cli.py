@@ -91,12 +91,15 @@ def _write_csv(path: Path, header, rows) -> None:
 
 def _load_config(path: str) -> dict:
     try:
-        with open(path) as fh:
+        # RFC 8259: JSON exchanged between systems is UTF-8
+        with open(path, encoding="utf-8") as fh:
             cfg = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ConfigError(f"config {path} nests too deeply: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError(f"config {path} must be a JSON object")
     return cfg
@@ -344,6 +347,8 @@ def cmd_noise(cfg: dict, out_dir: Path,
     if noise is None and h is not None and not zero_margin:
         noise = bnd.MammenTsybakovNoise(alpha=1.0, h=h)
     m_grid = read(cfg, "m_grid", "ints", (100, 1000, 10000))
+    if not m_grid:
+        raise ConfigError("m grid is empty")
     tau_table = None
     if noise is not None:
         tau_table = [{"m": m, "tau_star": noise.tau_star(m)} for m in m_grid]

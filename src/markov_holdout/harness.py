@@ -31,6 +31,7 @@ from .chains import (
 )
 from .errors import (
     BinaryOnlyError,
+    DimensionMismatchError,
     NumericalFailureError,
     RangeError,
     UnknownEventError,
@@ -143,6 +144,9 @@ class ExperimentConfig:
             raise RangeError("threads must be >= 1")
         if self.coupling_b_max < 0:
             raise RangeError("coupling_b_max must be >= 0")
+        if any(loss.symbols != self.chain.symbols
+               for loss in (self.loss, self.effective_train_loss)):
+            raise DimensionMismatchError("loss table symbol count mismatch")
         if self.noise_check_order is not None:
             _noise_check_margin(self.chain, self.noise_check_order)
 

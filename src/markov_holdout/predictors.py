@@ -112,6 +112,8 @@ def bayes_predictor(chain: MarkovizedChain, loss: LossSpec) -> PredictorTable:
     For each length-p context the prediction minimizes the expected loss
     under the base conditional law of the next symbol.
     """
+    if loss.symbols != chain.symbols:
+        raise DimensionMismatchError("loss table symbol count mismatch")
     base = chain.base
     s = base.symbols
     p = chain.embedding_order

@@ -19,11 +19,13 @@ from markov_holdout import (
     pseudo_spectral_gap,
     run_replications,
 )
+from markov_holdout.bounds import BOUND_FORMS, form_parameters
 from markov_holdout.cli import main
 from markov_holdout.config import (
     EPSILON_GRID_MAX_POINTS,
     build_chain,
     experiment_from_dict,
+    experiment_to_dict,
     parse_epsilon_grid,
 )
 
@@ -174,6 +176,20 @@ def test_malformed_json(tmp_path, capsys):
     assert "not valid JSON" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("content", [
+    b"\xff\xfe{}",          # not UTF-8
+    b"[" * 100_000,         # deeper than the JSON parser recurses
+], ids=["not-utf8", "deep"])
+def test_undecodable_config_exits_two(tmp_path, capsys, content):
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    code = main(["diagnose", "--config", str(path), "--out",
+                 str(tmp_path / "out"), "--quiet"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
 @pytest.mark.parametrize("command, payload", [
     ("simulate", {**TWO_STATE, "n": "ten"}),
     ("diagnose", {**TWO_STATE, "level": "abc"}),
@@ -262,6 +278,13 @@ def test_malformed_json(tmp_path, capsys):
                            "variance": 0.25, "n_candidates": 2},
                 "delta_grid": []}),
     ("verify", {**VERIFY_BASE, "epsilon_grid": []}),
+    # a loss table for three symbols on a binary chain, rejected before the
+    # diagnostics run; and an empty m grid
+    ("verify", {**VERIFY_BASE, "loss": {"table": [[0, 1, 1], [1, 0, 1],
+                                                  [1, 1, 0]]}}),
+    ("verify", {**VERIFY_BASE, "train_loss": {"table": [[0, 1, 1], [1, 0, 1],
+                                                        [1, 1, 0]]}}),
+    ("noise", {**TWO_STATE, "m_grid": []}),
 ])
 def test_malformed_config_values_exit_two(tmp_path, capsys, command, payload):
     cfg = write_config(tmp_path, payload)
@@ -270,6 +293,7 @@ def test_malformed_config_values_exit_two(tmp_path, capsys, command, payload):
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert not (tmp_path / "out" / "manifest.json").exists()
 
 
 @pytest.mark.parametrize("grid", [
@@ -356,6 +380,60 @@ def test_bounds_grid_row_counts(tmp_path):
     assert len(by_id["hoeffding"]) == 3          # epsilon grid
     assert len(by_id["bernstein_radius"]) == 2   # delta grid
     assert len(by_id["expectation_hoeffding"]) == 1
+
+
+# id -> (parameter names, swept grid).  The names are the form's `bounds`
+# config keys, so renaming a bound function's parameter must fail here
+BOUND_FORM_TABLE = {
+    "hoeffding_gap": (("m", "b", "epsilon", "t_mix"), "epsilon"),
+    "hoeffding_shifted": (("m", "b", "epsilon", "t_mix"), "epsilon"),
+    "hoeffding": (("m", "epsilon", "t_mix"), "epsilon"),
+    "selection_hoeffding": (("n_candidates", "m", "epsilon", "t_mix"),
+                            "epsilon"),
+    "bernstein_raw": (("m", "epsilon", "gamma_ps", "variance",
+                       "centering_bound"), "epsilon"),
+    "bernstein_radius": (("m", "delta", "gamma_ps", "variance",
+                          "centering_bound"), "delta"),
+    "bernstein_gap_over": (("m", "b", "epsilon", "a", "gamma_ps", "t_mix"),
+                           "epsilon"),
+    "bernstein_gap_under": (("m", "b", "epsilon", "a", "gamma_ps", "t_mix"),
+                            "epsilon"),
+    "bernstein_over": (("m", "epsilon", "a", "gamma_ps", "t_mix"), "epsilon"),
+    "bernstein_under": (("m", "epsilon", "a", "gamma_ps", "t_mix"),
+                        "epsilon"),
+    "expectation_hoeffding": (("n_candidates", "m", "t_mix"), None),
+    "oracle_gap_hoeffding": (("n_candidates", "m", "t_mix"), None),
+    "expectation_bernstein_over": (("n_candidates", "m", "a", "t_mix",
+                                    "gamma_ps"), None),
+    "expectation_bernstein_under": (("n_candidates", "m", "a", "t_mix",
+                                     "gamma_ps"), None),
+    "noise_gap": (("n_candidates", "m", "b", "epsilon", "theta", "gamma_ps",
+                   "t_mix", "tau_star"), "epsilon"),
+    "noise": (("n_candidates", "m", "epsilon", "theta", "gamma_ps", "t_mix",
+               "tau_star"), "epsilon"),
+}
+
+
+def test_bound_forms_parameters_and_grids_are_pinned(tmp_path):
+    assert list(BOUND_FORMS) == list(BOUND_FORM_TABLE)
+    for bound_id, (names, _) in BOUND_FORM_TABLE.items():
+        assert form_parameters(bound_id) == names, bound_id
+    with open(CONFIGS / "bounds_grid.json") as fh:
+        cfg = json.load(fh)
+    assert sorted(cfg["bounds"]) == sorted(BOUND_FORM_TABLE)   # all 16
+    out = tmp_path / "out"
+    assert main(["bounds", "--config", str(CONFIGS / "bounds_grid.json"),
+                 "--out", str(out), "--quiet"]) == 0
+    grids = {"epsilon": list(parse_epsilon_grid(cfg)),
+             "delta": cfg["delta_grid"]}
+    rows = read_csv(out, "bounds.csv")
+    for bound_id, (names, grid) in BOUND_FORM_TABLE.items():
+        swept = [row for row in rows if row["bound_id"] == bound_id]
+        if grid is None:
+            assert len(swept) == 1, bound_id
+        else:
+            assert ([float(row[grid]) for row in swept]
+                    == grids[grid]), bound_id
 
 
 def test_bounds_pulls_diagnostics_from_chain(tmp_path):
@@ -809,6 +887,34 @@ def test_noise_on_a_non_binary_chain(tmp_path, capsys):
 
 # ---------------------------------------------------------------------------
 # shared surface
+
+
+@pytest.mark.parametrize("command, payload, outputs", [
+    ("diagnose", TWO_STATE, ["diagnostics.json"]),
+    ("bounds", {"bounds": ["hoeffding", "bernstein_radius"],
+                "params": {"m": 1000, "t_mix": 3, "gamma_ps": 0.51,
+                           "variance": 0.25},
+                "epsilon_grid": [0.1, 0.2]}, ["bounds.csv"]),
+    ("simulate", {**TWO_STATE, "n": 5, "m": 5}, ["trajectory.csv"]),
+    ("verify", VERIFY_BASE, ["report.csv", "report.json"]),
+    ("noise", {"chain": VERIFY_BASE["chain"], "m_grid": [100]},
+     ["noise.json"]),
+], ids=["diagnose", "bounds", "simulate", "verify", "noise"])
+def test_manifest_names_command_outputs_and_config(tmp_path, command,
+                                                    payload, outputs):
+    cfg = write_config(tmp_path, payload)
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out),
+                 "--quiet"]) == 0
+    manifest = read_json(out, "manifest.json")
+    assert manifest["command"] == command
+    assert manifest["config_path"] == cfg
+    written = sorted(p.name for p in out.iterdir() if p.name != "manifest.json")
+    assert manifest["outputs"] == written == outputs
+    # verify echoes its config with every default filled in
+    echo = (experiment_to_dict(experiment_from_dict(payload))
+            if command == "verify" else payload)
+    assert manifest["config"] == json.loads(json.dumps(echo))
 
 
 def test_version_flag(capsys):

@@ -19,6 +19,7 @@ import pytest
 from scipy import stats
 
 from markov_holdout import (
+    DimensionMismatchError,
     ExperimentConfig,
     HigherOrderChainSpec,
     LossSpec,
@@ -138,6 +139,16 @@ def test_config_rejects_bad_mode_and_gap(two_state_chain):
         _config(two_state_chain, a=1.0)
     with pytest.raises(RangeError):
         _config(two_state_chain, theta=0.0)
+
+
+def test_config_rejects_loss_of_another_alphabet(two_state_chain):
+    # a 3-symbol loss or training loss on a binary chain is rejected when
+    # the config is built, before any diagnostics or draws
+    ternary = LossSpec.misclassification(3)
+    for losses in ({"loss": ternary}, {"train_loss": ternary}):
+        with pytest.raises(DimensionMismatchError,
+                           match="loss table symbol count mismatch"):
+            _config(two_state_chain, **losses)
 
 
 # ---------------------------------------------------------------------------

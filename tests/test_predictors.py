@@ -289,12 +289,14 @@ def test_erm_rejects_order_outside_embedding(two_state_chain, zero_one_loss):
 
 def test_erm_rejects_loss_of_another_alphabet(two_state_chain,
                                               zero_one_loss):
-    # a 3-symbol loss on a binary chain: the training loss of a fit, or the
-    # loss its per-state losses are taken in
+    # a 3-symbol loss on a binary chain: the training loss of a fit, the
+    # loss its per-state losses are taken in, or the Bayes predictor's loss
     ternary = LossSpec.misclassification(3)
     counts = visits([0, 3])
     with pytest.raises(DimensionMismatchError):
         erm_fit(two_state_chain, 1, counts, ternary)
+    with pytest.raises(DimensionMismatchError):
+        bayes_predictor(two_state_chain, ternary)
     for train, loss in [(ternary, zero_one_loss), (zero_one_loss, ternary)]:
         with pytest.raises(DimensionMismatchError):
             erm_losses(two_state_chain, (0, 1), counts[None], train, loss)
