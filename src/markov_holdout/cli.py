@@ -40,7 +40,6 @@ from .config import (
     parse_epsilon_grid,
     parse_noise,
     read,
-    run_setting,
 )
 from .errors import BinaryOnlyError, ConfigError, HoldoutError
 from .harness import (
@@ -129,8 +128,7 @@ def _diagnostics_payload(kernel: TransitionKernel | MarkovizedChain,
             **_mixing_fields(profile, spectral)}
 
 
-def cmd_diagnose(cfg: dict, out_dir: Path,
-                 args: argparse.Namespace) -> tuple[int, list[Path], dict]:
+def cmd_diagnose(cfg: dict, out_dir: Path) -> tuple[int, list[Path], dict]:
     chain_obj = read(cfg, "chain", "object")
     level = read(cfg, "level", "number", 0.25)
     horizon = read(cfg, "horizon", "int", 50)
@@ -159,8 +157,7 @@ _BOUNDS_COLUMNS = ("bound_id", "m", "b", "epsilon", "delta", "a", "theta",
                    "vacuous")
 
 
-def cmd_bounds(cfg: dict, out_dir: Path,
-               args: argparse.Namespace) -> tuple[int, list[Path], dict]:
+def cmd_bounds(cfg: dict, out_dir: Path) -> tuple[int, list[Path], dict]:
     requested = cfg.get("bounds")
     if (not isinstance(requested, list) or not requested
             or not all(isinstance(b, str) for b in requested)):
@@ -218,12 +215,11 @@ def cmd_bounds(cfg: dict, out_dir: Path,
     return 0, [out], cfg
 
 
-def cmd_simulate(cfg: dict, out_dir: Path,
-                 args: argparse.Namespace) -> tuple[int, list[Path], dict]:
+def cmd_simulate(cfg: dict, out_dir: Path) -> tuple[int, list[Path], dict]:
     chain = build_chain(read(cfg, "chain", "object"))
     n = read(cfg, "n", "int", 1)
     m = read(cfg, "m", "int", 0)
-    seed = run_setting(cfg, "seed", args.seed)
+    seed = read(cfg, "seed", "int", 0)
     replication = read(cfg, "replication", "int", 0)
     states = sample_stationary_trajectory(chain, n, m,
                                           SeedSpec(seed, replication))
@@ -246,9 +242,8 @@ _REPORT_COLUMNS = ("event_id", "bound_id", "epsilon", "threshold", "count",
                    "vacuous", "verdict")
 
 
-def cmd_verify(cfg: dict, out_dir: Path,
-               args: argparse.Namespace) -> tuple[int, list[Path], dict]:
-    exp = experiment_from_dict(cfg, args.seed, args.threads)
+def cmd_verify(cfg: dict, out_dir: Path) -> tuple[int, list[Path], dict]:
+    exp = experiment_from_dict(cfg)
     echo = experiment_to_dict(exp)
     log.info("[verify] mode=%s R=%d n=%d m=%d candidates=%s", exp.mode,
              exp.replications, exp.n, exp.m, list(exp.orders))
@@ -334,8 +329,7 @@ def cmd_verify(cfg: dict, out_dir: Path,
     return 0 if all_passed else 1, [report_json, report_csv], echo
 
 
-def cmd_noise(cfg: dict, out_dir: Path,
-              args: argparse.Namespace) -> tuple[int, list[Path], dict]:
+def cmd_noise(cfg: dict, out_dir: Path) -> tuple[int, list[Path], dict]:
     chain = build_chain(read(cfg, "chain", "object"))
     try:
         h = bnd.margin(chain)
@@ -367,9 +361,10 @@ def cmd_noise(cfg: dict, out_dir: Path,
 
 _SEED_FLAG = ("--seed", "override the master seed")
 # subcommand -> (function, help line, extra integer flags as (flag, help)).
-# Each function takes the parsed config, the output directory and the parsed
-# flags, and returns its exit code, the paths it wrote and the config echo
-# that main writes to manifest.json.
+# Each function takes the parsed config, into which main has written every
+# given flag under the key of the same name, and the output directory, and
+# returns its exit code, the paths it wrote and the config echo that main
+# writes to manifest.json.
 _COMMANDS = {
     "diagnose": (cmd_diagnose,
                  "stationary law, mixing profile, spectral gap", ()),
@@ -404,9 +399,15 @@ def main(argv=None) -> int:
                         level=logging.WARNING if args.quiet else logging.INFO)
     try:
         cfg = _load_config(args.config)
+        # a given flag replaces the config key of its name; a malformed
+        # config value is still an error
+        for key in ("seed", "threads"):
+            if (flag := getattr(args, key, None)) is not None:
+                read(cfg, key, "int", None)
+                cfg[key] = flag
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
-        code, outputs, echo = _COMMANDS[args.command][0](cfg, out_dir, args)
+        code, outputs, echo = _COMMANDS[args.command][0](cfg, out_dir)
     except HoldoutError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

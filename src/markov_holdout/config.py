@@ -22,15 +22,13 @@ numbers or of equal-length such lists.  JSON null is accepted only where
 a field documents it.  Anything else is a one-line ConfigError naming the
 key.
 
-Seed and thread count resolve in precedence order (:func:`run_setting`):
-CLI flag, then the environment (MARKOV_HOLDOUT_SEED /
-MARKOV_HOLDOUT_THREADS), then the config file, then defaults.
+The CLI writes a given --seed or --threads flag into the config under the
+key of the same name before any parser here reads it.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import sys
 
 import numpy as np
@@ -94,20 +92,6 @@ def read(obj: dict, key: str, kind: str, default=REQUIRED,
         except ValueError:
             pass
     raise ConfigError(f"{key!r} must be {what}{' or null' * null}")
-
-
-def run_setting(d: dict, key: str, flag: int | None) -> int:
-    """Resolve "seed" or "threads": flag, then environment, then ``d``."""
-    env, default = {"seed": ("MARKOV_HOLDOUT_SEED", 0),
-                    "threads": ("MARKOV_HOLDOUT_THREADS", 1)}[key]
-    value = read(d, key, "int", default)
-    raw = os.environ.get(env)
-    if raw is not None:
-        try:
-            value = int(raw)
-        except ValueError as exc:
-            raise ConfigError(f"{env}={raw!r} is not an integer") from exc
-    return value if flag is None else flag
 
 
 def _context_index(key: str, symbols: int, order: int) -> int:
@@ -206,8 +190,23 @@ def parse_epsilon_grid(d: dict) -> tuple[float, ...]:
     return grid
 
 
-def experiment_from_dict(d: dict, seed_override: int | None = None,
-                         threads_override: int | None = None) -> ExperimentConfig:
+# verify's optional keys: config key -> (ExperimentConfig field, kind).  A key
+# the config leaves out takes the field's default
+_OPTIONAL = {
+    "mode": ("mode", "str"),
+    "gap_b": ("gap_b", "int"),
+    "a": ("a", "number"),
+    "theta": ("theta", "number"),
+    "seed": ("master_seed", "int"),
+    "bound_scale": ("bound_scale", "number"),
+    "threads": ("threads", "int"),
+    "coupling_b_max": ("coupling_b_max", "int"),
+    "noise_check_order": ("noise_check_order", "int"),  # or null
+    "oracle_checks": ("run_oracle_checks", "bool"),
+}
+
+
+def experiment_from_dict(d: dict) -> ExperimentConfig:
     """Build a validated ExperimentConfig from a parsed JSON object."""
     if not isinstance(d, dict):
         raise ConfigError("config must be a JSON object")
@@ -222,18 +221,9 @@ def experiment_from_dict(d: dict, seed_override: int | None = None,
         m=read(d, "m", "int"),
         replications=read(d, "replications", "int"),
         epsilon_grid=parse_epsilon_grid(d),
-        mode=read(d, "mode", "str", "conditional"),
-        gap_b=read(d, "gap_b", "int", 0),
-        a=read(d, "a", "number", 0.5),
-        theta=read(d, "theta", "number", 0.5),
         noise=parse_noise(d, chain),
-        master_seed=run_setting(d, "seed", seed_override),
-        bound_scale=read(d, "bound_scale", "number", 1.0),
-        threads=run_setting(d, "threads", threads_override),
-        coupling_b_max=read(d, "coupling_b_max", "int", 20),
-        noise_check_order=read(d, "noise_check_order", "int", None,
-                               null=True),
-        run_oracle_checks=read(d, "oracle_checks", "bool", True),
+        **{field: read(d, key, kind, null=key == "noise_check_order")
+           for key, (field, kind) in _OPTIONAL.items() if key in d},
     )
 
 
@@ -274,15 +264,7 @@ def experiment_to_dict(config: ExperimentConfig) -> dict:
         "m": config.m,
         "replications": config.replications,
         "epsilon_grid": list(config.epsilon_grid),
-        "mode": config.mode,
-        "gap_b": config.gap_b,
-        "a": config.a,
-        "theta": config.theta,
         "noise": noise_to_dict(config.noise),
-        "seed": config.master_seed,
-        "bound_scale": config.bound_scale,
-        "threads": config.threads,
-        "coupling_b_max": config.coupling_b_max,
-        "noise_check_order": config.noise_check_order,
-        "oracle_checks": config.run_oracle_checks,
+        **{key: getattr(config, field)
+           for key, (field, _) in _OPTIONAL.items()},
     }
