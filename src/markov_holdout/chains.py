@@ -383,7 +383,8 @@ def mixing_time(kernel: TransitionKernel | MarkovizedChain,
     DimensionMismatchError
         ``q`` does not have one entry per state.
     RangeError
-        ``q`` has a non-finite or a negative entry.
+        ``level`` lies outside (0, 1), ``horizon`` is below 0, or ``q`` has
+        a non-finite or a negative entry.
     NumericalFailureError
         ``q`` is not a stationary law: ||QK - Q||_1 + |sum(Q) - 1| exceeds
         ``STATIONARY_RESIDUAL_TOL``.
@@ -392,6 +393,8 @@ def mixing_time(kernel: TransitionKernel | MarkovizedChain,
     """
     if not 0.0 < level < 1.0:
         raise RangeError("level must lie in (0, 1)")
+    if horizon is not None and horizon < 0:
+        raise RangeError("horizon must be >= 0")
     q = _law(kernel, q)
     # d(t) tends to the TV distance from Q to the true law, so a Q that is
     # not one would walk to the step cap before it failed.  QK = W_1 C_1

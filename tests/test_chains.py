@@ -241,6 +241,14 @@ def test_mixing_time_raises_when_horizon_exhausted(two_state_kernel):
         mixing_time(two_state_kernel, level=1e-30)
 
 
+def test_mixing_time_rejects_a_negative_horizon(two_state_kernel):
+    # horizon 0 is the shortest profile, the one that stops at t_mix
+    assert (mixing_time(two_state_kernel, horizon=0).d_values.tolist()
+            == mixing_time(two_state_kernel).d_values.tolist())
+    with pytest.raises(RangeError, match="horizon must be >= 0"):
+        mixing_time(two_state_kernel, horizon=-1)
+
+
 def test_mixing_profile_rejects_non_monotone_distances():
     with pytest.raises(NumericalFailureError):
         MixingProfile(d_values=np.array([0.5, 0.2, 0.3]), t_mix=1)

@@ -285,6 +285,8 @@ def test_undecodable_config_exits_two(tmp_path, capsys, content):
     ("verify", {**VERIFY_BASE, "train_loss": {"table": [[0, 1, 1], [1, 0, 1],
                                                         [1, 1, 0]]}}),
     ("noise", {**TWO_STATE, "m_grid": []}),
+    # a negative profile horizon
+    ("diagnose", {**TWO_STATE, "horizon": -5}),
 ])
 def test_malformed_config_values_exit_two(tmp_path, capsys, command, payload):
     cfg = write_config(tmp_path, payload)
@@ -557,6 +559,21 @@ def test_simulate_seed_flag_overrides_config(tmp_path):
         (out_b / "trajectory.csv").read_bytes()
 
 
+def test_simulate_manifest_echoes_the_seed_it_drew_with(tmp_path):
+    # the echoed config, run again without the flag, draws the same states
+    cfg = write_config(tmp_path, simulate_config(seed=9))
+    out, rerun = tmp_path / "out", tmp_path / "rerun"
+    assert main(["simulate", "--config", cfg, "--out", str(out), "--seed",
+                 "7", "--quiet"]) == 0
+    echo = read_json(out, "manifest.json")["config"]
+    assert echo["seed"] == 7
+    assert main(["simulate", "--config",
+                 write_config(tmp_path, echo, name="echo.json"),
+                 "--out", str(rerun), "--quiet"]) == 0
+    assert (out / "trajectory.csv").read_bytes() == \
+        (rerun / "trajectory.csv").read_bytes()
+
+
 def test_simulate_env_seed(tmp_path, monkeypatch):
     # no environment variable sets the seed: only --seed replaces the
     # config's
@@ -575,6 +592,63 @@ def test_simulate_env_seed(tmp_path, monkeypatch):
 
 # ---------------------------------------------------------------------------
 # verify
+
+
+# verify's optional keys at their defaults, and each at another value
+VERIFY_DEFAULTS = {"mode": "conditional", "gap_b": 0, "a": 0.5, "theta": 0.5,
+                   "seed": 0, "bound_scale": 1.0, "threads": 1,
+                   "coupling_b_max": 20, "noise_check_order": None,
+                   "oracle_checks": True}
+VERIFY_OTHERS = {"mode": "marginal", "gap_b": 3, "a": 0.25, "theta": 0.75,
+                 "seed": 11, "bound_scale": 0.5, "threads": 2,
+                 "coupling_b_max": 5, "noise_check_order": 1,
+                 "oracle_checks": False}
+
+
+def test_verify_echoes_the_defaults_of_its_optional_keys():
+    base = {k: v for k, v in VERIFY_BASE.items() if k not in VERIFY_DEFAULTS}
+    echo = experiment_to_dict(experiment_from_dict(base))
+    # JSON text, so that 1 and 1.0 or 0 and false differ
+    assert (json.dumps({k: echo[k] for k in VERIFY_DEFAULTS}, sort_keys=True)
+            == json.dumps(VERIFY_DEFAULTS, sort_keys=True))
+
+
+def test_verify_echo_of_every_optional_key_parses_back():
+    echo = experiment_to_dict(experiment_from_dict({**VERIFY_BASE,
+                                                    **VERIFY_OTHERS}))
+    assert {k: echo[k] for k in VERIFY_OTHERS} == VERIFY_OTHERS
+    reread = json.loads(json.dumps(echo))
+    assert experiment_to_dict(experiment_from_dict(reread)) == echo
+
+
+def test_verify_manifest_echoes_the_flags_it_ran_with(tmp_path):
+    cfg = write_config(tmp_path, VERIFY_BASE)
+    out, rerun = tmp_path / "out", tmp_path / "rerun"
+    assert main(["verify", "--config", cfg, "--out", str(out), "--seed", "5",
+                 "--threads", "2", "--quiet"]) == 0
+    echo = read_json(out, "manifest.json")["config"]
+    assert (echo["seed"], echo["threads"]) == (5, 2)
+    assert read_json(out, "report.json")["config"] == echo
+    assert main(["verify", "--config",
+                 write_config(tmp_path, echo, name="echo.json"),
+                 "--out", str(rerun), "--quiet"]) == 0
+    for name in ("report.json", "report.csv"):
+        assert (out / name).read_bytes() == (rerun / name).read_bytes()
+
+
+@pytest.mark.parametrize("command, payload, flag", [
+    ("simulate", {**TWO_STATE, "seed": "7"}, ["--seed", "3"]),
+    ("verify", {**VERIFY_BASE, "threads": True}, ["--threads", "2"]),
+], ids=["simulate-seed", "verify-threads"])
+def test_flag_does_not_hide_a_malformed_config_value(tmp_path, capsys,
+                                                      command, payload, flag):
+    cfg = write_config(tmp_path, payload)
+    code = main([command, "--config", cfg, "--out", str(tmp_path / "out"),
+                 *flag, "--quiet"])
+    assert code == 2
+    key = flag[0][2:]
+    assert capsys.readouterr().err == f"error: {key!r} must be an integer\n"
+    assert not (tmp_path / "out" / "manifest.json").exists()
 
 
 def test_verify_small_run_passes(tmp_path):
