@@ -1,10 +1,11 @@
 """Command-line interface.
 
 Subcommands: diagnose, bounds, simulate, verify, noise.  Each takes a JSON
-config (--config), writes machine-readable artifacts into --out, and logs
-one line per stage to stderr.  Exit codes: 0 all checks passed, 1 some
-verified claim failed (a tail VIOLATION or a failed domination check),
-2 the configuration or chain was rejected.
+config (--config) and returns its artifacts; main writes them into --out
+and prints one line per stage to stderr.  Exit codes: 0 all checks passed,
+1 some verified claim failed (a tail VIOLATION or a failed domination
+check), 2 the configuration or chain was rejected, or --out or an artifact
+could not be created or written.
 
 Outputs carry no timestamps except manifest.json, so reruns with the same
 config are byte-identical.
@@ -16,7 +17,6 @@ import argparse
 import csv
 import datetime
 import json
-import logging
 import sys
 from pathlib import Path
 
@@ -51,9 +51,6 @@ from .harness import (
     verify_bounds,
 )
 from .sampling import SeedSpec, sample_stationary_trajectory
-
-log = logging.getLogger("markov_holdout")
-
 
 def _json_default(value):
     # arrays and numpy scalars; np.float64 is a float and never reaches here
@@ -93,8 +90,6 @@ def _load_config(path: str) -> dict:
         # RFC 8259: JSON exchanged between systems is UTF-8
         with open(path, encoding="utf-8") as fh:
             cfg = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     except RecursionError as exc:
@@ -128,7 +123,7 @@ def _diagnostics_payload(kernel: TransitionKernel | MarkovizedChain,
             **_mixing_fields(profile, spectral)}
 
 
-def cmd_diagnose(cfg: dict, out_dir: Path) -> tuple[int, list[Path], dict]:
+def cmd_diagnose(cfg: dict, say) -> tuple[int, dict, dict]:
     chain_obj = read(cfg, "chain", "object")
     level = read(cfg, "level", "number", 0.25)
     horizon = read(cfg, "horizon", "int", 50)
@@ -144,11 +139,9 @@ def cmd_diagnose(cfg: dict, out_dir: Path) -> tuple[int, list[Path], dict]:
         payload["embedded"] = True
         payload["embedding_order"] = chain.embedding_order
         payload["symbol_marginal"] = chain.symbol_marginal()
-    log.info("[diagnose] states=%d t_mix=%d gamma_ps=%.6g",
-             payload["states"], payload["t_mix"], payload["gamma_ps"])
-    out = out_dir / "diagnostics.json"
-    _write_json(out, payload)
-    return 0, [out], cfg
+    say(f"[diagnose] states={payload['states']} t_mix={payload['t_mix']} "
+        f"gamma_ps={payload['gamma_ps']:.6g}")
+    return 0, {"diagnostics.json": payload}, cfg
 
 
 _BOUNDS_COLUMNS = ("bound_id", "m", "b", "epsilon", "delta", "a", "theta",
@@ -157,7 +150,7 @@ _BOUNDS_COLUMNS = ("bound_id", "m", "b", "epsilon", "delta", "a", "theta",
                    "vacuous")
 
 
-def cmd_bounds(cfg: dict, out_dir: Path) -> tuple[int, list[Path], dict]:
+def cmd_bounds(cfg: dict, say) -> tuple[int, dict, dict]:
     requested = cfg.get("bounds")
     if (not isinstance(requested, list) or not requested
             or not all(isinstance(b, str) for b in requested)):
@@ -208,14 +201,11 @@ def cmd_bounds(cfg: dict, out_dir: Path) -> tuple[int, list[Path], dict]:
         raise
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad bound parameters: {exc}") from exc
-    log.info("[bounds] evaluated %d rows over %d forms", len(rows),
-             len(requested))
-    out = out_dir / "bounds.csv"
-    _write_csv(out, _BOUNDS_COLUMNS, rows)
-    return 0, [out], cfg
+    say(f"[bounds] evaluated {len(rows)} rows over {len(requested)} forms")
+    return 0, {"bounds.csv": (_BOUNDS_COLUMNS, rows)}, cfg
 
 
-def cmd_simulate(cfg: dict, out_dir: Path) -> tuple[int, list[Path], dict]:
+def cmd_simulate(cfg: dict, say) -> tuple[int, dict, dict]:
     chain = build_chain(read(cfg, "chain", "object"))
     n = read(cfg, "n", "int", 1)
     m = read(cfg, "m", "int", 0)
@@ -223,8 +213,8 @@ def cmd_simulate(cfg: dict, out_dir: Path) -> tuple[int, list[Path], dict]:
     replication = read(cfg, "replication", "int", 0)
     states = sample_stationary_trajectory(chain, n, m,
                                           SeedSpec(seed, replication))
-    log.info("[simulate] drew %d states (n=%d, m=%d) seed=(%d, %d)",
-             len(states), n, m, seed, replication)
+    say(f"[simulate] drew {len(states)} states (n={n}, m={m}) "
+        f"seed=({seed}, {replication})")
     p = chain.embedding_order
     header = ["t", "state", "segment"] + [f"y_lag{i}" for i in range(p + 1)]
     rows = []
@@ -232,9 +222,7 @@ def cmd_simulate(cfg: dict, out_dir: Path) -> tuple[int, list[Path], dict]:
         symbols = chain.decode(int(state))
         rows.append([t, int(state),
                      "learning" if t <= n else "validation", *symbols])
-    out = out_dir / "trajectory.csv"
-    _write_csv(out, header, rows)
-    return 0, [out], cfg
+    return 0, {"trajectory.csv": (header, rows)}, cfg
 
 
 _REPORT_COLUMNS = ("event_id", "bound_id", "epsilon", "threshold", "count",
@@ -242,18 +230,19 @@ _REPORT_COLUMNS = ("event_id", "bound_id", "epsilon", "threshold", "count",
                    "vacuous", "verdict")
 
 
-def cmd_verify(cfg: dict, out_dir: Path) -> tuple[int, list[Path], dict]:
+def cmd_verify(cfg: dict, say) -> tuple[int, dict, dict]:
     exp = experiment_from_dict(cfg)
     echo = experiment_to_dict(exp)
-    log.info("[verify] mode=%s R=%d n=%d m=%d candidates=%s", exp.mode,
-             exp.replications, exp.n, exp.m, list(exp.orders))
+    say(f"[verify] mode={exp.mode} R={exp.replications} n={exp.n} "
+        f"m={exp.m} candidates={list(exp.orders)}")
     run = run_replications(exp)
-    log.info("[verify] t_mix=%d gamma_ps=%.6g bayes_risk=%.6g",
-             run.mixing.t_mix, run.spectral.gamma_ps, run.bayes_risk)
+    say(f"[verify] t_mix={run.mixing.t_mix} "
+        f"gamma_ps={run.spectral.gamma_ps:.6g} "
+        f"bayes_risk={run.bayes_risk:.6g}")
     verification = verify_bounds(run)
-    log.info("[verify] %d estimates: %d violations, %d vacuous",
-             len(verification.estimates), verification.violations,
-             verification.vacuous)
+    say(f"[verify] {len(verification.estimates)} estimates: "
+        f"{verification.violations} violations, "
+        f"{verification.vacuous} vacuous")
 
     oracle_reports = []
     if exp.run_oracle_checks and exp.replications >= ORACLE_MIN_REPLICATIONS:
@@ -262,22 +251,21 @@ def cmd_verify(cfg: dict, out_dir: Path) -> tuple[int, list[Path], dict]:
         for kind in kinds:
             rep = oracle_gap_check(run, kind)
             oracle_reports.append(rep)
-            log.info("[verify] oracle %s: mean %.6g + 3se vs rhs %.6g -> %s",
-                     kind, rep.mean_gap, rep.rhs,
-                     "ok" if rep.passed else "FAIL")
+            say(f"[verify] oracle {kind}: mean {rep.mean_gap:.6g} + 3se vs "
+                f"rhs {rep.rhs:.6g} -> {'ok' if rep.passed else 'FAIL'}")
 
     coupling = coupling_check(exp.chain, run.bayes, exp.loss,
                               exp.coupling_b_max, profile=run.mixing)
-    log.info("[verify] coupling over b<=%d: %s", exp.coupling_b_max,
-             "ok" if coupling.passed else "FAIL")
+    say(f"[verify] coupling over b<={exp.coupling_b_max}: "
+        f"{'ok' if coupling.passed else 'FAIL'}")
 
     noise_report = None
     if exp.noise_check_order is not None:
         noise_report = noise_condition_check(exp.chain, exp.noise_check_order,
                                              noise=exp.noise)
-        log.info("[verify] noise condition at order %d over %d tables: %s",
-                 noise_report.order, noise_report.n_tables,
-                 "ok" if noise_report.passed else "FAIL")
+        say(f"[verify] noise condition at order {noise_report.order} over "
+            f"{noise_report.n_tables} tables: "
+            f"{'ok' if noise_report.passed else 'FAIL'}")
 
     chain_margin = bnd.margin(exp.chain) if exp.chain.symbols == 2 else None
 
@@ -319,17 +307,15 @@ def cmd_verify(cfg: dict, out_dir: Path) -> tuple[int, list[Path], dict]:
             "passed": all_passed,
         },
     }
-    report_json = out_dir / "report.json"
-    _write_json(report_json, report)
-    report_csv = out_dir / "report.csv"
-    _write_csv(report_csv, _REPORT_COLUMNS,
-               [[getattr(e, c) for c in _REPORT_COLUMNS]
-                for e in verification.estimates])
-    log.info("[verify] %s", "PASS" if all_passed else "FAIL")
-    return 0 if all_passed else 1, [report_json, report_csv], echo
+    say(f"[verify] {'PASS' if all_passed else 'FAIL'}")
+    rows = [[getattr(e, c) for c in _REPORT_COLUMNS]
+            for e in verification.estimates]
+    return (0 if all_passed else 1,
+            {"report.json": report, "report.csv": (_REPORT_COLUMNS, rows)},
+            echo)
 
 
-def cmd_noise(cfg: dict, out_dir: Path) -> tuple[int, list[Path], dict]:
+def cmd_noise(cfg: dict, say) -> tuple[int, dict, dict]:
     chain = build_chain(read(cfg, "chain", "object"))
     try:
         h = bnd.margin(chain)
@@ -353,18 +339,18 @@ def cmd_noise(cfg: dict, out_dir: Path) -> tuple[int, list[Path], dict]:
     payload = {"margin": h, "zero_margin": zero_margin,
                "noise": None if noise is None else type(noise).__name__,
                "tau_star": tau_table, "condition_check": check}
-    log.info("[noise] margin=%s", f"{h:.6g}" if h is not None else "n/a")
-    out = out_dir / "noise.json"
-    _write_json(out, payload)
-    return 0 if check is None or check["passed"] else 1, [out], cfg
+    say(f"[noise] margin={'n/a' if h is None else format(h, '.6g')}")
+    return (0 if check is None or check["passed"] else 1,
+            {"noise.json": payload}, cfg)
 
 
 _SEED_FLAG = ("--seed", "override the master seed")
 # subcommand -> (function, help line, extra integer flags as (flag, help)).
-# Each function takes the parsed config, into which main has written every
-# given flag under the key of the same name, and the output directory, and
-# returns its exit code, the paths it wrote and the config echo that main
-# writes to manifest.json.
+# Each function takes (cfg, say): the parsed config, into which main has
+# written every given flag under the key of the same name, and the function
+# that prints one stage line.  It returns (exit code, {file name: content},
+# echo): main writes each .json content as JSON and each .csv content, a
+# (header, rows) pair, as CSV, then writes the config echo to manifest.json.
 _COMMANDS = {
     "diagnose": (cmd_diagnose,
                  "stationary law, mixing profile, spectral gap", ()),
@@ -395,8 +381,11 @@ def main(argv=None) -> int:
         p.add_argument("--quiet", action="store_true",
                        help="suppress stage logging")
     args = parser.parse_args(argv)
-    logging.basicConfig(stream=sys.stderr, format="%(message)s",
-                        level=logging.WARNING if args.quiet else logging.INFO)
+
+    def say(line: str) -> None:
+        if not args.quiet:
+            print(line, file=sys.stderr)
+
     try:
         cfg = _load_config(args.config)
         # a given flag replaces the config key of its name; a malformed
@@ -407,18 +396,24 @@ def main(argv=None) -> int:
                 cfg[key] = flag
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
-        code, outputs, echo = _COMMANDS[args.command][0](cfg, out_dir)
-    except HoldoutError as exc:
+        code, artifacts, echo = _COMMANDS[args.command][0](cfg, say)
+        for name, content in artifacts.items():
+            if name.endswith(".json"):
+                _write_json(out_dir / name, content)
+            else:
+                _write_csv(out_dir / name, *content)
+        _write_json(out_dir / "manifest.json", {
+            "command": args.command,
+            "config_path": args.config,
+            "config": echo,
+            "outputs": sorted(artifacts),
+            "package_version": __version__,
+            "created_utc": datetime.datetime.now(
+                datetime.timezone.utc).isoformat(),
+        })
+    except (HoldoutError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    _write_json(out_dir / "manifest.json", {
-        "command": args.command,
-        "config_path": args.config,
-        "config": echo,
-        "outputs": sorted(path.name for path in outputs),
-        "package_version": __version__,
-        "created_utc": datetime.datetime.now(datetime.timezone.utc).isoformat(),
-    })
     return code
 
 
