@@ -52,6 +52,7 @@ from .harness import (
 )
 from .sampling import SeedSpec, sample_stationary_trajectory
 
+
 def _json_default(value):
     # arrays and numpy scalars; np.float64 is a float and never reaches here
     if isinstance(value, np.ndarray):

@@ -6,6 +6,9 @@ pytest temporary directories.
 
 import csv
 import json
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -13,6 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import markov_holdout
 from markov_holdout import (
     MammenTsybakovNoise,
     event_table,
@@ -287,6 +291,46 @@ def test_undecodable_config_exits_two(tmp_path, capsys, content):
     ("noise", {**TWO_STATE, "m_grid": []}),
     # a negative profile horizon
     ("diagnose", {**TWO_STATE, "horizon": -5}),
+    # verify values outside their ranges, of an unknown kind or of the
+    # wrong shape
+    ("verify", {k: v for k, v in VERIFY_BASE.items() if k != "n"}),
+    ("verify", {**VERIFY_BASE, "n": 0}),
+    ("verify", {**VERIFY_BASE, "m": 0}),
+    ("verify", {**VERIFY_BASE, "threads": 0}),
+    ("verify", {**VERIFY_BASE, "bound_scale": 0}),
+    ("verify", {**VERIFY_BASE, "coupling_b_max": -1}),
+    ("verify", {**VERIFY_BASE, "loss": 3}),
+    ("verify", {**VERIFY_BASE, "noise": {"kind": "nope"}}),
+    ("verify", {**VERIFY_BASE, "epsilon_grid": {
+        "start": 0.1, "stop": 0.5, "step": 0}}),
+    ("verify", {**VERIFY_BASE, "noise": {"kind": "tabulated",
+                                         "radii": [0.0, 0.5],
+                                         "values": [0.0, -0.1]}}),
+    ("verify", {**VERIFY_BASE, "noise": {"kind": "tabulated",
+                                         "radii": [0.0, 0.5, 1.0],
+                                         "values": [0.0, 0.1]}}),
+    ("verify", {**VERIFY_BASE, "chain": {
+        "kernel": [[0.9, 0.1, 0.0], [0.2, 0.7, 0.1]], "embedding_order": 1}}),
+    # chains: a symbol outside the alphabet in a context, a missing middle
+    # context, one symbol, order 0
+    ("diagnose", {"chain": {"symbols": 2, "order": 2, "conditional": {
+        "0,0": [0.9, 0.1], "0,2": [0.7, 0.3], "1,0": [0.4, 0.6],
+        "1,1": [0.2, 0.8]}}}),
+    ("diagnose", {"chain": {"symbols": 2, "order": 2, "conditional": {
+        "0,0": [0.9, 0.1], "0,1": [0.7, 0.3], "1,1": [0.2, 0.8]}}}),
+    ("diagnose", {"chain": {"symbols": 1, "order": 1,
+                            "conditional": [[1.0]]}}),
+    ("diagnose", {"chain": {"symbols": 2, "order": 0,
+                            "conditional": [[0.5, 0.5]]}}),
+    ("diagnose", {**TWO_STATE, "level": 1.5}),
+    # bounds: a noise margin with no chain to take it from, and an
+    # epsilon-swept form with no epsilon
+    ("bounds", {"bounds": ["noise"],
+                "params": {"m": 100, "t_mix": 1, "gamma_ps": 0.5,
+                           "n_candidates": 2, "theta": 0.5},
+                "epsilon_grid": [0.1],
+                "noise": {"kind": "mammen-tsybakov", "h": None}}),
+    ("bounds", {"bounds": ["hoeffding"], "params": {"m": 100, "t_mix": 1}}),
 ])
 def test_malformed_config_values_exit_two(tmp_path, capsys, command, payload):
     cfg = write_config(tmp_path, payload)
@@ -980,6 +1024,99 @@ def test_manifest_names_command_outputs_and_config(tmp_path, command,
     echo = (experiment_to_dict(experiment_from_dict(payload))
             if command == "verify" else payload)
     assert manifest["config"] == json.loads(json.dumps(echo))
+
+
+# subcommand -> (arguments, the stage lines it prints to stderr)
+STAGE_LINES = {
+    "diagnose": (["--config", str(CONFIGS / "two_state.json")],
+                 ["[diagnose] states=2 t_mix=3 gamma_ps=0.51"]),
+    "bounds": (["--config", str(CONFIGS / "bounds_grid.json")],
+               ["[bounds] evaluated 117 rows over 16 forms"]),
+    "simulate": (["--config", str(CONFIGS / "two_state.json"), "--seed", "7"],
+                 ["[simulate] drew 1000 states (n=500, m=500) seed=(7, 0)"]),
+    "verify": (["--config", str(CONFIGS / "verify_two_state.json")], [
+        "[verify] mode=conditional R=2000 n=500 m=500 candidates=[0, 1]",
+        "[verify] t_mix=4 gamma_ps=0.255 bayes_risk=0.133333",
+        "[verify] 90 estimates: 0 violations, 76 vacuous",
+        "[verify] oracle hoeffding: mean 0 + 3se vs rhs 0.986209 -> ok",
+        "[verify] oracle bernstein: mean 0 + 3se vs rhs 29.6702 -> ok",
+        "[verify] oracle noise: mean 0 + 3se vs rhs 159.666 -> ok",
+        "[verify] coupling over b<=20: ok",
+        "[verify] noise condition at order 1 over 4 tables: ok",
+        "[verify] PASS"]),
+    "noise": (["--config", str(CONFIGS / "order2_binary.json")],
+              ["[noise] margin=0.2"]),
+}
+
+
+@pytest.mark.parametrize("command", list(STAGE_LINES))
+def test_stage_lines_are_pinned(tmp_path, capsys, command):
+    args, lines = STAGE_LINES[command]
+    assert main([command, *args, "--out", str(tmp_path / "out")]) == 0
+    assert capsys.readouterr().err == "".join(f"{line}\n" for line in lines)
+    assert main([command, *args, "--out", str(tmp_path / "quiet"),
+                 "--quiet"]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_quiet_applies_to_its_own_call_only(tmp_path, capsys):
+    # test_stage_lines_are_pinned runs a loud call before a quiet one; here
+    # a quiet call comes first and must not silence the next
+    args, lines = STAGE_LINES["diagnose"]
+    for quiet in (True, False):
+        assert main(["diagnose", *args, "--out", str(tmp_path / str(quiet)),
+                     *["--quiet"] * quiet]) == 0
+        assert capsys.readouterr().err == ("" if quiet else f"{lines[0]}\n")
+
+
+def test_a_run_leaves_other_loggers_alone(tmp_path):
+    # stage lines are printed, not logged: a run configures no logging, so
+    # another library's INFO record still goes nowhere
+    code = ("import logging, sys\n"
+            "from markov_holdout.cli import main\n"
+            "code = main(sys.argv[1:])\n"
+            "logging.getLogger('elsewhere').info('not a stage line')\n"
+            "sys.exit(code)\n")
+    args, lines = STAGE_LINES["diagnose"]
+    src = str(Path(markov_holdout.__file__).resolve().parent.parent)
+    out = subprocess.run([sys.executable, "-c", code, "diagnose", *args,
+                          "--out", str(tmp_path / "out")],
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.returncode == 0
+    assert out.stderr == f"{lines[0]}\n"
+
+
+@pytest.mark.parametrize("out, block", [
+    ("out", lambda out: out.write_text("")),
+    ("file/out", lambda out: out.parent.write_text("")),
+    ("out", lambda out: (out / "diagnostics.json").mkdir(parents=True)),
+], ids=["out-is-a-file", "out-under-a-file", "artifact-is-a-directory"])
+def test_unwritable_output_exits_two(tmp_path, capsys, out, block):
+    out = tmp_path / out
+    block(out)
+    code = main(["diagnose", "--config", str(CONFIGS / "two_state.json"),
+                 "--out", str(out), "--quiet"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert str(out) in err
+    assert not (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("name, make", [
+    ("missing.json", lambda path: None),
+    ("dir.json", lambda path: path.mkdir()),
+], ids=["missing", "directory"])
+def test_unreadable_config_exits_two_naming_it(tmp_path, capsys, name, make):
+    path = tmp_path / name
+    make(path)
+    code = main(["diagnose", "--config", str(path), "--out",
+                 str(tmp_path / "out"), "--quiet"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert str(path) in err
 
 
 def test_version_flag(capsys):
