@@ -6,10 +6,10 @@ pseudo-spectral gap ``gamma_ps``.  Raw values are returned unclamped; a
 value >= 1 is a vacuous tail bound and is flagged, never an error.
 
 Conventions: ``m`` validation length, ``b`` coupling burn-in, ``epsilon``
-deviation level, ``a`` the multiplicative localization parameter in (0, 1)
-("over" compares (1+a)-scaled risks, "under" (1-a)), ``theta`` the oracle
-leniency in (0, 1), ``n_candidates`` the union-bound count, ``tau_star``
-the fixed point of the noise modulus at sample size m.
+deviation level, ``a`` multiplicative localization ("over" compares
+(1+a)-scaled risks, "under" (1-a)), ``theta`` oracle leniency,
+``n_candidates`` union-bound count, ``tau_star`` the noise modulus's fixed
+point at m.  ``_DOMAINS`` holds the one domain rule of each parameter name.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import inspect
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache, partial
+from functools import cache, partial, wraps
 
 import numpy as np
 
@@ -36,37 +36,66 @@ from .errors import (
 _DENOM_GUARD = 1e-300
 _HOEFFDING_SHAPE = 1.0 + 9.0 * LN2   # shared constant in the Hoeffding family
 
+_WHOLE = (lambda v: v == int(v) and v >= 1, "must be a positive integer")
+_OPEN_UNIT = (lambda v: 0.0 < v < 1.0, "must lie in (0, 1)")
+_HALF_OPEN_UNIT = (lambda v: 0.0 < v <= 1.0, "must lie in (0, 1]")
+_POSITIVE = (lambda v: v > 0.0, "must be positive")
+_NON_NEGATIVE = (lambda v: v >= 0.0, "must be >= 0")
 
-def _check(condition: bool, message: str) -> None:
-    if not condition:
-        raise RangeError(message)
+# parameter name -> (test, domain text), in the order a call checks them;
+# a failed test is the RangeError "<name> <domain>, got <value>"
+_DOMAINS = {
+    "m": _WHOLE,
+    "b": (lambda v: v == int(v) and v >= 0, "must be a non-negative integer"),
+    "epsilon": (lambda v: 0.0 <= v <= 1.0, "must lie in [0, 1]"),
+    "t_mix": _WHOLE,
+    "gamma_ps": _HALF_OPEN_UNIT,
+    "a": _OPEN_UNIT,
+    "theta": _OPEN_UNIT,
+    "n_candidates": _WHOLE,
+    "tau_star": _POSITIVE,
+    "delta": _OPEN_UNIT,
+    "variance": (lambda v: 0.0 <= v <= 0.25, "must lie in [0, 0.25]"),
+    "centering_bound": _HALF_OPEN_UNIT,
+    "risk_best": _NON_NEGATIVE,
+    "risk_bayes": _NON_NEGATIVE,
+    "excess_best": _NON_NEGATIVE,
+    "alpha": _HALF_OPEN_UNIT,
+    "h": _POSITIVE,
+    "r": _NON_NEGATIVE,   # the argument of a noise modulus
+}
 
 
-def _check_common(m=None, b=None, epsilon=None, t_mix=None, gamma_ps=None,
-                  a=None, theta=None, n_candidates=None, tau_star=None) -> None:
-    if m is not None:
-        _check(m == int(m) and m >= 1, f"m must be a positive integer, got {m}")
-    if b is not None:
-        _check(b == int(b) and b >= 0, f"b must be a non-negative integer, got {b}")
-        if m is not None:
-            _check(b < m, f"need b < m, got b={b}, m={m}")
-    if epsilon is not None:
-        _check(0.0 <= epsilon <= 1.0, f"epsilon must lie in [0, 1], got {epsilon}")
-    if t_mix is not None:
-        _check(t_mix == int(t_mix) and t_mix >= 1,
-               f"t_mix must be a positive integer, got {t_mix}")
-    if gamma_ps is not None:
-        _check(0.0 < gamma_ps <= 1.0,
-               f"gamma_ps must lie in (0, 1], got {gamma_ps}")
-    if a is not None:
-        _check(0.0 < a < 1.0, f"a must lie in (0, 1), got {a}")
-    if theta is not None:
-        _check(0.0 < theta < 1.0, f"theta must lie in (0, 1), got {theta}")
-    if n_candidates is not None:
-        _check(n_candidates == int(n_candidates) and n_candidates >= 1,
-               f"n_candidates must be a positive integer, got {n_candidates}")
-    if tau_star is not None:
-        _check(tau_star > 0.0, f"tau_star must be positive, got {tau_star}")
+def _check_domains(values: dict, rules=tuple(_DOMAINS.items())) -> None:
+    """Check each value that is not None by the rule of its name."""
+    m = values.get("m")
+    for name, (test, domain) in rules:
+        value = values.get(name)
+        if value is not None and not test(value):
+            raise RangeError(f"{name} {domain}, got {value}")
+        if name == "b" and not (value is None or m is None or value < m):
+            raise RangeError(f"need b < m, got b={value}, m={m}")
+
+
+@cache
+def _positional(func) -> tuple[tuple[str, object], ...]:
+    # (name, default or None) of each positional parameter, read once per
+    # function: inspect.signature costs more than evaluating a bound
+    return tuple((name, None if p.default is p.empty else p.default)
+                 for name, p in inspect.signature(func).parameters.items()
+                 if p.kind is p.POSITIONAL_OR_KEYWORD)
+
+
+def _checked(func):
+    # func, checking each argument by its name's rule; rules are picked here
+    names = tuple(name for name, _ in _positional(func))
+    rules = tuple(item for item in _DOMAINS.items() if item[0] in names)
+
+    @wraps(func)
+    def checked(*args, **kwargs):
+        _check_domains(dict(zip(names, args), **kwargs), rules)
+        return func(*args, **kwargs)
+    return checked
 
 
 def _side_factor(a: float, side: str) -> float:
@@ -81,42 +110,43 @@ def _side_factor(a: float, side: str) -> float:
 # Hoeffding family
 
 
+@_checked
 def hoeffding_gap_tail(m: int, b: int, epsilon: float, t_mix: int) -> float:
     """Tail for the burn-in empirical mean: worst-start coupling + Hoeffding."""
-    _check_common(m=m, b=b, epsilon=epsilon, t_mix=t_mix)
     return (math.exp(-2.0 * (m - b) * epsilon ** 2 / (9.0 * t_mix))
             + 2.0 * math.exp(-b * LN2 / t_mix))
 
 
+@_checked
 def gap_event_shift(m: int, b: int) -> Fraction:
     """Exact threshold shift b/m attached to the full-mean shifted event."""
-    _check_common(m=m, b=b)
     return Fraction(int(b), int(m))
 
 
+@_checked
 def hoeffding_tail(m: int, epsilon: float, t_mix: int) -> float:
     """Burn-in-free deviation tail with the optimized b folded in."""
-    _check_common(m=m, epsilon=epsilon, t_mix=t_mix)
     prefactor = 2.0 * math.exp(LN2 / t_mix) + 1.0
     return prefactor * math.exp(
         -m * epsilon ** 2 * LN2 / (_HOEFFDING_SHAPE * t_mix))
 
 
+@_checked
 def selection_hoeffding_tail(n_candidates: int, m: int, epsilon: float,
                              t_mix: int) -> float:
     """Union bound over the candidate family."""
-    _check_common(n_candidates=n_candidates)
     return n_candidates * hoeffding_tail(m, epsilon, t_mix)
 
 
+@_checked
 def expectation_bound_hoeffding(n_candidates: int, m: int, t_mix: int) -> float:
     """Bound on E[max candidate deviation] from integrating the union tail."""
-    _check_common(m=m, t_mix=t_mix, n_candidates=n_candidates)
     log_term = math.log(
         math.e * n_candidates * (2.0 * math.exp(LN2 / t_mix) + 1.0))
     return math.sqrt(log_term * _HOEFFDING_SHAPE * t_mix / (LN2 * m))
 
 
+@_checked
 def oracle_gap_hoeffding(n_candidates: int, m: int, t_mix: int) -> float:
     """Bound on E[risk(selected) - risk(best candidate)]."""
     return 2.0 * expectation_bound_hoeffding(n_candidates, m, t_mix)
@@ -129,12 +159,9 @@ def oracle_gap_hoeffding(n_candidates: int, m: int, t_mix: int) -> float:
 def bernstein_tail_raw(m: int, epsilon: float, gamma_ps: float,
                        variance: float, centering_bound: float = 1.0) -> float:
     """Variance-adaptive tail for a sum of m stationary evaluations."""
-    _check_common(m=m, gamma_ps=gamma_ps)
-    _check(epsilon >= 0.0, f"epsilon must be >= 0, got {epsilon}")
-    _check(0.0 <= variance <= 0.25,
-           f"variance proxy must lie in [0, 0.25], got {variance}")
-    _check(0.0 < centering_bound <= 1.0,
-           f"centering bound must lie in (0, 1], got {centering_bound}")
+    _check_domains({**locals(), "epsilon": None})  # this epsilon may exceed 1
+    if not epsilon >= 0.0:
+        raise RangeError(f"epsilon must be >= 0, got {epsilon}")
     denom = (8.0 * (m + 1.0 / gamma_ps) * variance
              + 20.0 * m * epsilon * centering_bound)
     if denom < _DENOM_GUARD:
@@ -143,36 +170,31 @@ def bernstein_tail_raw(m: int, epsilon: float, gamma_ps: float,
     return math.exp(-m ** 2 * epsilon ** 2 * gamma_ps / denom)
 
 
+@_checked
 def bernstein_deviation_radius(m: int, delta: float, gamma_ps: float,
                                variance: float,
                                centering_bound: float = 1.0) -> float:
     """Radius r with P(|sum deviation| > r) <= delta, inverted from the tail."""
-    _check_common(m=m, gamma_ps=gamma_ps)
-    _check(0.0 < delta < 1.0, f"delta must lie in (0, 1), got {delta}")
-    _check(0.0 <= variance <= 0.25,
-           f"variance proxy must lie in [0, 0.25], got {variance}")
-    _check(0.0 < centering_bound <= 1.0,
-           f"centering bound must lie in (0, 1], got {centering_bound}")
     log_term = math.log(1.0 / delta)
     return (math.sqrt(8.0 * (gamma_ps + 1.0) / gamma_ps ** 2
                       * m * variance * log_term)
             + 20.0 / gamma_ps * centering_bound * log_term)
 
 
+@_checked
 def bernstein_gap_tail(m: int, b: int, epsilon: float, a: float,
                        gamma_ps: float, t_mix: int, side: str) -> float:
     """Localized (multiplicatively scaled) tail with explicit burn-in."""
-    _check_common(m=m, b=b, epsilon=epsilon, t_mix=t_mix, gamma_ps=gamma_ps, a=a)
     factor = _side_factor(a, side)
     shape = 8.0 * (1.0 + 1.0 / gamma_ps) + 20.0
     return (math.exp(-(m - b) * gamma_ps * a * factor * epsilon / shape)
             + 2.0 * math.exp(-b * LN2 / t_mix))
 
 
+@_checked
 def bernstein_tail(m: int, epsilon: float, a: float, gamma_ps: float,
                    t_mix: int, side: str) -> float:
     """Localized tail with the burn-in optimized away."""
-    _check_common(m=m, epsilon=epsilon, t_mix=t_mix, gamma_ps=gamma_ps, a=a)
     factor = _side_factor(a, side)
     shape = 8.0 * (1.0 + 1.0 / gamma_ps) + 20.0
     prefactor = 1.0 + 2.0 * math.exp(LN2 / t_mix)
@@ -180,12 +202,11 @@ def bernstein_tail(m: int, epsilon: float, a: float, gamma_ps: float,
         -a * factor * m * epsilon / (4.0 * t_mix * shape))
 
 
+@_checked
 def expectation_bound_bernstein(n_candidates: int, m: int, a: float,
                                 t_mix: int, gamma_ps: float,
                                 side: str) -> float:
     """Bound on the expected scaled deviation of the selected candidate."""
-    _check_common(m=m, t_mix=t_mix, gamma_ps=gamma_ps, a=a,
-                  n_candidates=n_candidates)
     factor = _side_factor(a, side)
     shape = 8.0 * (1.0 + 1.0 / gamma_ps) + 20.0
     log_term = math.log(
@@ -194,23 +215,22 @@ def expectation_bound_bernstein(n_candidates: int, m: int, a: float,
 
 
 def _bernstein_log_coefficient(n_candidates, m, a, t_mix, gamma_ps):
-    over = expectation_bound_bernstein(n_candidates, m, a, t_mix, gamma_ps,
-                                       "over")
-    under = expectation_bound_bernstein(n_candidates, m, a, t_mix, gamma_ps,
-                                        "under")
-    return over + under
+    return sum(expectation_bound_bernstein(n_candidates, m, a, t_mix,
+                                           gamma_ps, side)
+               for side in ("over", "under"))
 
 
+@_checked
 def oracle_gap_bernstein(n_candidates: int, m: int, a: float, t_mix: int,
                          gamma_ps: float, risk_best: float) -> float:
     """Bound on E[risk(selected)] - risk(best): variance terms plus a
     multiplicative (2a/(1-a^2)) * risk(best) localization cost."""
-    _check(risk_best >= 0.0, f"risk must be >= 0, got {risk_best}")
     variance_terms = _bernstein_log_coefficient(n_candidates, m, a, t_mix,
                                                 gamma_ps)
     return variance_terms + 2.0 * a / (1.0 - a * a) * risk_best
 
 
+@_checked
 def oracle_excess_bernstein(n_candidates: int, m: int, a: float, t_mix: int,
                             gamma_ps: float, risk_best: float,
                             risk_bayes: float) -> float:
@@ -220,9 +240,8 @@ def oracle_excess_bernstein(n_candidates: int, m: int, a: float, t_mix: int,
     (2a/(1-a^2)) * risk_bayes term that does not vanish with the excess.
     Reports built on it carry ``not_strictly_oracle=True``.
     """
-    _check(risk_bayes >= 0.0, f"risk must be >= 0, got {risk_bayes}")
-    _check(risk_best >= risk_bayes - 1e-12,
-           "best candidate risk cannot beat the Bayes risk")
+    if not risk_best >= risk_bayes - 1e-12:
+        raise RangeError("best candidate risk cannot beat the Bayes risk")
     loc = 2.0 * a / (1.0 - a * a)
     variance_terms = _bernstein_log_coefficient(n_candidates, m, a, t_mix,
                                                 gamma_ps)
@@ -234,29 +253,27 @@ def oracle_excess_bernstein(n_candidates: int, m: int, a: float, t_mix: int,
 # Noise-condition family
 
 
+@_checked
 def nc_gap_tail(n_candidates: int, m: int, b: int, epsilon: float,
                 theta: float, gamma_ps: float, t_mix: int,
                 tau_star: float) -> float:
     """Excess-risk tail under the variance-modulus noise condition, with burn-in."""
-    _check_common(m=m, b=b, epsilon=epsilon, t_mix=t_mix, gamma_ps=gamma_ps,
-                  theta=theta, n_candidates=n_candidates, tau_star=tau_star)
     shape = 16.0 * (1.0 + 1.0 / gamma_ps) * m * tau_star + 80.0 * theta
     exponent = (theta * gamma_ps * (m - b) * epsilon) / ((1.0 + theta) * shape)
     return (n_candidates * math.exp(-exponent)
             + 2.0 * math.exp(-b * LN2 / t_mix))
 
 
+@_checked
 def nc_event_shift(m: int, b: int, theta: float) -> float:
     """Threshold shift (1+theta) * 2b/m attached to the full-mean event."""
-    _check_common(m=m, b=b, theta=theta)
     return (1.0 + theta) * 2.0 * b / m
 
 
+@_checked
 def nc_tail(n_candidates: int, m: int, epsilon: float, theta: float,
             gamma_ps: float, t_mix: int, tau_star: float) -> float:
     """Excess-risk tail with the burn-in optimized away."""
-    _check_common(m=m, epsilon=epsilon, t_mix=t_mix, gamma_ps=gamma_ps,
-                  theta=theta, n_candidates=n_candidates, tau_star=tau_star)
     shape = 16.0 * (1.0 + 1.0 / gamma_ps) * m * tau_star + 80.0 * theta
     exponent = (theta * gamma_ps * m * epsilon) / (4.0 * t_mix
                                                    * (1.0 + theta) * shape)
@@ -264,12 +281,10 @@ def nc_tail(n_candidates: int, m: int, epsilon: float, theta: float,
     return prefactor * math.exp(-exponent)
 
 
+@_checked
 def nc_oracle_rhs(n_candidates: int, m: int, theta: float, gamma_ps: float,
                   t_mix: int, tau_star: float, excess_best: float) -> float:
     """Bound on E[risk(selected) - risk_bayes] given the best candidate excess."""
-    _check_common(m=m, t_mix=t_mix, gamma_ps=gamma_ps, theta=theta,
-                  n_candidates=n_candidates, tau_star=tau_star)
-    _check(excess_best >= 0.0, f"excess must be >= 0, got {excess_best}")
     shape = 16.0 * (1.0 + 1.0 / gamma_ps) * m * tau_star + 80.0 * theta
     log_term = math.log(
         math.e * (2.0 * math.exp(LN2 / t_mix) + n_candidates))
@@ -278,17 +293,13 @@ def nc_oracle_rhs(n_candidates: int, m: int, theta: float, gamma_ps: float,
                             / (theta * gamma_ps * m))
 
 
+@_checked
 def mt_oracle_rhs(n_candidates: int, m: int, theta: float, gamma_ps: float,
                   t_mix: int, alpha: float, h: float,
                   excess_best: float) -> float:
     """:func:`nc_oracle_rhs` specialized to the polynomial modulus, with the
     fixed point solved in closed form; algebraically identical to plugging
     tau_star(m) of the polynomial model into nc_oracle_rhs."""
-    _check_common(m=m, t_mix=t_mix, gamma_ps=gamma_ps, theta=theta,
-                  n_candidates=n_candidates)
-    _check(0.0 < alpha <= 1.0, f"alpha must lie in (0, 1], got {alpha}")
-    _check(h > 0.0, f"h must be positive, got {h}")
-    _check(excess_best >= 0.0, f"excess must be >= 0, got {excess_best}")
     log_term = math.log(
         math.e * (2.0 * math.exp(LN2 / t_mix) + n_candidates))
     slow = 320.0 * t_mix / (gamma_ps * m)
@@ -330,17 +341,15 @@ class MammenTsybakovNoise:
     h: float
 
     def __post_init__(self):
-        _check(0.0 < self.alpha <= 1.0,
-               f"alpha must lie in (0, 1], got {self.alpha}")
-        _check(self.h > 0.0, f"h must be positive, got {self.h}")
+        _check_domains(vars(self))
 
+    @_checked
     def omega(self, r: float) -> float:
-        _check(r >= 0.0, f"modulus argument must be >= 0, got {r}")
         return (r / self.h) ** (self.alpha / 2.0)
 
+    @_checked
     def tau_star(self, m: int) -> float:
         """Fixed point of omega(eps) = sqrt(m)*eps: (m h^alpha)^(-1/(2-alpha))."""
-        _check_common(m=m)
         return (m * self.h ** self.alpha) ** (-1.0 / (2.0 - self.alpha))
 
 
@@ -376,12 +385,12 @@ class TabulatedNoise:
         object.__setattr__(self, "radii", r)
         object.__setattr__(self, "values", v)
 
+    @_checked
     def omega(self, r: float) -> float:
-        _check(r >= 0.0, f"modulus argument must be >= 0, got {r}")
         return float(np.interp(r, self.radii, self.values))
 
+    @_checked
     def tau_star(self, m: int) -> float:
-        _check_common(m=m)
         return _bisect_fixed_point(self.omega, m)
 
 
@@ -446,15 +455,6 @@ BOUND_FORMS = {
     "noise_gap": (nc_gap_tail, nc_event_shift),
     "noise": (nc_tail, None),
 }
-
-
-@cache
-def _positional(func) -> tuple[tuple[str, object], ...]:
-    # (name, default or None) of each positional parameter, read once per
-    # function: inspect.signature costs more than evaluating a bound
-    return tuple((name, None if p.default is p.empty else p.default)
-                 for name, p in inspect.signature(func).parameters.items()
-                 if p.kind is p.POSITIONAL_OR_KEYWORD)
 
 
 def form_parameters(bound_id: str) -> tuple[str, ...]:
