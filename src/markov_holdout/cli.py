@@ -186,7 +186,8 @@ def cmd_bounds(cfg: dict, say) -> tuple[int, dict, dict]:
             name = next((k for k in grids if k in names), None)
             for value in grids.get(name, (None,)):
                 if name is not None and value is None:
-                    raise ConfigError(f"bound {bound_id!r} needs a {name} grid")
+                    raise ConfigError(f"bound {bound_id!r} needs "
+                                      f"params.{name} or {name}_grid")
                 p = params if name is None else {**params, name: value}
                 rep = bnd.evaluate_bound(bound_id, p)
                 # m, b, t_mix and gamma_ps are echoed even for forms that
@@ -412,8 +413,9 @@ def main(argv=None) -> int:
             "created_utc": datetime.datetime.now(
                 datetime.timezone.utc).isoformat(),
         })
-    except (HoldoutError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (HoldoutError, OSError, MemoryError) as exc:
+        # a bare MemoryError has no message of its own
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
     return code
 

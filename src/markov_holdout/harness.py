@@ -50,6 +50,7 @@ from .predictors import (
     state_losses,
 )
 from .sampling import (
+    _MAX_STATES,
     SeedSpec,
     rows_per_block,
     sample_conditional_continuation,
@@ -124,6 +125,9 @@ class ExperimentConfig:
             raise RangeError("learning length n must be >= 1")
         if self.m < 1:
             raise RangeError("validation length m must be >= 1")
+        if self.n + self.m > _MAX_STATES:
+            raise RangeError(f"n + m = {self.n + self.m} states do not fit "
+                             "in one int64 array")
         if self.replications < 100:
             raise RangeError("need at least 100 replications")
         if self.mode not in ("conditional", "marginal"):

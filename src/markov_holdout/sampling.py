@@ -63,6 +63,9 @@ _MAX_CONTEXTS = 16
 _GRAM_CELLS = 2 ** 14
 # cells of [0, 1) in the chunked walk's guide table, a power of two
 _GUIDE = 4096
+# most states one int64 array holds: numpy indexes at most intp-max bytes,
+# so a longer length is rejected rather than failing to allocate
+_MAX_STATES = np.iinfo(np.intp).max // np.dtype(np.int64).itemsize
 # each chain's walk, built at its first draw and dropped with the chain
 _WALKS = weakref.WeakKeyDictionary()
 # each thread's kept generator and its fresh state, built at its first draw
@@ -359,6 +362,9 @@ def sample_stationary_trajectory(chain: MarkovizedChain, n: int, m: int,
     if m < 0:
         raise RangeError("validation length must be >= 0")
     seeds = _seed_list(seed)
+    if len(seeds) * (n + m) > _MAX_STATES:
+        raise RangeError(f"{len(seeds)} rows of n + m = {n + m} states do "
+                         "not fit in one int64 array")
     states = np.empty(len(seeds) * (n + m), dtype=np.int64)
     _walk(chain, seeds, None, states.reshape(len(seeds), n + m))
     return states
@@ -380,6 +386,9 @@ def sample_conditional_continuation(chain: MarkovizedChain, x_last: int,
     if m < 1:
         raise EmptySegmentError("continuation needs m >= 1 states")
     seeds = _seed_list(seed)
+    if len(seeds) * m > _MAX_STATES:
+        raise RangeError(f"{len(seeds)} rows of m = {m} states do not fit "
+                         "in one int64 array")
     states = np.empty(len(seeds) * m, dtype=np.int64)
     _walk(chain, seeds, x_last, states.reshape(len(seeds), m))
     return states

@@ -6,6 +6,7 @@ implementation, and is asserted to 1e-9 relative.  Wider randomized grids
 against live mpmath re-evaluation run in the acceptance suite.
 """
 
+import inspect
 from fractions import Fraction
 
 import numpy as np
@@ -42,7 +43,12 @@ from markov_holdout import (
     oracle_gap_hoeffding,
     selection_hoeffding_tail,
 )
-from markov_holdout.bounds import _bisect_fixed_point
+from markov_holdout.bounds import (
+    BOUND_FORMS,
+    _DOMAINS,
+    _bisect_fixed_point,
+    form_parameters,
+)
 
 REL = 1e-9
 
@@ -384,3 +390,133 @@ def test_evaluate_bound_unknown_id():
 def test_evaluate_bound_missing_parameter():
     with pytest.raises(KeyMismatchError):
         evaluate_bound("hoeffding", {"m": 100})
+
+
+# ---------------------------------------------------------------------------
+# domain rules, one per parameter name
+
+# one value outside each name's domain and the exact rejection it gives
+OUTSIDE = {
+    "m": (0, "m must be a positive integer, got 0"),
+    "b": (-1, "b must be a non-negative integer, got -1"),
+    "epsilon": (1.5, "epsilon must lie in [0, 1], got 1.5"),
+    "t_mix": (2.5, "t_mix must be a positive integer, got 2.5"),
+    "gamma_ps": (1.5, "gamma_ps must lie in (0, 1], got 1.5"),
+    "a": (1.0, "a must lie in (0, 1), got 1.0"),
+    "theta": (0.0, "theta must lie in (0, 1), got 0.0"),
+    "n_candidates": (0, "n_candidates must be a positive integer, got 0"),
+    "tau_star": (0.0, "tau_star must be positive, got 0.0"),
+    "delta": (1.0, "delta must lie in (0, 1), got 1.0"),
+    "variance": (0.3, "variance must lie in [0, 0.25], got 0.3"),
+    "centering_bound": (2.0, "centering_bound must lie in (0, 1], got 2.0"),
+    "risk_best": (-0.1, "risk_best must be >= 0, got -0.1"),
+    "risk_bayes": (-0.1, "risk_bayes must be >= 0, got -0.1"),
+    "excess_best": (-0.1, "excess_best must be >= 0, got -0.1"),
+    "alpha": (1.5, "alpha must lie in (0, 1], got 1.5"),
+    "h": (0.0, "h must be positive, got 0.0"),
+    "r": (-0.1, "r must be >= 0, got -0.1"),
+}
+
+# a point inside every domain, at which each checked function evaluates
+INSIDE = {"m": 100, "b": 10, "epsilon": 0.3, "t_mix": 2, "gamma_ps": 0.5,
+          "a": 0.5, "theta": 0.5, "n_candidates": 2, "tau_star": 1e-3,
+          "delta": 0.1, "variance": 0.25, "centering_bound": 1.0,
+          "risk_best": 0.2, "risk_bayes": 0.1, "excess_best": 0.1,
+          "alpha": 1.0, "h": 0.5, "r": 0.3, "side": "over"}
+
+FLAT = TabulatedNoise(np.array([0.0, 1.0]), np.array([0.5, 0.5]))
+CHECKED = {
+    "hoeffding_gap_tail": hoeffding_gap_tail,
+    "gap_event_shift": gap_event_shift,
+    "hoeffding_tail": hoeffding_tail,
+    "selection_hoeffding_tail": selection_hoeffding_tail,
+    "expectation_bound_hoeffding": expectation_bound_hoeffding,
+    "oracle_gap_hoeffding": oracle_gap_hoeffding,
+    "bernstein_deviation_radius": bernstein_deviation_radius,
+    "bernstein_gap_tail": bernstein_gap_tail,
+    "bernstein_tail": bernstein_tail,
+    "expectation_bound_bernstein": expectation_bound_bernstein,
+    "oracle_gap_bernstein": oracle_gap_bernstein,
+    "oracle_excess_bernstein": oracle_excess_bernstein,
+    "nc_gap_tail": nc_gap_tail,
+    "nc_event_shift": nc_event_shift,
+    "nc_tail": nc_tail,
+    "nc_oracle_rhs": nc_oracle_rhs,
+    "mt_oracle_rhs": mt_oracle_rhs,
+    "MammenTsybakovNoise": MammenTsybakovNoise,
+    "MammenTsybakovNoise.omega": MammenTsybakovNoise(1.0, 0.5).omega,
+    "MammenTsybakovNoise.tau_star": MammenTsybakovNoise(1.0, 0.5).tau_star,
+    "TabulatedNoise.omega": FLAT.omega,
+    "TabulatedNoise.tau_star": FLAT.tau_star,
+}
+
+
+def _parameters(func):
+    return list(inspect.signature(func).parameters)
+
+
+@pytest.mark.parametrize("label, name", [
+    (label, name) for label, func in CHECKED.items()
+    for name in _parameters(func) if name != "side"])
+def test_each_parameter_is_rejected_by_name(label, name):
+    func = CHECKED[label]
+    args = {k: INSIDE[k] for k in _parameters(func)}
+    func(**args)   # the point itself is accepted
+    value, message = OUTSIDE[name]
+    with pytest.raises(RangeError) as info:
+        func(**{**args, name: value})
+    assert str(info.value) == message
+    # positionally too: the rule follows the name, not the keyword
+    with pytest.raises(RangeError) as info:
+        func(*{**args, name: value}.values())
+    assert str(info.value) == message
+
+
+def test_bernstein_raw_takes_an_epsilon_above_one():
+    with pytest.raises(RangeError) as info:
+        bernstein_tail_raw(100, -0.1, 0.5, 0.25)
+    assert str(info.value) == "epsilon must be >= 0, got -0.1"
+    assert 0.0 < bernstein_tail_raw(100, 2.0, 0.5, 0.25) < 1.0
+    for name in ("m", "gamma_ps", "variance", "centering_bound"):
+        value, message = OUTSIDE[name]
+        args = {"m": 100, "epsilon": 2.0, "gamma_ps": 0.5, "variance": 0.25,
+                "centering_bound": 1.0, name: value}
+        with pytest.raises(RangeError) as info:
+            bernstein_tail_raw(**args)
+        assert str(info.value) == message
+
+
+@pytest.mark.parametrize("label", [
+    label for label, func in CHECKED.items() if "b" in _parameters(func)])
+def test_burn_in_must_stay_below_m(label):
+    func = CHECKED[label]
+    args = {k: INSIDE[k] for k in _parameters(func)}
+    with pytest.raises(RangeError) as info:
+        func(**{**args, "b": 100})
+    assert str(info.value) == "need b < m, got b=100, m=100"
+
+
+def test_side_label_keeps_its_message():
+    with pytest.raises(RangeError) as info:
+        bernstein_tail(100, 0.5, 0.5, 0.5, 1, "above")
+    assert str(info.value) == "side must be 'over' or 'under', got 'above'"
+
+
+def test_oracle_excess_rejects_a_negative_best_risk():
+    # a best risk a hair below zero passed the old cross-check against a
+    # Bayes risk of 0; it is now rejected by its own rule, as in the gap form
+    with pytest.raises(RangeError) as info:
+        oracle_excess_bernstein(2, 2000, 0.5, 3, 0.51, -1e-13, 0.0)
+    assert str(info.value) == "risk_best must be >= 0, got -1e-13"
+    with pytest.raises(RangeError) as info:
+        oracle_excess_bernstein(2, 2000, 0.5, 3, 0.51, 0.1, 0.2)
+    assert str(info.value) == "best candidate risk cannot beat the Bayes risk"
+
+
+def test_every_form_parameter_has_a_domain_rule():
+    names = {name for bound_id in BOUND_FORMS
+             for name in form_parameters(bound_id)}
+    names |= {name for _, shift in BOUND_FORMS.values() if shift is not None
+              for name in _parameters(shift)}
+    assert names - {"side"} <= set(_DOMAINS)
+    assert set(OUTSIDE) == set(_DOMAINS)

@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 import markov_holdout
+import markov_holdout.cli as cli
 from markov_holdout import (
     MammenTsybakovNoise,
     event_table,
@@ -331,6 +332,10 @@ def test_undecodable_config_exits_two(tmp_path, capsys, content):
                 "epsilon_grid": [0.1],
                 "noise": {"kind": "mammen-tsybakov", "h": None}}),
     ("bounds", {"bounds": ["hoeffding"], "params": {"m": 100, "t_mix": 1}}),
+    # a context of one symbol on an order-2 chain
+    ("diagnose", {"chain": {"symbols": 2, "order": 2, "conditional": {
+        "0": [0.9, 0.1], "0,1": [0.7, 0.3], "1,0": [0.4, 0.6],
+        "1,1": [0.2, 0.8]}}}),
 ])
 def test_malformed_config_values_exit_two(tmp_path, capsys, command, payload):
     cfg = write_config(tmp_path, payload)
@@ -553,6 +558,28 @@ def test_bounds_epsilon_out_of_range_keeps_range_message(tmp_path, capsys):
         "error: epsilon must lie in [0, 1], got 1.5\n")
 
 
+def test_bounds_rejection_names_the_params_key(tmp_path, capsys):
+    cfg = write_config(tmp_path, {"bounds": ["bernstein_radius"],
+                                  "params": {"m": 100, "gamma_ps": 0.5,
+                                             "variance": 0.25,
+                                             "centering_bound": 2}})
+    code = main(["bounds", "--config", cfg, "--out", str(tmp_path / "out"),
+                 "--quiet"])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: centering_bound must lie in (0, 1], got 2.0\n")
+
+
+def test_bounds_without_an_epsilon_names_the_keys_to_set(tmp_path, capsys):
+    cfg = write_config(tmp_path, {"bounds": ["hoeffding"],
+                                  "params": {"m": 100, "t_mix": 1}})
+    code = main(["bounds", "--config", cfg, "--out", str(tmp_path / "out"),
+                 "--quiet"])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: bound 'hoeffding' needs params.epsilon or epsilon_grid\n")
+
+
 # ---------------------------------------------------------------------------
 # simulate
 
@@ -663,6 +690,18 @@ def test_verify_echo_of_every_optional_key_parses_back():
     assert {k: echo[k] for k in VERIFY_OTHERS} == VERIFY_OTHERS
     reread = json.loads(json.dumps(echo))
     assert experiment_to_dict(experiment_from_dict(reread)) == echo
+
+
+def test_verify_echoes_its_train_loss(tmp_path):
+    train_loss = {"name": "asymmetric", "table": [[0.0, 1.0], [0.5, 0.0]]}
+    cfg = write_config(tmp_path, {**VERIFY_BASE, "train_loss": train_loss})
+    out = tmp_path / "out"
+    assert main(["verify", "--config", cfg, "--out", str(out),
+                 "--quiet"]) == 0
+    echo = read_json(out, "report.json")["config"]
+    assert echo["train_loss"] == train_loss
+    assert read_json(out, "manifest.json")["config"] == echo
+    assert experiment_to_dict(experiment_from_dict(echo)) == echo
 
 
 def test_verify_manifest_echoes_the_flags_it_ran_with(tmp_path):
@@ -1102,6 +1141,44 @@ def test_unwritable_output_exits_two(tmp_path, capsys, out, block):
     assert err.startswith("error:") and len(err.splitlines()) == 1
     assert str(out) in err
     assert not (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("command, payload", [
+    ("simulate", {**TWO_STATE, "n": 2 ** 62}),
+    ("verify", {**VERIFY_BASE, "n": 2 ** 62, "mode": "conditional"}),
+    ("verify", {**VERIFY_BASE, "n": 2 ** 62, "mode": "marginal"}),
+], ids=["simulate", "verify-conditional", "verify-marginal"])
+def test_a_length_no_array_can_hold_exits_two(tmp_path, capsys, command,
+                                              payload):
+    # (n + m) * 8 bytes pass the largest size numpy can index, so the run
+    # is rejected before anything is drawn or allocated
+    cfg = write_config(tmp_path, payload)
+    code = main([command, "--config", cfg, "--out", str(tmp_path / "out"),
+                 "--quiet"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert "do not fit in one int64 array" in err
+    assert not (tmp_path / "out" / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("exc, line", [
+    (MemoryError(), "error: MemoryError\n"),
+    (MemoryError("Unable to allocate 7.28 TiB"),
+     "error: Unable to allocate 7.28 TiB\n"),
+], ids=["bare", "with-message"])
+def test_out_of_memory_exits_two(tmp_path, capsys, monkeypatch, exc, line):
+    # a length numpy can index may still not be granted; the allocation is
+    # stood in for here, since a real one may be granted lazily and filled
+    def run_replications(config):
+        raise exc
+    monkeypatch.setattr(cli, "run_replications", run_replications)
+    cfg = write_config(tmp_path, VERIFY_BASE)
+    code = main(["verify", "--config", cfg, "--out", str(tmp_path / "out"),
+                 "--quiet"])
+    assert code == 2
+    assert capsys.readouterr().err == line
+    assert not (tmp_path / "out" / "manifest.json").exists()
 
 
 @pytest.mark.parametrize("name, make", [

@@ -48,8 +48,11 @@ from markov_holdout import (
     verify_bounds,
     wilson_upper,
 )
+from markov_holdout.bounds import margin
+from markov_holdout.chains import TransitionKernel, pseudo_spectral_gap
 from markov_holdout.config import experiment_from_dict
-from markov_holdout.errors import UnknownEventError
+from markov_holdout.errors import ConfigError, UnknownEventError
+from markov_holdout.predictors import conditional_risk
 from markov_holdout import harness
 from markov_holdout.harness import WILSON_Z_99, _replication_rows
 
@@ -798,3 +801,79 @@ def test_noise_condition_check_rejects_zero_margin(iid_chain):
 def test_noise_condition_check_order_limit(order2_chain):
     with pytest.raises(RangeError):
         noise_condition_check(order2_chain, 3)
+
+
+# ---------------------------------------------------------------------------
+# guards across the library: each rejects its input with its own message
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda chain: margin(3), RangeError,
+     "cannot take the margin of <class 'int'>"),
+    (lambda chain: MixingProfile(np.array([0.5, 0.1]), 0), RangeError,
+     "mixing time must be >= 1"),
+    (lambda chain: pseudo_spectral_gap(TransitionKernel([[1.0]])),
+     DimensionMismatchError, "need at least 2 states for a spectral gap"),
+    (lambda chain: wilson_upper(0, 0), RangeError,
+     "need at least one trial"),
+    (lambda chain: coupling_check(chain, bayes_predictor(
+        chain, LossSpec.misclassification(2)),
+        LossSpec.misclassification(2), -1), RangeError,
+     "b_max must be >= 0"),
+    (lambda chain: PredictorTable(order=-1, symbols=2, table=[0]),
+     RangeError, "memory order must be >= 0"),
+    (lambda chain: PredictorTable(order=0, symbols=1, table=[0]),
+     RangeError, "need at least 2 symbols"),
+    (lambda chain: PredictorTable(order=0, symbols=3, table=[0]).predictions(
+        chain), DimensionMismatchError, "symbol count mismatch"),
+    (lambda chain: state_losses(PredictorTable(order=0, symbols=2, table=[0]),
+                                chain, LossSpec.misclassification(3)),
+     DimensionMismatchError, "loss table symbol count mismatch"),
+    (lambda chain: conditional_risk(
+        PredictorTable(order=0, symbols=2, table=[0]), chain, 4, 0,
+        LossSpec.misclassification(2)), RangeError, "state 4 outside [0, 4)"),
+    (lambda chain: conditional_risk(
+        PredictorTable(order=0, symbols=2, table=[0]), chain, 0, -1,
+        LossSpec.misclassification(2)), RangeError, "horizon must be >= 0"),
+    (lambda chain: sample_stationary_trajectory(chain, 5, -1, SeedSpec(0, 0)),
+     RangeError, "validation length must be >= 0"),
+    # lengths past what numpy can index, rejected before any allocation
+    (lambda chain: sample_stationary_trajectory(chain, 2 ** 62, 0,
+                                                SeedSpec(0, 0)),
+     RangeError,
+     "1 rows of n + m = 4611686018427387904 states do not fit in one int64 "
+     "array"),
+    (lambda chain: sample_stationary_trajectory(
+        chain, 2 ** 59, 2 ** 59, [SeedSpec(0, 0), SeedSpec(0, 1)]),
+     RangeError,
+     "2 rows of n + m = 1152921504606846976 states do not fit in one int64 "
+     "array"),
+    (lambda chain: sample_conditional_continuation(chain, 0, 2 ** 62,
+                                                   SeedSpec(0, 0)),
+     RangeError,
+     "1 rows of m = 4611686018427387904 states do not fit in one int64 "
+     "array"),
+    (lambda chain: experiment_from_dict([]), ConfigError,
+     "config must be a JSON object"),
+], ids=["margin-of-an-int", "mixing-profile-t_mix-0", "gap-of-one-state",
+        "wilson-no-trials", "coupling-negative-b_max",
+        "predictor-negative-order", "predictor-one-symbol",
+        "predictions-symbol-mismatch", "state-losses-symbol-mismatch",
+        "conditional-risk-state", "conditional-risk-horizon",
+        "trajectory-negative-m", "trajectory-too-long",
+        "trajectory-rows-too-long", "continuation-too-long",
+        "experiment-from-a-list"])
+def test_guard_rejects_with_its_message(two_state_chain, call, error,
+                                        message):
+    with pytest.raises(error) as info:
+        call(two_state_chain)
+    assert str(info.value) == message
+
+
+def test_experiment_rejects_a_length_no_array_can_hold(two_state_chain):
+    with pytest.raises(RangeError) as info:
+        ExperimentConfig(chain=two_state_chain, orders=(0, 1),
+                         loss=LossSpec.misclassification(2), n=2 ** 62, m=8,
+                         replications=100, epsilon_grid=(0.1,))
+    assert str(info.value) == ("n + m = 4611686018427387912 states do not "
+                               "fit in one int64 array")
