@@ -17,8 +17,8 @@ Every config field is read by :func:`read` as one JSON kind, without
 coercion: an integer is a JSON integer (not true/false, not 2.0); a number
 is a finite JSON integer or float (not true/false, NaN or Infinity) and
 reads as a float; a bool, string or object is exactly that; a list of
-integers or of numbers holds only such items; an array is a list of
-numbers or of equal-length such lists.  JSON null is accepted only where
+integers or of numbers is non-empty and holds only such items; an array is
+a list of numbers or of equal-length such lists.  JSON null is accepted only where
 a field documents it.  Anything else is a one-line ConfigError naming the
 key.
 
@@ -61,10 +61,12 @@ _KINDS = {
     "bool": (lambda v: type(v) is bool, None, "true or false"),
     "str": (lambda v: type(v) is str, None, "a string"),
     "object": (lambda v: isinstance(v, dict), None, "an object"),
-    "ints": (lambda v: isinstance(v, list)
-             and all(type(q) is int for q in v), tuple, "a list of integers"),
-    "numbers": (lambda v: isinstance(v, list) and all(map(_finite, v)),
-                lambda v: tuple(map(float, v)), "a list of numbers"),
+    "ints": (lambda v: isinstance(v, list) and len(v) > 0
+             and all(type(q) is int for q in v), tuple,
+             "a non-empty list of integers"),
+    "numbers": (lambda v: isinstance(v, list) and len(v) > 0
+                and all(map(_finite, v)),
+                lambda v: tuple(map(float, v)), "a non-empty list of numbers"),
     # np.array rejects ragged lists with a ValueError
     "array": (_nested, lambda v: np.array(v, dtype=float),
               "an array of numbers"),

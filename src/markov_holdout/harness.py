@@ -61,6 +61,9 @@ from .sampling import (
 WILSON_Z_99 = 2.5758293035489004
 # fewest replications at which an oracle-gap check's mean is read as stable
 ORACLE_MIN_REPLICATIONS = 1000
+# the bound parameters a config sets, checked by their rules in bounds
+_BOUND_RULES = tuple((name, rule) for name, rule in bnd._DOMAINS.items()
+                     if name in ("m", "epsilon", "a", "theta"))
 
 
 def wilson_upper(count: int, trials: int) -> float:
@@ -123,8 +126,11 @@ class ExperimentConfig:
             raise RangeError("candidate orders must be distinct")
         if self.n < 1:
             raise RangeError("learning length n must be >= 1")
-        if self.m < 1:
-            raise RangeError("validation length m must be >= 1")
+        if len(self.epsilon_grid) < 1:
+            raise RangeError("epsilon grid must be non-empty")
+        for epsilon in self.epsilon_grid:
+            bnd._check_domains({"m": self.m, "epsilon": epsilon, "a": self.a,
+                                "theta": self.theta}, _BOUND_RULES)
         if self.n + self.m > _MAX_STATES:
             raise RangeError(f"n + m = {self.n + self.m} states do not fit "
                              "in one int64 array")
@@ -134,14 +140,6 @@ class ExperimentConfig:
             raise RangeError(f"unknown mode {self.mode!r}")
         if not 0 <= self.gap_b < self.m:
             raise RangeError("need 0 <= gap_b < m")
-        if len(self.epsilon_grid) < 1:
-            raise RangeError("epsilon grid must be non-empty")
-        if any(not 0.0 <= e <= 1.0 for e in self.epsilon_grid):
-            raise RangeError("epsilon grid values must lie in [0, 1]")
-        if not 0.0 < self.a < 1.0:
-            raise RangeError("a must lie in (0, 1)")
-        if not 0.0 < self.theta < 1.0:
-            raise RangeError("theta must lie in (0, 1)")
         if self.bound_scale <= 0.0:
             raise RangeError("bound_scale must be positive")
         if self.threads < 1:

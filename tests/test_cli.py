@@ -336,6 +336,11 @@ def test_undecodable_config_exits_two(tmp_path, capsys, content):
     ("diagnose", {"chain": {"symbols": 2, "order": 2, "conditional": {
         "0": [0.9, 0.1], "0,1": [0.7, 0.3], "1,0": [0.4, 0.6],
         "1,1": [0.2, 0.8]}}}),
+    # no candidate orders, and a {start, stop, step} grid that expands to
+    # nothing
+    ("verify", {**VERIFY_BASE, "orders": []}),
+    ("verify", {**VERIFY_BASE, "epsilon_grid": {
+        "start": 0.5, "stop": 0.1, "step": 0.1}}),
 ])
 def test_malformed_config_values_exit_two(tmp_path, capsys, command, payload):
     cfg = write_config(tmp_path, payload)
@@ -345,6 +350,57 @@ def test_malformed_config_values_exit_two(tmp_path, capsys, command, payload):
     err = capsys.readouterr().err
     assert err.startswith("error:") and len(err.splitlines()) == 1
     assert not (tmp_path / "out" / "manifest.json").exists()
+
+
+RADIUS = {"bounds": ["bernstein_radius"],
+          "params": {"m": 1000, "t_mix": 3, "gamma_ps": 0.51,
+                     "variance": 0.25, "n_candidates": 2}}
+
+
+@pytest.mark.parametrize("command, payload, line", [
+    ("verify", {**VERIFY_BASE, "orders": []},
+     "'orders' must be a non-empty list of integers"),
+    ("verify", {**VERIFY_BASE, "epsilon_grid": []},
+     "'epsilon_grid' must be a non-empty list of numbers"),
+    ("bounds", {**RADIUS, "epsilon_grid": []},
+     "'epsilon_grid' must be a non-empty list of numbers"),
+    ("bounds", {**RADIUS, "delta_grid": []},
+     "'delta_grid' must be a non-empty list of numbers"),
+    ("noise", {**TWO_STATE, "m_grid": []},
+     "'m_grid' must be a non-empty list of integers"),
+    # the grid that expands to nothing keeps its own text
+    ("verify", {**VERIFY_BASE, "epsilon_grid": {
+        "start": 0.5, "stop": 0.1, "step": 0.1}}, "epsilon grid is empty"),
+])
+def test_empty_lists_are_rejected_by_their_kind(tmp_path, capsys, command,
+                                                payload, line):
+    cfg = write_config(tmp_path, payload)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "out"),
+                 "--quiet"]) == 2
+    assert capsys.readouterr().err == f"error: {line}\n"
+
+
+OVER = {"bounds": ["bernstein_over"], "epsilon_grid": [0.5],
+        "params": {"m": 100, "a": 0.5, "gamma_ps": 0.5, "t_mix": 2}}
+
+
+@pytest.mark.parametrize("verify, bounds, line", [
+    ({"epsilon_grid": [1.5]}, {"epsilon_grid": [1.5]},
+     "epsilon must lie in [0, 1], got 1.5"),
+    ({"a": 1.0}, {"params": {**OVER["params"], "a": 1.0}},
+     "a must lie in (0, 1), got 1.0"),
+])
+def test_verify_and_bounds_reject_a_bound_setting_alike(tmp_path, capsys,
+                                                        verify, bounds, line):
+    # verify checks its bound settings by the rules the bound forms use
+    errs = []
+    for command, payload in (("verify", {**VERIFY_BASE, **verify}),
+                             ("bounds", {**OVER, **bounds})):
+        cfg = write_config(tmp_path, payload, f"{command}.json")
+        assert main([command, "--config", cfg,
+                     "--out", str(tmp_path / command), "--quiet"]) == 2
+        errs.append(capsys.readouterr().err)
+    assert errs == [f"error: {line}\n"] * 2
 
 
 @pytest.mark.parametrize("grid", [
@@ -411,7 +467,7 @@ def test_bounds_delta_grid_must_be_a_list(tmp_path, capsys):
                  "--quiet"])
     assert code == 2
     assert capsys.readouterr().err == (
-        "error: 'delta_grid' must be a list of numbers\n")
+        "error: 'delta_grid' must be a non-empty list of numbers\n")
 
 
 def test_bounds_grid_row_counts(tmp_path):

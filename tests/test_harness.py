@@ -144,6 +144,38 @@ def test_config_rejects_bad_mode_and_gap(two_state_chain):
         _config(two_state_chain, theta=0.0)
 
 
+@pytest.mark.parametrize("overrides, message", [
+    ({"orders": ()}, "need at least one candidate order"),
+    ({"orders": (0, 2)}, "candidate orders must lie in [0, 1]"),
+    ({"orders": (1, 1)}, "candidate orders must be distinct"),
+    ({"n": 0}, "learning length n must be >= 1"),
+    ({"epsilon_grid": ()}, "epsilon grid must be non-empty"),
+    # m, epsilon, a and theta by their rules in bounds._DOMAINS, with the
+    # texts the bound forms give
+    ({"m": 0}, "m must be a positive integer, got 0"),
+    ({"m": 1.5}, "m must be a positive integer, got 1.5"),
+    ({"epsilon_grid": (0.5, 1.5)}, "epsilon must lie in [0, 1], got 1.5"),
+    ({"epsilon_grid": (-0.1,)}, "epsilon must lie in [0, 1], got -0.1"),
+    ({"a": 1.0}, "a must lie in (0, 1), got 1.0"),
+    ({"theta": 0.0}, "theta must lie in (0, 1), got 0.0"),
+    ({"n": 2 ** 62, "m": 2 ** 62},
+     f"n + m = {2 ** 63} states do not fit in one int64 array"),
+    ({"replications": 99}, "need at least 100 replications"),
+    ({"mode": "bootstrap"}, "unknown mode 'bootstrap'"),
+    ({"gap_b": 120}, "need 0 <= gap_b < m"),
+    ({"gap_b": -1}, "need 0 <= gap_b < m"),
+    ({"bound_scale": 0.0}, "bound_scale must be positive"),
+    ({"threads": 0}, "threads must be >= 1"),
+    ({"coupling_b_max": -1}, "coupling_b_max must be >= 0"),
+    ({"noise_check_order": 2},
+     "order must lie in [0, 1] (enumeration grows doubly exponentially)"),
+])
+def test_config_rejection_texts(two_state_chain, overrides, message):
+    with pytest.raises(RangeError) as info:
+        _config(two_state_chain, **overrides)
+    assert str(info.value) == message
+
+
 def test_config_rejects_loss_of_another_alphabet(two_state_chain):
     # a 3-symbol loss or training loss on a binary chain is rejected when
     # the config is built, before any diagnostics or draws
