@@ -350,7 +350,11 @@ class MammenTsybakovNoise:
     @_checked
     def tau_star(self, m: int) -> float:
         """Fixed point of omega(eps) = sqrt(m)*eps: (m h^alpha)^(-1/(2-alpha))."""
-        return (m * self.h ** self.alpha) ** (-1.0 / (2.0 - self.alpha))
+        try:
+            return (m * self.h ** self.alpha) ** (-1.0 / (2.0 - self.alpha))
+        except OverflowError as exc:
+            raise NumericalFailureError(
+                f"tau_star overflows at m={m}, h={self.h}") from exc
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,8 @@ against live mpmath re-evaluation run in the acceptance suite.
 """
 
 import inspect
+import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -16,9 +18,11 @@ from markov_holdout import (
     BinaryOnlyError,
     DivisionGuardError,
     HigherOrderChainSpec,
+    HoldoutError,
     KeyMismatchError,
     MammenTsybakovNoise,
     NoSolutionError,
+    NumericalFailureError,
     RangeError,
     TabulatedNoise,
     bernstein_deviation_radius,
@@ -47,6 +51,7 @@ from markov_holdout.bounds import (
     BOUND_FORMS,
     _DOMAINS,
     _bisect_fixed_point,
+    event_shift,
     form_parameters,
 )
 
@@ -520,3 +525,56 @@ def test_every_form_parameter_has_a_domain_rule():
               for name in _parameters(shift)}
     assert names - {"side"} <= set(_DOMAINS)
     assert set(OUTSIDE) == set(_DOMAINS)
+
+
+# in-domain extremes of the bound parameters: the smallest subnormal, a
+# tiny and a huge normal float, and the ends of the unit interval
+EXTREMES = (5e-324, 1e-300, 0.0, 1.0, 1e308)
+
+
+def _only_holdout_errors(func, *args):
+    # func's value, or None for the HoldoutError it raised; any other
+    # exception propagates and fails the test
+    try:
+        return func(*args)
+    except HoldoutError:
+        return None
+
+
+def test_bound_forms_raise_only_holdout_errors_at_extremes():
+    # every pair of a form's parameters over the extremes, the others at an
+    # inside point: evaluate_bound and event_shift return or raise a
+    # HoldoutError, so the CLI reports every failure as one error line
+    for bound_id in BOUND_FORMS:
+        names = form_parameters(bound_id)
+        base = {name: INSIDE[name] for name in names}
+        for pair in itertools.combinations_with_replacement(names, 2):
+            for values in itertools.product(EXTREMES, repeat=2):
+                params = {**base, **dict(zip(pair, values))}
+                _only_holdout_errors(evaluate_bound, bound_id, params)
+                _only_holdout_errors(event_shift, bound_id, params)
+
+
+def test_noise_fixed_points_raise_only_holdout_errors_at_extremes():
+    positive = [v for v in EXTREMES if v > 0.0]
+    models = [_only_holdout_errors(MammenTsybakovNoise, alpha, h)
+              for alpha in EXTREMES for h in EXTREMES]
+    # a table whose omega(r)/sqrt(r) overflows is left out: its own check
+    # divides by sqrt(r)
+    models += [_only_holdout_errors(TabulatedNoise, np.array([0.0, r]),
+                                    np.array([v0, v1]))
+               for r in positive for v0 in EXTREMES for v1 in EXTREMES
+               if math.isfinite(v1 / math.sqrt(r))]
+    models = [model for model in models if model is not None]
+    assert {type(model) for model in models} == {MammenTsybakovNoise,
+                                                 TabulatedNoise}
+    for model in models:
+        for m in EXTREMES:
+            _only_holdout_errors(model.tau_star, m)
+
+
+def test_mt_fixed_point_overflow_names_m_and_h():
+    # (m h^alpha)^(-1/(2-alpha)) overflows a double at h = 5e-324
+    with pytest.raises(NumericalFailureError) as info:
+        MammenTsybakovNoise(1.0, 5e-324).tau_star(100)
+    assert str(info.value) == "tau_star overflows at m=100, h=5e-324"

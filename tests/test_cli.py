@@ -50,6 +50,13 @@ VERIFY_BASE = {
 }
 
 
+ORDER2 = json.loads((CONFIGS / "order2_binary.json").read_text())
+VERIFY_TWO_STATE = json.loads(
+    (CONFIGS / "verify_two_state.json").read_text())
+# a margin so small that (m h)^-1, the fixed point at alpha = 1, overflows
+TINY_H = {"kind": "mammen-tsybakov", "alpha": 1.0, "h": 5e-324}
+
+
 def write_config(tmp_path, payload, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(payload))
@@ -341,6 +348,13 @@ def test_undecodable_config_exits_two(tmp_path, capsys, content):
     ("verify", {**VERIFY_BASE, "orders": []}),
     ("verify", {**VERIFY_BASE, "epsilon_grid": {
         "start": 0.5, "stop": 0.1, "step": 0.1}}),
+    # a noise fixed point that overflows a double
+    ("noise", {**ORDER2, "noise": TINY_H}),
+    ("verify", {**VERIFY_TWO_STATE, "noise": TINY_H}),
+    ("bounds", {"bounds": ["noise"],
+                "params": {"m": 100, "t_mix": 1, "gamma_ps": 0.5,
+                           "n_candidates": 2, "theta": 0.5},
+                "epsilon_grid": [0.1], "noise": TINY_H}),
 ])
 def test_malformed_config_values_exit_two(tmp_path, capsys, command, payload):
     cfg = write_config(tmp_path, payload)
