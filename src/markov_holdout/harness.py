@@ -477,6 +477,18 @@ class OracleGapReport:
     details: dict = field(default_factory=dict)
 
 
+def _oracle_rhs(kind: str, form, *args) -> float:
+    """``form(*args)``, a finite right side of the ``kind`` oracle check."""
+    try:
+        rhs = form(*args)
+    except ArithmeticError as exc:
+        raise NumericalFailureError(
+            f"oracle {kind} right side failed to evaluate: {exc}") from exc
+    if not math.isfinite(rhs):
+        raise NumericalFailureError(f"oracle {kind} right side is {rhs}")
+    return rhs
+
+
 def oracle_gap_check(run: RunResult, kind: str) -> OracleGapReport:
     """Check mean gap + 3 SE <= closed-form RHS for one bound family.
 
@@ -488,29 +500,32 @@ def oracle_gap_check(run: RunResult, kind: str) -> OracleGapReport:
         raise RangeError(f"oracle gap checks need >= {ORACLE_MIN_REPLICATIONS}"
                          " replications")
     cfg = run.config
+    # a Python float: a right side then overflows to inf or raises, with no
+    # numpy warning
+    gamma_ps = float(run.spectral.gamma_ps)
     risk_best = float(run.exact_tilde.mean())
     details: dict = {"risk_best": risk_best, "bayes_risk": run.bayes_risk}
     if kind == "hoeffding":
         gaps = run.exact_hat - run.exact_tilde
-        rhs = bnd.oracle_gap_hoeffding(cfg.n_candidates, cfg.m,
-                                       run.mixing.t_mix)
+        rhs = _oracle_rhs(kind, bnd.oracle_gap_hoeffding, cfg.n_candidates,
+                          cfg.m, run.mixing.t_mix)
     elif kind == "bernstein":
         gaps = run.exact_hat - run.exact_tilde
-        rhs = bnd.oracle_gap_bernstein(cfg.n_candidates, cfg.m, cfg.a,
-                                       run.mixing.t_mix,
-                                       run.spectral.gamma_ps, risk_best)
-        details["excess_rhs_as_printed"] = bnd.oracle_excess_bernstein(
-            cfg.n_candidates, cfg.m, cfg.a, run.mixing.t_mix,
-            run.spectral.gamma_ps, risk_best, run.bayes_risk)
+        rhs = _oracle_rhs(kind, bnd.oracle_gap_bernstein, cfg.n_candidates,
+                          cfg.m, cfg.a, run.mixing.t_mix, gamma_ps,
+                          risk_best)
+        details["excess_rhs_as_printed"] = _oracle_rhs(
+            kind, bnd.oracle_excess_bernstein, cfg.n_candidates, cfg.m,
+            cfg.a, run.mixing.t_mix, gamma_ps, risk_best, run.bayes_risk)
         details["not_strictly_oracle"] = True
     elif kind == "noise":
         if run.tau_star is None:
             raise RangeError("noise oracle check needs a noise model")
         gaps = run.exact_hat - run.bayes_risk
         excess_best = risk_best - run.bayes_risk
-        rhs = bnd.nc_oracle_rhs(cfg.n_candidates, cfg.m, cfg.theta,
-                                run.spectral.gamma_ps, run.mixing.t_mix,
-                                run.tau_star, max(excess_best, 0.0))
+        rhs = _oracle_rhs(kind, bnd.nc_oracle_rhs, cfg.n_candidates, cfg.m,
+                          cfg.theta, gamma_ps, run.mixing.t_mix, run.tau_star,
+                          max(excess_best, 0.0))
         details["excess_best"] = excess_best
     else:
         raise UnknownEventError(f"unknown oracle check kind {kind!r}")

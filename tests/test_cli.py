@@ -1196,6 +1196,25 @@ def test_a_run_leaves_other_loggers_alone(tmp_path):
     assert out.stderr == f"{lines[0]}\n"
 
 
+@pytest.mark.parametrize("setting", ["a", "theta"])
+def test_overflowing_oracle_right_side_exits_two_in_one_line(tmp_path,
+                                                             setting):
+    # a real process: numpy warnings reach its stderr, where pytest would
+    # turn them into exceptions in-process
+    cfg = write_config(tmp_path, {**VERIFY_TWO_STATE, "n": 50, "m": 50,
+                                  "replications": 1000, setting: 5e-324})
+    src = str(Path(markov_holdout.__file__).resolve().parent.parent)
+    out = subprocess.run([sys.executable, "-m", "markov_holdout.cli",
+                          "verify", "--config", cfg,
+                          "--out", str(tmp_path / "out"), "--quiet"],
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.returncode == 2
+    assert out.stderr.startswith("error: oracle ")
+    assert len(out.stderr.splitlines()) == 1
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
 @pytest.mark.parametrize("out, block", [
     ("out", lambda out: out.write_text("")),
     ("file/out", lambda out: out.parent.write_text("")),

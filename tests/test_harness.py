@@ -701,6 +701,23 @@ def test_oracle_gap_check_bernstein_details(oracle_run):
     assert "excess_rhs_as_printed" in rep.details
 
 
+@pytest.mark.parametrize("setting, kind, message", [
+    ("theta", "noise", "oracle noise right side failed to evaluate: "
+                       "float division by zero"),
+    ("a", "bernstein", "oracle bernstein right side is inf"),
+])
+def test_oracle_gap_check_rejects_a_right_side_that_overflows(
+        oracle_run, setting, kind, message):
+    # a = 5e-324 and theta = 5e-324 lie in (0, 1), but the oracle right
+    # sides divide by them
+    from markov_holdout import oracle_gap_check
+    run = replace(oracle_run,
+                  config=replace(oracle_run.config, **{setting: 5e-324}))
+    with pytest.raises(NumericalFailureError) as info:
+        oracle_gap_check(run, kind)
+    assert str(info.value) == message
+
+
 def test_oracle_gap_check_unknown_kind(oracle_run):
     from markov_holdout import oracle_gap_check
     with pytest.raises(UnknownEventError):
