@@ -18,9 +18,9 @@ coercion: an integer is a JSON integer (not true/false, not 2.0); a number
 is a finite JSON integer or float (not true/false, NaN or Infinity) and
 reads as a float; a bool, string or object is exactly that; a list of
 integers or of numbers is non-empty and holds only such items; an array is
-a list of numbers or of equal-length such lists.  JSON null is accepted only where
-a field documents it.  Anything else is a one-line ConfigError naming the
-key.
+a list of numbers or of equal-length such lists.  JSON null is accepted
+only where a field documents it.  Anything else is a one-line ConfigError
+naming the key.
 
 The CLI writes a given --seed or --threads flag into the config under the
 key of the same name before any parser here reads it.
