@@ -398,6 +398,10 @@ class TabulatedNoise:
         return _bisect_fixed_point(self.omega, m)
 
 
+# a margin at or below this is numerically zero
+ZERO_MARGIN_TOL = 1e-12
+
+
 def margin(chain_or_spec) -> float:
     """Smallest conditional margin |2 P(1 | context) - 1| of a binary chain.
 

@@ -567,7 +567,8 @@ def pseudo_spectral_gap(kernel: TransitionKernel | MarkovizedChain,
     k = 0
     while k < GAP_K_CAP:
         k += 1
-        lam2 = _eigenvalues(next(grams))[-2]
+        # a Python float, so gamma_ps and gammas are Python floats
+        lam2 = float(_eigenvalues(next(grams))[-2])
         if lam2 > 1.0 + 1e-8 or lam2 < -1e-8:
             raise NumericalFailureError(
                 f"eigenvalue {lam2!r} of A_{k} outside [0, 1]")

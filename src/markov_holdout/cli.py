@@ -314,7 +314,7 @@ def cmd_noise(cfg: dict, say) -> tuple[int, dict, dict]:
     chain = build_chain(read(cfg, "chain", "object"))
     try:
         h = bnd.margin(chain)
-        zero_margin = h <= 1e-12
+        zero_margin = h <= bnd.ZERO_MARGIN_TOL
     except BinaryOnlyError:
         h = None
         zero_margin = None

@@ -30,8 +30,6 @@ from .chains import (
     pseudo_spectral_gap,
 )
 from .errors import (
-    BinaryOnlyError,
-    DimensionMismatchError,
     NumericalFailureError,
     RangeError,
     UnknownEventError,
@@ -40,6 +38,7 @@ from .errors import (
 from .predictors import (
     LossSpec,
     PredictorTable,
+    _check_loss_symbols,
     bayes_predictor,
     disagreement_variance,
     erm_fit,
@@ -146,9 +145,7 @@ class ExperimentConfig:
             raise RangeError("threads must be >= 1")
         if self.coupling_b_max < 0:
             raise RangeError("coupling_b_max must be >= 0")
-        if any(loss.symbols != self.chain.symbols
-               for loss in (self.loss, self.effective_train_loss)):
-            raise DimensionMismatchError("loss table symbol count mismatch")
+        _check_loss_symbols(self.chain, self.loss, self.effective_train_loss)
         if self.noise_check_order is not None:
             _noise_check_margin(self.chain, self.noise_check_order)
 
@@ -500,9 +497,7 @@ def oracle_gap_check(run: RunResult, kind: str) -> OracleGapReport:
         raise RangeError(f"oracle gap checks need >= {ORACLE_MIN_REPLICATIONS}"
                          " replications")
     cfg = run.config
-    # a Python float: a right side then overflows to inf or raises, with no
-    # numpy warning
-    gamma_ps = float(run.spectral.gamma_ps)
+    gamma_ps = run.spectral.gamma_ps
     risk_best = float(run.exact_tilde.mean())
     details: dict = {"risk_best": risk_best, "bayes_risk": run.bayes_risk}
     if kind == "hoeffding":
@@ -587,14 +582,12 @@ class NoiseCheckReport:
 
 def _noise_check_margin(chain: MarkovizedChain, order_q: int) -> float:
     """The chain's margin, once the exhaustive check at order_q can run."""
-    if chain.symbols != 2:
-        raise BinaryOnlyError("exhaustive noise check is binary-only")
+    h = bnd.margin(chain)
     if not 0 <= order_q <= min(chain.embedding_order, 3):
         raise RangeError(
             f"order must lie in [0, {min(chain.embedding_order, 3)}] "
             "(enumeration grows doubly exponentially)")
-    h = bnd.margin(chain)
-    if h <= 1e-12:
+    if h <= bnd.ZERO_MARGIN_TOL:
         raise ZeroMarginError(f"margin {h!r} is numerically zero")
     return h
 

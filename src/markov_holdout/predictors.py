@@ -92,11 +92,16 @@ class PredictorTable:
         return self.table[chain.context_index(self.order)]
 
 
+def _check_loss_symbols(chain: MarkovizedChain, *losses: LossSpec) -> None:
+    """DimensionMismatchError unless each loss has the chain's symbols."""
+    if any(loss.symbols != chain.symbols for loss in losses):
+        raise DimensionMismatchError("loss table symbol count mismatch")
+
+
 def state_losses(predictor: PredictorTable, chain: MarkovizedChain,
                  loss: LossSpec) -> np.ndarray:
     """Per-composite-state loss: L(g(features(x)), target(x))."""
-    if loss.symbols != chain.symbols:
-        raise DimensionMismatchError("loss table symbol count mismatch")
+    _check_loss_symbols(chain, loss)
     return loss.table[predictor.predictions(chain), chain.targets]
 
 
@@ -112,8 +117,7 @@ def bayes_predictor(chain: MarkovizedChain, loss: LossSpec) -> PredictorTable:
     For each length-p context the prediction minimizes the expected loss
     under the base conditional law of the next symbol.
     """
-    if loss.symbols != chain.symbols:
-        raise DimensionMismatchError("loss table symbol count mismatch")
+    _check_loss_symbols(chain, loss)
     base = chain.base
     s = base.symbols
     p = chain.embedding_order
@@ -140,15 +144,14 @@ def _counts(counts, shape: tuple) -> np.ndarray:
     return counts
 
 
-def _fit_checks(chain: MarkovizedChain, orders, counts, loss: LossSpec,
+def _fit_checks(chain: MarkovizedChain, orders, counts, losses,
                 lead: tuple) -> np.ndarray:
     """``counts`` as an array of shape lead + (S,), once every order lies
-    in [0, p] (RangeError) and ``loss`` has the chain's symbols."""
+    in [0, p] (RangeError) and each of ``losses`` has the chain's symbols."""
     p = chain.embedding_order
     if any(not 0 <= q <= p for q in orders):
         raise RangeError(f"memory order must lie in [0, {p}]")
-    if loss.symbols != chain.symbols:
-        raise DimensionMismatchError("loss table symbol count mismatch")
+    _check_loss_symbols(chain, *losses)
     return _counts(counts, lead + (chain.n_states,))
 
 
@@ -179,7 +182,7 @@ def erm_fit(chain: MarkovizedChain, order_q: int, counts: np.ndarray,
     target.  ``order_q`` must lie in [0, p] (RangeError), and ``loss``
     must have the chain's symbols (DimensionMismatchError).
     """
-    counts = _fit_checks(chain, (order_q,), counts, loss, ())
+    counts = _fit_checks(chain, (order_q,), counts, (loss,), ())
     return PredictorTable(order=order_q, symbols=chain.symbols,
                           table=_erm_tables(chain, order_q, counts, loss))
 
@@ -193,10 +196,8 @@ def erm_losses(chain: MarkovizedChain, orders, counts: np.ndarray,
     orders[k], row, train_loss)``, the fits taken by the same rule for all
     rows at once.
     """
-    counts = _fit_checks(chain, orders, counts, train_loss,
+    counts = _fit_checks(chain, orders, counts, (train_loss, loss),
                          np.shape(counts)[:-1])
-    if loss.symbols != chain.symbols:
-        raise DimensionMismatchError("loss table symbol count mismatch")
     out = np.empty(counts.shape[:-1] + (len(orders), chain.n_states))
     for k, q in enumerate(orders):
         tables = _erm_tables(chain, q, counts, train_loss)

@@ -347,6 +347,19 @@ class _ChunkedWalk:
         return out[:, -1]
 
 
+def _draw(chain, seed, x_last: int | None, length: int,
+          name: str) -> np.ndarray:
+    # the rows of `length` states of each seed, back to back, walked from
+    # x_last as _walk does; `name` is how the caller's message names length
+    seeds = _seed_list(seed)
+    if len(seeds) * length > _MAX_STATES:
+        raise RangeError(f"{len(seeds)} rows of {name} = {length} states do "
+                         "not fit in one int64 array")
+    states = np.empty(len(seeds) * length, dtype=np.int64)
+    _walk(chain, seeds, x_last, states.reshape(len(seeds), length))
+    return states
+
+
 def sample_stationary_trajectory(chain: MarkovizedChain, n: int, m: int,
                                  seed: SeedSpec | Sequence[SeedSpec]
                                  ) -> np.ndarray:
@@ -361,13 +374,7 @@ def sample_stationary_trajectory(chain: MarkovizedChain, n: int, m: int,
         raise RangeError("need n >= 1 learning states")
     if m < 0:
         raise RangeError("validation length must be >= 0")
-    seeds = _seed_list(seed)
-    if len(seeds) * (n + m) > _MAX_STATES:
-        raise RangeError(f"{len(seeds)} rows of n + m = {n + m} states do "
-                         "not fit in one int64 array")
-    states = np.empty(len(seeds) * (n + m), dtype=np.int64)
-    _walk(chain, seeds, None, states.reshape(len(seeds), n + m))
-    return states
+    return _draw(chain, seed, None, n + m, "n + m")
 
 
 def sample_conditional_continuation(chain: MarkovizedChain, x_last: int,
@@ -385,10 +392,4 @@ def sample_conditional_continuation(chain: MarkovizedChain, x_last: int,
         raise RangeError(f"state {x_last} outside [0, {chain.n_states})")
     if m < 1:
         raise EmptySegmentError("continuation needs m >= 1 states")
-    seeds = _seed_list(seed)
-    if len(seeds) * m > _MAX_STATES:
-        raise RangeError(f"{len(seeds)} rows of m = {m} states do not fit "
-                         "in one int64 array")
-    states = np.empty(len(seeds) * m, dtype=np.int64)
-    _walk(chain, seeds, x_last, states.reshape(len(seeds), m))
-    return states
+    return _draw(chain, seed, x_last, m, "m")

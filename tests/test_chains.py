@@ -306,6 +306,15 @@ def test_gap_two_state_closed_form(two_state_kernel):
     assert diag.gammas[1] == pytest.approx((1.0 - 0.49 ** 2) / 2.0, abs=1e-8)
 
 
+@pytest.mark.parametrize("subject", ["two_state_kernel", "order2_chain"])
+def test_gap_values_are_python_floats(request, subject):
+    # a numpy scalar would leak into artifacts: a numpy bool compared from
+    # it is written True, not true
+    diag = pseudo_spectral_gap(request.getfixturevalue(subject))
+    assert type(diag.gamma_ps) is float
+    assert diag.gammas and all(type(g) is float for g in diag.gammas)
+
+
 def test_gap_iid_is_one_exactly(iid_kernel):
     diag = pseudo_spectral_gap(iid_kernel)
     assert diag.gamma_ps == 1.0

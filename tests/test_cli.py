@@ -587,6 +587,16 @@ def test_bounds_shift_column(tmp_path):
                                                   rel=1e-12)
 
 
+def test_bounds_grid_writes_vacuous_as_true_or_false(tmp_path):
+    # the forms that take the chain's gamma_ps wrote True before it was a
+    # Python float
+    out = tmp_path / "out"
+    assert main(["bounds", "--config", str(CONFIGS / "bounds_grid.json"),
+                 "--out", str(out), "--quiet"]) == 0
+    cells = [row["vacuous"] for row in read_csv(out, "bounds.csv")]
+    assert cells and set(cells) <= {"true", "false"}
+
+
 def test_bounds_tau_star_from_noise_model_and_m(tmp_path):
     # the shipped grid config names a noise model and m but no tau_star:
     # the noise forms take tau_star(m) of that model
@@ -970,7 +980,7 @@ def test_verify_rejects_insufficient_replications(tmp_path, capsys):
      "error: order must lie in [0, 1]"),
     ({"kernel": [[0.8, 0.1, 0.1], [0.1, 0.8, 0.1], [0.1, 0.1, 0.8]],
       "embedding_order": 1}, 1,
-     "error: exhaustive noise check is binary-only"),
+     "error: margin is defined for binary chains only"),
     ({"kernel": [[0.5, 0.5], [0.5, 0.5]], "embedding_order": 1}, 1,
      "is numerically zero"),
 ], ids=["order-range", "binary-only", "zero-margin"])
