@@ -266,8 +266,13 @@ def nc_gap_tail(n_candidates: int, m: int, b: int, epsilon: float,
 
 @_checked
 def nc_event_shift(m: int, b: int, theta: float) -> float:
-    """Threshold shift (1+theta) * 2b/m attached to the full-mean event."""
-    return (1.0 + theta) * 2.0 * b / m
+    """Threshold shift (1+theta) * 2b/m attached to the full-mean event.
+
+    b and m are divided by 4 first, which is exact, so 2(1+theta)b cannot
+    overflow for b < m; a shift that did not overflow keeps the bits of the
+    product taken left to right.
+    """
+    return (1.0 + theta) * 2.0 * (b / 4.0) / (m / 4.0)
 
 
 @_checked
@@ -381,7 +386,13 @@ class TabulatedNoise:
         if np.any(v < 0.0):
             raise RangeError("modulus values must be >= 0")
         positive = r > 0.0
-        ratio = v[positive] / np.sqrt(r[positive])
+        # a ratio past the largest double is rejected, not a numpy warning
+        with np.errstate(over="ignore"):
+            ratio = v[positive] / np.sqrt(r[positive])
+        if not np.all(np.isfinite(ratio)):
+            at = r[positive][~np.isfinite(ratio)][0]
+            raise RangeError(
+                f"omega(x)/sqrt(x) is not finite at radius {at.item()!r}")
         if np.any(np.diff(ratio) > 1e-12):
             raise RangeError("omega(x)/sqrt(x) must be non-increasing")
         r.setflags(write=False)

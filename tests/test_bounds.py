@@ -8,7 +8,6 @@ against live mpmath re-evaluation run in the acceptance suite.
 
 import inspect
 import itertools
-import math
 from fractions import Fraction
 
 import numpy as np
@@ -161,6 +160,31 @@ def test_nc_gap_tail_frozen():
 
 def test_nc_event_shift():
     assert nc_event_shift(500, 20, 0.5) == pytest.approx(0.12, rel=1e-15)
+
+
+def test_nc_event_shift_keeps_the_bits_of_the_left_to_right_product():
+    # every shift (1 + theta) * 2.0 * b / m that does not overflow, over b
+    # and m from 1 to 1e308 and theta in (0, 1); 2b overflows near the top
+    rng = np.random.default_rng(61)
+    overflowed = 0
+    for _ in range(20000):
+        m = float(np.floor(10.0 ** rng.uniform(0.0, 308.0)))
+        b = float(np.floor(rng.uniform(0.0, 1.0) * m))
+        theta = float(rng.uniform(0.0, 1.0)) or 0.5
+        if not b < m:
+            continue
+        expected = (1.0 + theta) * 2.0 * b / m
+        shift = nc_event_shift(m, b, theta)
+        if expected == float("inf"):
+            overflowed += 1
+            assert 0.0 <= shift < 4.0
+        else:
+            assert shift == expected, (m, b, theta)
+    assert overflowed > 0
+
+
+def test_nc_event_shift_does_not_overflow_on_b_below_m():
+    assert nc_event_shift(1e308, 9e307, 0.5) == pytest.approx(2.7, rel=1e-15)
 
 
 def test_nc_tail_sharp_at_large_m():
@@ -327,6 +351,21 @@ def test_tabulated_noise_rejects_invalid_shape():
         TabulatedNoise(radii, radii ** 2)
     with pytest.raises(RangeError):
         TabulatedNoise(np.array([0.0, -1.0]), np.array([0.0, 1.0]))
+
+
+@pytest.mark.parametrize("radii, values, radius", [
+    ([0.0, 5e-324], [0.0, 1e308], "5e-324"),
+    ([0.0, 1e-300, 0.5], [0.0, 1e308, 1e308], "1e-300"),
+    ([0.0, 0.5], [0.0, float("inf")], "0.5"),
+    ([0.0, 0.5], [0.0, float("nan")], "0.5"),
+], ids=["overflow", "overflow-at-an-inner-radius", "infinite", "nan"])
+def test_tabulated_noise_rejects_a_ratio_that_is_not_finite(radii, values,
+                                                            radius):
+    # filterwarnings = error: a numpy overflow warning would fail here too
+    with pytest.raises(RangeError) as info:
+        TabulatedNoise(np.array(radii), np.array(values))
+    assert str(info.value) == ("omega(x)/sqrt(x) is not finite at radius "
+                               f"{radius}")
 
 
 # ---------------------------------------------------------------------------
@@ -559,12 +598,10 @@ def test_noise_fixed_points_raise_only_holdout_errors_at_extremes():
     positive = [v for v in EXTREMES if v > 0.0]
     models = [_only_holdout_errors(MammenTsybakovNoise, alpha, h)
               for alpha in EXTREMES for h in EXTREMES]
-    # a table whose omega(r)/sqrt(r) overflows is left out: its own check
-    # divides by sqrt(r)
+    # a table whose omega(r)/sqrt(r) overflows is rejected as well
     models += [_only_holdout_errors(TabulatedNoise, np.array([0.0, r]),
                                     np.array([v0, v1]))
-               for r in positive for v0 in EXTREMES for v1 in EXTREMES
-               if math.isfinite(v1 / math.sqrt(r))]
+               for r in positive for v0 in EXTREMES for v1 in EXTREMES]
     models = [model for model in models if model is not None]
     assert {type(model) for model in models} == {MammenTsybakovNoise,
                                                  TabulatedNoise}

@@ -55,6 +55,8 @@ VERIFY_TWO_STATE = json.loads(
     (CONFIGS / "verify_two_state.json").read_text())
 # a margin so small that (m h)^-1, the fixed point at alpha = 1, overflows
 TINY_H = {"kind": "mammen-tsybakov", "alpha": 1.0, "h": 5e-324}
+# a modulus table whose omega(r)/sqrt(r) overflows a double at r = 5e-324
+HUGE_RATIO = {"kind": "tabulated", "radii": [0, 5e-324], "values": [0, 1e308]}
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -355,6 +357,8 @@ def test_undecodable_config_exits_two(tmp_path, capsys, content):
                 "params": {"m": 100, "t_mix": 1, "gamma_ps": 0.5,
                            "n_candidates": 2, "theta": 0.5},
                 "epsilon_grid": [0.1], "noise": TINY_H}),
+    # a modulus table whose ratio overflows: no numpy warning either
+    ("noise", {**ORDER2, "noise": HUGE_RATIO}),
 ])
 def test_malformed_config_values_exit_two(tmp_path, capsys, command, payload):
     cfg = write_config(tmp_path, payload)
@@ -585,6 +589,19 @@ def test_bounds_shift_column(tmp_path):
     assert rows[0]["shift"] == "1/10"
     assert float(rows[0]["raw"]) == pytest.approx(0.46906965974059917,
                                                   rel=1e-12)
+
+
+def test_bounds_noise_gap_shift_is_finite_for_b_below_m(tmp_path):
+    # 2b overflows a double here, the shift (1 + theta) 2b/m does not
+    cfg = write_config(tmp_path, {
+        "bounds": ["noise_gap"],
+        "params": {"m": 1e308, "b": 9e307, "theta": 0.5, "n_candidates": 2,
+                   "gamma_ps": 0.5, "t_mix": 2, "tau_star": 0.1},
+        "epsilon_grid": [0.1]})
+    out = tmp_path / "out"
+    assert main(["bounds", "--config", cfg, "--out", str(out),
+                 "--quiet"]) == 0
+    assert read_csv(out, "bounds.csv")[0]["shift"] == "2.7000000000000002"
 
 
 def test_bounds_grid_writes_vacuous_as_true_or_false(tmp_path):
@@ -1223,6 +1240,23 @@ def test_overflowing_oracle_right_side_exits_two_in_one_line(tmp_path,
     assert out.stderr.startswith("error: oracle ")
     assert len(out.stderr.splitlines()) == 1
     assert not (tmp_path / "out" / "report.json").exists()
+
+
+def test_tabulated_noise_whose_ratio_overflows_exits_two_in_one_line(
+        tmp_path):
+    # a real process: a numpy warning reaches its stderr, where pytest
+    # would turn it into an exception in-process
+    cfg = write_config(tmp_path, {**ORDER2, "noise": HUGE_RATIO})
+    src = str(Path(markov_holdout.__file__).resolve().parent.parent)
+    out = subprocess.run([sys.executable, "-m", "markov_holdout.cli",
+                          "noise", "--config", cfg,
+                          "--out", str(tmp_path / "out")],
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.returncode == 2
+    assert out.stderr == ("error: omega(x)/sqrt(x) is not finite at radius "
+                          "5e-324\n")
+    assert not (tmp_path / "out" / "noise.json").exists()
 
 
 @pytest.mark.parametrize("out, block", [
