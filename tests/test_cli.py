@@ -55,8 +55,6 @@ VERIFY_TWO_STATE = json.loads(
     (CONFIGS / "verify_two_state.json").read_text())
 # a margin so small that (m h)^-1, the fixed point at alpha = 1, overflows
 TINY_H = {"kind": "mammen-tsybakov", "alpha": 1.0, "h": 5e-324}
-# a modulus table whose omega(r)/sqrt(r) overflows a double at r = 5e-324
-HUGE_RATIO = {"kind": "tabulated", "radii": [0, 5e-324], "values": [0, 1e308]}
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -357,8 +355,6 @@ def test_undecodable_config_exits_two(tmp_path, capsys, content):
                 "params": {"m": 100, "t_mix": 1, "gamma_ps": 0.5,
                            "n_candidates": 2, "theta": 0.5},
                 "epsilon_grid": [0.1], "noise": TINY_H}),
-    # a modulus table whose ratio overflows: no numpy warning either
-    ("noise", {**ORDER2, "noise": HUGE_RATIO}),
 ])
 def test_malformed_config_values_exit_two(tmp_path, capsys, command, payload):
     cfg = write_config(tmp_path, payload)
@@ -1244,9 +1240,11 @@ def test_overflowing_oracle_right_side_exits_two_in_one_line(tmp_path,
 
 def test_tabulated_noise_whose_ratio_overflows_exits_two_in_one_line(
         tmp_path):
-    # a real process: a numpy warning reaches its stderr, where pytest
-    # would turn it into an exception in-process
-    cfg = write_config(tmp_path, {**ORDER2, "noise": HUGE_RATIO})
+    # omega(r)/sqrt(r) overflows a double at r = 5e-324.  A real process: a
+    # numpy warning reaches its stderr, where pytest would turn it into an
+    # exception in-process
+    cfg = write_config(tmp_path, {**ORDER2, "noise": {
+        "kind": "tabulated", "radii": [0, 5e-324], "values": [0, 1e308]}})
     src = str(Path(markov_holdout.__file__).resolve().parent.parent)
     out = subprocess.run([sys.executable, "-m", "markov_holdout.cli",
                           "noise", "--config", cfg,
