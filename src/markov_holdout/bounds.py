@@ -476,19 +476,49 @@ BOUND_FORMS = {
 }
 
 
+def _form(bound_id: str) -> tuple:
+    """(function, shift) of a registered form."""
+    if bound_id not in BOUND_FORMS:
+        raise KeyMismatchError(f"unknown bound id {bound_id!r}")
+    return BOUND_FORMS[bound_id]
+
+
+def _evaluate(func, params: dict, label: str) -> tuple[dict, float]:
+    """(inputs, value) of ``func`` called on its positional parameters, each
+    read from ``params`` by name or else taken from its default.
+
+    A parameter with neither is a KeyMismatchError; an ArithmeticError or a
+    NaN value is a NumericalFailureError.  Both messages begin with
+    ``label``.  An infinite value is returned: what it means is the
+    caller's rule.
+    """
+    inputs = {k: params.get(k, default) for k, default in _positional(func)}
+    missing = [k for k, v in inputs.items() if v is None]
+    if missing:
+        raise KeyMismatchError(f"{label} missing parameters {missing}")
+    try:
+        value = func(*inputs.values())
+    except ArithmeticError as exc:
+        raise NumericalFailureError(
+            f"{label} failed to evaluate: {exc}") from exc
+    if math.isnan(value):
+        raise NumericalFailureError(f"{label} evaluated to NaN")
+    return inputs, value
+
+
 def form_parameters(bound_id: str) -> tuple[str, ...]:
     """Parameter names of a registered form, in its function's order."""
-    return tuple(name for name, _ in _positional(BOUND_FORMS[bound_id][0]))
+    return tuple(name for name, _ in _positional(_form(bound_id)[0]))
 
 
 def event_shift(bound_id: str, params: dict):
     """Threshold shift of the full-mean event verify checks a form on, from
     the shift function's parameters in ``params``; None when the form's own
     event is checked."""
-    shift = BOUND_FORMS[bound_id][1]
+    shift = _form(bound_id)[1]
     if shift is None:
         return None
-    return shift(*(params[name] for name, _ in _positional(shift)))
+    return _evaluate(shift, params, f"shift of bound {bound_id!r}")[1]
 
 
 def evaluate_bound(bound_id: str, params: dict) -> BoundReport:
@@ -496,22 +526,9 @@ def evaluate_bound(bound_id: str, params: dict) -> BoundReport:
 
     The mapping must provide every parameter the form's function takes
     that has no default (``centering_bound`` defaults to 1.0); extra keys
-    are ignored.
+    are ignored.  A raw value of +inf is a vacuous bound, not an error.
     """
-    if bound_id not in BOUND_FORMS:
-        raise KeyMismatchError(f"unknown bound id {bound_id!r}")
-    func = BOUND_FORMS[bound_id][0]
-    inputs = {k: params.get(k, default) for k, default in _positional(func)}
-    missing = [k for k, v in inputs.items() if v is None]
-    if missing:
-        raise KeyMismatchError(
-            f"bound {bound_id!r} missing parameters {missing}")
-    try:
-        raw = func(*inputs.values())
-    except ArithmeticError as exc:
-        raise NumericalFailureError(
-            f"bound {bound_id!r} failed to evaluate: {exc}") from exc
-    if math.isnan(raw):  # +inf stays: it is a vacuous bound
-        raise NumericalFailureError(f"bound {bound_id!r} evaluated to NaN")
+    inputs, raw = _evaluate(_form(bound_id)[0], params,
+                            f"bound {bound_id!r}")
     return BoundReport(bound_id=bound_id, raw=raw, clamped=min(raw, 1.0),
                        vacuous=raw >= 1.0, inputs=inputs)

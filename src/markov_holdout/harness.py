@@ -474,14 +474,12 @@ class OracleGapReport:
     details: dict = field(default_factory=dict)
 
 
-def _oracle_rhs(kind: str, form, *args) -> float:
-    """``form(*args)``, a finite right side of the ``kind`` oracle check."""
-    try:
-        rhs = form(*args)
-    except ArithmeticError as exc:
-        raise NumericalFailureError(
-            f"oracle {kind} right side failed to evaluate: {exc}") from exc
-    if not math.isfinite(rhs):
+def _oracle_rhs(kind: str, form, params: dict) -> float:
+    """``form`` bound by name from ``params``, a finite right side of the
+    ``kind`` oracle check: unlike a tail bound, an infinite one is an
+    error."""
+    rhs = bnd._evaluate(form, params, f"oracle {kind} right side")[1]
+    if math.isinf(rhs):
         raise NumericalFailureError(f"oracle {kind} right side is {rhs}")
     return rhs
 
@@ -496,31 +494,26 @@ def oracle_gap_check(run: RunResult, kind: str) -> OracleGapReport:
     if run.replications < ORACLE_MIN_REPLICATIONS:
         raise RangeError(f"oracle gap checks need >= {ORACLE_MIN_REPLICATIONS}"
                          " replications")
-    cfg = run.config
-    gamma_ps = run.spectral.gamma_ps
     risk_best = float(run.exact_tilde.mean())
+    excess_best = risk_best - run.bayes_risk
+    params = {**_bound_params(run), "risk_best": risk_best,
+              "risk_bayes": run.bayes_risk,
+              "excess_best": max(excess_best, 0.0)}
     details: dict = {"risk_best": risk_best, "bayes_risk": run.bayes_risk}
     if kind == "hoeffding":
         gaps = run.exact_hat - run.exact_tilde
-        rhs = _oracle_rhs(kind, bnd.oracle_gap_hoeffding, cfg.n_candidates,
-                          cfg.m, run.mixing.t_mix)
+        rhs = _oracle_rhs(kind, bnd.oracle_gap_hoeffding, params)
     elif kind == "bernstein":
         gaps = run.exact_hat - run.exact_tilde
-        rhs = _oracle_rhs(kind, bnd.oracle_gap_bernstein, cfg.n_candidates,
-                          cfg.m, cfg.a, run.mixing.t_mix, gamma_ps,
-                          risk_best)
+        rhs = _oracle_rhs(kind, bnd.oracle_gap_bernstein, params)
         details["excess_rhs_as_printed"] = _oracle_rhs(
-            kind, bnd.oracle_excess_bernstein, cfg.n_candidates, cfg.m,
-            cfg.a, run.mixing.t_mix, gamma_ps, risk_best, run.bayes_risk)
+            kind, bnd.oracle_excess_bernstein, params)
         details["not_strictly_oracle"] = True
     elif kind == "noise":
         if run.tau_star is None:
             raise RangeError("noise oracle check needs a noise model")
         gaps = run.exact_hat - run.bayes_risk
-        excess_best = risk_best - run.bayes_risk
-        rhs = _oracle_rhs(kind, bnd.nc_oracle_rhs, cfg.n_candidates, cfg.m,
-                          cfg.theta, gamma_ps, run.mixing.t_mix, run.tau_star,
-                          max(excess_best, 0.0))
+        rhs = _oracle_rhs(kind, bnd.nc_oracle_rhs, params)
         details["excess_best"] = excess_best
     else:
         raise UnknownEventError(f"unknown oracle check kind {kind!r}")

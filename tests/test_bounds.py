@@ -434,6 +434,29 @@ def test_evaluate_bound_missing_parameter():
         evaluate_bound("hoeffding", {"m": 100})
 
 
+@pytest.mark.parametrize("call", [
+    lambda: evaluate_bound("not_a_bound", {}),
+    lambda: form_parameters("not_a_bound"),
+    lambda: event_shift("not_a_bound", {}),
+], ids=["evaluate_bound", "form_parameters", "event_shift"])
+def test_registry_lookups_reject_an_unknown_id_alike(call):
+    with pytest.raises(KeyMismatchError) as info:
+        call()
+    assert str(info.value) == "unknown bound id 'not_a_bound'"
+
+
+@pytest.mark.parametrize("call, line", [
+    (lambda: evaluate_bound("hoeffding", {"m": 100}),
+     "bound 'hoeffding' missing parameters ['epsilon', 't_mix']"),
+    (lambda: event_shift("noise_gap", {"m": 100}),
+     "shift of bound 'noise_gap' missing parameters ['b', 'theta']"),
+], ids=["evaluate_bound", "event_shift"])
+def test_forms_and_shifts_name_their_missing_parameters(call, line):
+    with pytest.raises(KeyMismatchError) as info:
+        call()
+    assert str(info.value) == line
+
+
 # ---------------------------------------------------------------------------
 # domain rules, one per parameter name
 

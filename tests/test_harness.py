@@ -53,6 +53,7 @@ from markov_holdout.chains import TransitionKernel, pseudo_spectral_gap
 from markov_holdout.config import experiment_from_dict
 from markov_holdout.errors import ConfigError, UnknownEventError
 from markov_holdout.predictors import conditional_risk
+from markov_holdout import bounds as bnd
 from markov_holdout import harness
 from markov_holdout.harness import WILSON_Z_99, _replication_rows
 
@@ -701,6 +702,37 @@ def test_oracle_gap_check_bernstein_details(oracle_run):
     assert "excess_rhs_as_printed" in rep.details
 
 
+def test_oracle_right_sides_equal_their_positional_calls(order2_chain):
+    # each right side is bound by name from one mapping; it must equal the
+    # form called with its arguments in order, bit for bit.  No candidate
+    # here is as good as the Bayes predictor of this order-2 chain, so the
+    # best risk differs from the Bayes risk and a swap of the two shows
+    from markov_holdout import oracle_gap_check
+    run = run_replications(ExperimentConfig(
+        chain=order2_chain, orders=(0,),
+        loss=LossSpec.misclassification(2), n=300, m=200, replications=1000,
+        epsilon_grid=(0.2,), noise=MammenTsybakovNoise(1.0, 0.2),
+        master_seed=13))
+    cfg, t_mix, gamma_ps = run.config, run.mixing.t_mix, run.spectral.gamma_ps
+    risk_best = float(run.exact_tilde.mean())
+    assert risk_best > run.bayes_risk
+    expected = {
+        "hoeffding": bnd.oracle_gap_hoeffding(cfg.n_candidates, cfg.m, t_mix),
+        "bernstein": bnd.oracle_gap_bernstein(
+            cfg.n_candidates, cfg.m, cfg.a, t_mix, gamma_ps, risk_best),
+        "noise": bnd.nc_oracle_rhs(
+            cfg.n_candidates, cfg.m, cfg.theta, gamma_ps, t_mix, run.tau_star,
+            risk_best - run.bayes_risk),
+    }
+    for kind, rhs in expected.items():
+        assert oracle_gap_check(run, kind).rhs == rhs, kind
+    printed = bnd.oracle_excess_bernstein(cfg.n_candidates, cfg.m, cfg.a,
+                                          t_mix, gamma_ps, risk_best,
+                                          run.bayes_risk)
+    assert (oracle_gap_check(run, "bernstein").details["excess_rhs_as_printed"]
+            == printed)
+
+
 @pytest.mark.parametrize("setting, kind, message", [
     ("theta", "noise", "oracle noise right side failed to evaluate: "
                        "float division by zero"),
@@ -716,6 +748,13 @@ def test_oracle_gap_check_rejects_a_right_side_that_overflows(
     with pytest.raises(NumericalFailureError) as info:
         oracle_gap_check(run, kind)
     assert str(info.value) == message
+
+
+def test_oracle_right_side_that_is_nan_names_its_kind():
+    # no in-domain input reaches this line; a stand-in form does
+    with pytest.raises(NumericalFailureError) as info:
+        harness._oracle_rhs("noise", lambda m: float("nan"), {"m": 1})
+    assert str(info.value) == "oracle noise right side evaluated to NaN"
 
 
 def test_oracle_gap_check_unknown_kind(oracle_run):
