@@ -368,7 +368,7 @@ class TabulatedNoise:
 
     Validation enforces the defining property that omega(x)/sqrt(x) is
     non-increasing (equivalently omega is concave-like enough for a unique
-    fixed point).
+    fixed point).  Every radius, omega(0) and every ratio must be finite.
     """
 
     radii: np.ndarray
@@ -381,6 +381,9 @@ class TabulatedNoise:
             raise DimensionMismatchError(
                 "radii/values must be equal-length 1-d arrays with >= 2 "
                 f"points, got {r.shape} and {v.shape}")
+        # checked first: numpy warns on differences of infinities
+        if not (np.isfinite(r).all() and np.isfinite(v[r == 0.0]).all()):
+            raise RangeError("radii and omega(0) must be finite")
         if r[0] < 0.0 or np.any(np.diff(r) <= 0.0):
             raise RangeError("radii must be non-negative and strictly increasing")
         if np.any(v < 0.0):

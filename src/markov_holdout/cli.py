@@ -124,6 +124,14 @@ def _diagnostics_payload(kernel: TransitionKernel | MarkovizedChain,
             **_mixing_fields(profile, spectral)}
 
 
+def _margin(chain: MarkovizedChain) -> float | None:
+    # the chain's margin, None for a chain that has none (not binary)
+    try:
+        return bnd.margin(chain)
+    except BinaryOnlyError:
+        return None
+
+
 def cmd_diagnose(cfg: dict, say) -> tuple[int, dict, dict]:
     chain_obj = read(cfg, "chain", "object")
     level = read(cfg, "level", "number", 0.25)
@@ -260,8 +268,6 @@ def cmd_verify(cfg: dict, say) -> tuple[int, dict, dict]:
             f"{noise_report.n_tables} tables: "
             f"{'ok' if noise_report.passed else 'FAIL'}")
 
-    chain_margin = bnd.margin(exp.chain) if exp.chain.symbols == 2 else None
-
     all_passed = (verification.passed
                   and all(r.passed for r in oracle_reports)
                   and coupling.passed
@@ -274,7 +280,7 @@ def cmd_verify(cfg: dict, say) -> tuple[int, dict, dict]:
             **_mixing_fields(run.mixing, run.spectral),
             "bayes_risk": run.bayes_risk,
             "tau_star": run.tau_star,
-            "margin": chain_margin,
+            "margin": _margin(exp.chain),
         },
         "candidates": [
             {"order": q,
@@ -310,12 +316,8 @@ def cmd_verify(cfg: dict, say) -> tuple[int, dict, dict]:
 
 def cmd_noise(cfg: dict, say) -> tuple[int, dict, dict]:
     chain = build_chain(read(cfg, "chain", "object"))
-    try:
-        h = bnd.margin(chain)
-        zero_margin = h <= bnd.ZERO_MARGIN_TOL
-    except BinaryOnlyError:
-        h = None
-        zero_margin = None
+    h = _margin(chain)
+    zero_margin = None if h is None else h <= bnd.ZERO_MARGIN_TOL
     noise = parse_noise(cfg, chain)
     if noise is None and h is not None and not zero_margin:
         noise = bnd.MammenTsybakovNoise(alpha=1.0, h=h)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -293,10 +294,10 @@ def run_replications(config: ExperimentConfig) -> RunResult:
     else:
         # imported here so a serial run skips multiprocessing's imports; a
         # fork start forks every worker at the first submit, so the pool
-        # has no more workers than jobs
+        # has no more workers than jobs or than CPUs
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=min(config.threads,
-                                                 len(jobs))) as pool:
+        with ProcessPoolExecutor(max_workers=min(
+                config.threads, len(jobs), os.cpu_count() or 1)) as pool:
             parts = list(pool.map(_replication_rows, jobs))
     k_hat, k_tilde, empirical, gap_emp, exact = (
         None if col[0] is None else np.concatenate(col) for col in zip(*parts))

@@ -145,14 +145,14 @@ def _counts(counts, shape: tuple) -> np.ndarray:
 
 
 def _fit_checks(chain: MarkovizedChain, orders, counts, losses,
-                lead: tuple) -> np.ndarray:
-    """``counts`` as an array of shape lead + (S,), once every order lies
-    in [0, p] (RangeError) and each of ``losses`` has the chain's symbols."""
-    p = chain.embedding_order
-    if any(not 0 <= q <= p for q in orders):
-        raise RangeError(f"memory order must lie in [0, {p}]")
+                lead: tuple) -> tuple[np.ndarray, list]:
+    """(``counts`` as an array of shape lead + (S,), each order's
+    :meth:`~MarkovizedChain.context_index`), once every order lies in
+    [0, p] by that method's rule and each of ``losses`` has the chain's
+    symbols."""
+    contexts = [chain.context_index(q) for q in orders]
     _check_loss_symbols(chain, *losses)
-    return _counts(counts, lead + (chain.n_states,))
+    return _counts(counts, lead + (chain.n_states,)), contexts
 
 
 def _erm_tables(chain: MarkovizedChain, order_q: int, counts: np.ndarray,
@@ -182,7 +182,7 @@ def erm_fit(chain: MarkovizedChain, order_q: int, counts: np.ndarray,
     target.  ``order_q`` must lie in [0, p] (RangeError), and ``loss``
     must have the chain's symbols (DimensionMismatchError).
     """
-    counts = _fit_checks(chain, (order_q,), counts, (loss,), ())
+    counts = _fit_checks(chain, (order_q,), counts, (loss,), ())[0]
     return PredictorTable(order=order_q, symbols=chain.symbols,
                           table=_erm_tables(chain, order_q, counts, loss))
 
@@ -196,13 +196,12 @@ def erm_losses(chain: MarkovizedChain, orders, counts: np.ndarray,
     orders[k], row, train_loss)``, the fits taken by the same rule for all
     rows at once.
     """
-    counts = _fit_checks(chain, orders, counts, (train_loss, loss),
-                         np.shape(counts)[:-1])
+    counts, contexts = _fit_checks(chain, orders, counts, (train_loss, loss),
+                                   np.shape(counts)[:-1])
     out = np.empty(counts.shape[:-1] + (len(orders), chain.n_states))
-    for k, q in enumerate(orders):
+    for k, (q, context) in enumerate(zip(orders, contexts)):
         tables = _erm_tables(chain, q, counts, train_loss)
-        out[..., k, :] = loss.table[tables[..., chain.context_index(q)],
-                                    chain.targets]
+        out[..., k, :] = loss.table[tables[..., context], chain.targets]
     return out
 
 

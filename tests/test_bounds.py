@@ -366,6 +366,24 @@ def test_tabulated_noise_rejects_a_ratio_that_is_not_finite(radii, values,
                                f"{radius}")
 
 
+@pytest.mark.parametrize("radii, values", [
+    ([0.0, 1.0, np.inf], [0.0, 1.0, np.inf]),
+    ([0.0, 1.0, np.inf], [0.0, 1.0, 1.0]),
+    ([0.0, np.inf, np.inf], [0.0, 1.0, 1.0]),
+    ([0.0, 1.0, np.nan], [0.0, 1.0, 1.0]),
+    ([np.nan, 1.0], [0.0, 1.0]),
+    ([0.0, 1.0], [np.nan, 1.0]),
+    ([0.0, 1.0], [np.inf, 1.0]),
+], ids=["infinite-radius-and-value", "infinite-radius", "repeated-infinity",
+        "nan-radius", "nan-first-radius", "nan-at-zero", "infinite-at-zero"])
+def test_tabulated_noise_rejects_what_is_not_finite(radii, values):
+    # filterwarnings = error: a numpy warning before the error fails here.
+    # Values at positive radii keep the ratio's own line (above)
+    with pytest.raises(RangeError) as info:
+        TabulatedNoise(np.array(radii), np.array(values))
+    assert str(info.value) == "radii and omega(0) must be finite"
+
+
 # ---------------------------------------------------------------------------
 # margin
 

@@ -303,10 +303,10 @@ def test_marginal_threads_do_not_change_results(two_state_chain):
         assert (getattr(pooled, name) == getattr(serial, name)).all(), name
 
 
-def test_pool_has_no_more_workers_than_jobs(two_state_chain, monkeypatch):
-    # a fork start forks every worker at the first submit, so a pool wider
-    # than its min(R, 4 * threads) jobs would fork idle processes; the fake
-    # records the pool size and maps in this process, starting none
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    # the max_workers of every pool asked for; the fake maps in this
+    # process and starts none, so no width asked for here forks anything
     sizes = []
 
     class SerialPool:
@@ -323,23 +323,46 @@ def test_pool_has_no_more_workers_than_jobs(two_state_chain, monkeypatch):
             return map(fn, jobs)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    return sizes
 
-    def run(threads):
-        return run_replications(ExperimentConfig(
-            chain=two_state_chain, orders=(0, 1),
-            loss=LossSpec.misclassification(2), n=40, m=30,
-            replications=100, epsilon_grid=(0.2,), master_seed=3,
-            threads=threads))
 
-    serial = run(1)
-    assert sizes == []
+def _pool_run(chain, threads):
+    return run_replications(ExperimentConfig(
+        chain=chain, orders=(0, 1), loss=LossSpec.misclassification(2),
+        n=40, m=30, replications=100, epsilon_grid=(0.2,), master_seed=3,
+        threads=threads))
+
+
+def test_pool_has_no_more_workers_than_jobs(two_state_chain, pool_sizes,
+                                            monkeypatch):
+    # a fork start forks every worker at the first submit, so a pool wider
+    # than its min(R, 4 * threads) jobs would fork idle processes; with
+    # more CPUs than jobs, the jobs are the cap
+    monkeypatch.setattr(os, "cpu_count", lambda: 1000)
+    serial = _pool_run(two_state_chain, 1)
+    assert pool_sizes == []
     # smallest first: should the fake go unused, a real pool of 2 runs and
     # the check fails before a wide one is asked for
     for threads, workers in ((2, 2), (25, 25), (300, 100)):
-        pooled = run(threads)
-        assert sizes.pop() == workers and not sizes
+        pooled = _pool_run(two_state_chain, threads)
+        assert pool_sizes.pop() == workers and not pool_sizes
         for name in ("empirical", "exact", "k_hat", "k_tilde"):
             assert (getattr(pooled, name) == getattr(serial, name)).all()
+
+
+@pytest.mark.parametrize("cpus, threads, workers", [
+    (3, 2, 2), (3, 1_000_000, 3), (None, 1_000_000, 1)])
+def test_pool_has_no_more_workers_than_cpus(two_state_chain, pool_sizes,
+                                            monkeypatch, cpus, threads,
+                                            workers):
+    # threads = 10^6 asks for 100 jobs, one per replication, and would
+    # fork 100 processes; os.cpu_count() may be None when it is unknown
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    pooled = _pool_run(two_state_chain, threads)
+    assert pool_sizes == [workers]
+    serial = _pool_run(two_state_chain, 1)
+    for name in ("empirical", "exact", "k_hat", "k_tilde"):
+        assert (getattr(pooled, name) == getattr(serial, name)).all()
 
 
 def test_package_import_leaves_the_pool_unimported():
