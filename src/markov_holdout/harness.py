@@ -260,7 +260,7 @@ def run_replications(config: ExperimentConfig) -> RunResult:
     Replication r draws with seed (master_seed, r), r = 1..R, so results do
     not depend on thread count or completion order.  In conditional mode
     the candidates are fitted once on the learning draw with seed
-    (master_seed, 0); ``threads`` worker processes serve both modes and
+    (master_seed, 0).  Both modes run on the workers chosen below and
     select by the rule of :func:`holdout_select` and through
     :func:`oracle_select`.
     """
@@ -285,19 +285,19 @@ def run_replications(config: ExperimentConfig) -> RunResult:
         loss_matrix = np.stack([state_losses(g, chain, config.loss)
                                 for g in candidates])
         x_last = int(learn[-1])
+    # one worker count decides the pool, the chunks and the in-process
+    # path: a worker past the CPUs or the replications would only wait, and
+    # 4 chunks per worker even out the workers' finishing times
+    workers = min(config.threads, config.replications, os.cpu_count() or 1)
     indices = np.arange(1, config.replications + 1)
-    n_chunks = min(config.replications, config.threads * 4)
-    jobs = [(config, loss_matrix, x_last, chunk)
-            for chunk in np.array_split(indices, n_chunks)]
-    if config.threads == 1:
+    jobs = [(config, loss_matrix, x_last, chunk) for chunk in
+            np.array_split(indices, min(config.replications, 4 * workers))]
+    if workers == 1:
         parts = [_replication_rows(job) for job in jobs]
     else:
-        # imported here so a serial run skips multiprocessing's imports; a
-        # fork start forks every worker at the first submit, so the pool
-        # has no more workers than jobs or than CPUs
+        # imported here so an in-process run skips multiprocessing's imports
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=min(
-                config.threads, len(jobs), os.cpu_count() or 1)) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(_replication_rows, jobs))
     k_hat, k_tilde, empirical, gap_emp, exact = (
         None if col[0] is None else np.concatenate(col) for col in zip(*parts))

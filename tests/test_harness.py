@@ -305,13 +305,23 @@ def test_marginal_threads_do_not_change_results(two_state_chain):
 
 @pytest.fixture
 def pool_sizes(monkeypatch):
-    # the max_workers of every pool asked for; the fake maps in this
-    # process and starts none, so no width asked for here forks anything
-    sizes = []
+    # (max_workers, jobs mapped) of every pool asked for, and in
+    # pool_sizes.chunks the number of chunks run, in a pool or not; the fake
+    # maps in this process and starts none, so no width asked for here forks
+    # anything
+    class Sizes(list):
+        chunks = 0
+
+    sizes = Sizes()
+    rows = harness._replication_rows
+
+    def counted_rows(job):
+        sizes.chunks += 1
+        return rows(job)
 
     class SerialPool:
         def __init__(self, max_workers):
-            sizes.append(max_workers)
+            self.max_workers = max_workers
 
         def __enter__(self):
             return self
@@ -320,8 +330,11 @@ def pool_sizes(monkeypatch):
             return False
 
         def map(self, fn, jobs):
+            jobs = list(jobs)
+            sizes.append((self.max_workers, len(jobs)))
             return map(fn, jobs)
 
+    monkeypatch.setattr(harness, "_replication_rows", counted_rows)
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     return sizes
 
@@ -336,30 +349,38 @@ def _pool_run(chain, threads):
 def test_pool_has_no_more_workers_than_jobs(two_state_chain, pool_sizes,
                                             monkeypatch):
     # a fork start forks every worker at the first submit, so a pool wider
-    # than its min(R, 4 * threads) jobs would fork idle processes; with
-    # more CPUs than jobs, the jobs are the cap
+    # than its jobs would fork idle processes; with more CPUs than
+    # replications, the R = 100 replications cap the workers, and each
+    # worker gets 4 chunks up to one replication per chunk
     monkeypatch.setattr(os, "cpu_count", lambda: 1000)
     serial = _pool_run(two_state_chain, 1)
-    assert pool_sizes == []
+    assert pool_sizes == [] and pool_sizes.chunks == 4
     # smallest first: should the fake go unused, a real pool of 2 runs and
     # the check fails before a wide one is asked for
-    for threads, workers in ((2, 2), (25, 25), (300, 100)):
+    for threads, workers, jobs in ((2, 2, 8), (25, 25, 100),
+                                   (300, 100, 100)):
+        pool_sizes.chunks = 0
         pooled = _pool_run(two_state_chain, threads)
-        assert pool_sizes.pop() == workers and not pool_sizes
+        assert pool_sizes.pop() == (workers, jobs) and not pool_sizes
+        assert pool_sizes.chunks == jobs
         for name in ("empirical", "exact", "k_hat", "k_tilde"):
             assert (getattr(pooled, name) == getattr(serial, name)).all()
 
 
 @pytest.mark.parametrize("cpus, threads, workers", [
-    (3, 2, 2), (3, 1_000_000, 3), (None, 1_000_000, 1)])
+    (3, 2, 2), (3, 1_000_000, 3), (None, 1_000_000, 1), (2, 1000, 2),
+    (1, 4, 1)])
 def test_pool_has_no_more_workers_than_cpus(two_state_chain, pool_sizes,
                                             monkeypatch, cpus, threads,
                                             workers):
-    # threads = 10^6 asks for 100 jobs, one per replication, and would
-    # fork 100 processes; os.cpu_count() may be None when it is unknown
+    # the chunks follow the workers opened, 4 each, not the threads asked
+    # for: threads = 10^6 on 3 CPUs maps 12 jobs, not 100 of one
+    # replication each.  One worker, as on one CPU or where os.cpu_count()
+    # is None (unknown), runs its 4 chunks in this process with no pool
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
     pooled = _pool_run(two_state_chain, threads)
-    assert pool_sizes == [workers]
+    assert pool_sizes == ([(workers, 4 * workers)] if workers > 1 else [])
+    assert pool_sizes.chunks == 4 * workers
     serial = _pool_run(two_state_chain, 1)
     for name in ("empirical", "exact", "k_hat", "k_tilde"):
         assert (getattr(pooled, name) == getattr(serial, name)).all()
