@@ -43,10 +43,11 @@ from .config import (
 )
 from .errors import BinaryOnlyError, ConfigError, HoldoutError
 from .harness import (
-    ORACLE_MIN_REPLICATIONS,
+    CHECKS,
     coupling_check,
     noise_condition_check,
     oracle_gap_check,
+    planned_checks,
     run_replications,
     verify_bounds,
 )
@@ -245,15 +246,14 @@ def cmd_verify(cfg: dict, say) -> tuple[int, dict, dict]:
         f"{verification.violations} violations, "
         f"{verification.vacuous} vacuous")
 
-    oracle_reports = []
-    if exp.run_oracle_checks and exp.replications >= ORACLE_MIN_REPLICATIONS:
-        kinds = ["hoeffding", "bernstein"] + (
-            ["noise"] if exp.noise is not None else [])
-        for kind in kinds:
-            rep = oracle_gap_check(run, kind)
-            oracle_reports.append(rep)
-            say(f"[verify] oracle {kind}: mean {rep.mean_gap:.6g} + 3se vs "
-                f"rhs {rep.rhs:.6g} -> {'ok' if rep.passed else 'FAIL'}")
+    # report.json list -> the results of the checks planned for it
+    checks = {key: [] for key, *_ in CHECKS.values()}
+    for kind in planned_checks(exp):
+        key, label, *_ = CHECKS[kind]
+        rep = oracle_gap_check(run, kind)
+        checks[key].append(rep)
+        say(f"[verify] {label}: mean {rep.mean_gap:.6g} + 3se vs "
+            f"rhs {rep.rhs:.6g} -> {'ok' if rep.passed else 'FAIL'}")
 
     coupling = coupling_check(exp.chain, run.bayes, exp.loss,
                               exp.coupling_b_max, profile=run.mixing)
@@ -269,7 +269,7 @@ def cmd_verify(cfg: dict, say) -> tuple[int, dict, dict]:
             f"{'ok' if noise_report.passed else 'FAIL'}")
 
     all_passed = (verification.passed
-                  and all(r.passed for r in oracle_reports)
+                  and all(r.passed for reps in checks.values() for r in reps)
                   and coupling.passed
                   and (noise_report is None or noise_report.passed))
 
@@ -296,7 +296,7 @@ def cmd_verify(cfg: dict, say) -> tuple[int, dict, dict]:
         # the records' own field dicts, not copies: every field is a scalar,
         # a tuple of scalars or a dict of scalars, and writing only reads them
         "tails": [vars(e) for e in verification.estimates],
-        "oracle_checks": [vars(r) for r in oracle_reports],
+        **{key: [vars(r) for r in reps] for key, reps in checks.items()},
         "coupling": vars(coupling),
         "noise_condition": None if noise_report is None else vars(noise_report),
         "verdict_summary": {

@@ -465,7 +465,7 @@ def verify_bounds(run: RunResult) -> VerificationReport:
 
 @dataclass(frozen=True)
 class OracleGapReport:
-    """Mean selected-vs-best gap against its closed-form ceiling."""
+    """Mean of one check's per-replication statistic against its right side."""
 
     kind: str
     mean_gap: float
@@ -475,55 +475,88 @@ class OracleGapReport:
     details: dict = field(default_factory=dict)
 
 
-def _oracle_rhs(kind: str, form, params: dict) -> float:
-    """``form`` bound by name from ``params``, a finite right side of the
-    ``kind`` oracle check: unlike a tail bound, an infinite one is an
-    error."""
-    rhs = bnd._evaluate(form, params, f"oracle {kind} right side")[1]
-    if math.isinf(rhs):
-        raise NumericalFailureError(f"oracle {kind} right side is {rhs}")
-    return rhs
+def _gap_to_best(run: RunResult) -> np.ndarray:
+    return run.exact_hat - run.exact_tilde
+
+
+# kind -> (report.json list its result goes in, label in stage lines and
+# errors, per-replication statistic, right-side form, details beyond the
+# best and Bayes risks, where a function is a form), in report order.  Each
+# form is bound by name from the run's bound parameters, ``risk_best`` (the
+# mean best-candidate risk), ``risk_bayes`` and ``excess_best`` (their gap,
+# floored at 0).  "hoeffding" and "bernstein" bound E[risk(selected) -
+# risk(best)]; "noise" bounds E[risk(selected) - bayes] against the
+# leniency-weighted best excess
+CHECKS = {
+    "hoeffding": ("oracle_checks", "oracle hoeffding", _gap_to_best,
+                  bnd.oracle_gap_hoeffding, {}),
+    "bernstein": ("oracle_checks", "oracle bernstein", _gap_to_best,
+                  bnd.oracle_gap_bernstein,
+                  {"excess_rhs_as_printed": bnd.oracle_excess_bernstein,
+                   "not_strictly_oracle": True}),
+    "noise": ("oracle_checks", "oracle noise",
+              lambda run: run.exact_hat - run.bayes_risk, bnd.nc_oracle_rhs,
+              {"excess_best": lambda risk_best, risk_bayes:
+               risk_best - risk_bayes}),
+}
+
+
+def _needs_noise(kind: str) -> bool:
+    # a right side that takes the noise model's fixed point
+    return "tau_star" in dict(bnd._positional(CHECKS[kind][3]))
+
+
+def planned_checks(config: ExperimentConfig) -> tuple[str, ...]:
+    """The kinds of :data:`CHECKS` a verify run of ``config`` makes.
+
+    None unless the config asks for the checks and has at least
+    ``ORACLE_MIN_REPLICATIONS``; a kind whose right side takes ``tau_star``
+    only with a noise model.
+    """
+    if (not config.run_oracle_checks
+            or config.replications < ORACLE_MIN_REPLICATIONS):
+        return ()
+    return tuple(kind for kind in CHECKS
+                 if config.noise is not None or not _needs_noise(kind))
 
 
 def oracle_gap_check(run: RunResult, kind: str) -> OracleGapReport:
-    """Check mean gap + 3 SE <= closed-form RHS for one bound family.
+    """Check mean statistic + 3 SE <= right side for one row of :data:`CHECKS`.
 
-    Kinds: "hoeffding" and "bernstein" bound E[risk(selected) - risk(best)];
-    "noise" bounds E[risk(selected) - bayes] against the leniency-weighted
-    best excess.  Needs R >= ``ORACLE_MIN_REPLICATIONS`` for a stable mean.
+    Needs R >= ``ORACLE_MIN_REPLICATIONS`` for a stable mean.  Unlike a tail
+    bound, an infinite right side or detail form is an error.
     """
     if run.replications < ORACLE_MIN_REPLICATIONS:
         raise RangeError(f"oracle gap checks need >= {ORACLE_MIN_REPLICATIONS}"
                          " replications")
+    if kind not in CHECKS:
+        raise UnknownEventError(f"unknown oracle check kind {kind!r}")
+    _, label, statistic, form, extra = CHECKS[kind]
+    if _needs_noise(kind) and run.tau_star is None:
+        raise RangeError(f"{label} check needs a noise model")
     risk_best = float(run.exact_tilde.mean())
-    excess_best = risk_best - run.bayes_risk
     params = {**_bound_params(run), "risk_best": risk_best,
               "risk_bayes": run.bayes_risk,
-              "excess_best": max(excess_best, 0.0)}
-    details: dict = {"risk_best": risk_best, "bayes_risk": run.bayes_risk}
-    if kind == "hoeffding":
-        gaps = run.exact_hat - run.exact_tilde
-        rhs = _oracle_rhs(kind, bnd.oracle_gap_hoeffding, params)
-    elif kind == "bernstein":
-        gaps = run.exact_hat - run.exact_tilde
-        rhs = _oracle_rhs(kind, bnd.oracle_gap_bernstein, params)
-        details["excess_rhs_as_printed"] = _oracle_rhs(
-            kind, bnd.oracle_excess_bernstein, params)
-        details["not_strictly_oracle"] = True
-    elif kind == "noise":
-        if run.tau_star is None:
-            raise RangeError("noise oracle check needs a noise model")
-        gaps = run.exact_hat - run.bayes_risk
-        rhs = _oracle_rhs(kind, bnd.nc_oracle_rhs, params)
-        details["excess_best"] = excess_best
-    else:
-        raise UnknownEventError(f"unknown oracle check kind {kind!r}")
-    mean_gap = float(gaps.mean())
-    std_error = float(gaps.std(ddof=1) / math.sqrt(len(gaps)))
-    passed = mean_gap + 3.0 * std_error <= rhs
-    return OracleGapReport(kind=kind, mean_gap=mean_gap,
-                           std_error=std_error, rhs=float(rhs),
-                           passed=passed, details=details)
+              "excess_best": max(risk_best - run.bayes_risk, 0.0)}
+    label += " right side"
+
+    def evaluate(func) -> float:
+        value = bnd._evaluate(func, params, label)[1]
+        if math.isinf(value):
+            raise NumericalFailureError(f"{label} is {value}")
+        return value
+
+    rhs = evaluate(form)
+    details = {"risk_best": risk_best, "bayes_risk": run.bayes_risk,
+               **{name: evaluate(v) if callable(v) else v
+                  for name, v in extra.items()}}
+    stats = statistic(run)
+    mean_gap = float(stats.mean())
+    std_error = float(stats.std(ddof=1) / math.sqrt(len(stats)))
+    return OracleGapReport(kind=kind, mean_gap=mean_gap, std_error=std_error,
+                           rhs=float(rhs),
+                           passed=mean_gap + 3.0 * std_error <= rhs,
+                           details=details)
 
 
 @dataclass(frozen=True)

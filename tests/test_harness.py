@@ -792,10 +792,14 @@ def test_oracle_gap_check_rejects_a_right_side_that_overflows(
     assert str(info.value) == message
 
 
-def test_oracle_right_side_that_is_nan_names_its_kind():
+def test_oracle_right_side_that_is_nan_names_its_kind(oracle_run,
+                                                     monkeypatch):
     # no in-domain input reaches this line; a stand-in form does
+    key, label, statistic, _, details = harness.CHECKS["noise"]
+    monkeypatch.setitem(harness.CHECKS, "noise", (
+        key, label, statistic, lambda m, tau_star: float("nan"), details))
     with pytest.raises(NumericalFailureError) as info:
-        harness._oracle_rhs("noise", lambda m: float("nan"), {"m": 1})
+        harness.oracle_gap_check(oracle_run, "noise")
     assert str(info.value) == "oracle noise right side evaluated to NaN"
 
 
