@@ -31,6 +31,7 @@ from .errors import (
     NoSolutionError,
     NumericalFailureError,
     RangeError,
+    ZeroMarginError,
 )
 
 _DENOM_GUARD = 1e-300
@@ -431,6 +432,14 @@ def margin(chain_or_spec) -> float:
     if base.symbols != 2:
         raise BinaryOnlyError("margin is defined for binary chains only")
     return float(np.abs(2.0 * base.conditional[:, 1] - 1.0).min())
+
+
+def nonzero_margin(h: float) -> float:
+    """``h``, a margin of :func:`margin`, once it is above ZERO_MARGIN_TOL
+    (ZeroMarginError otherwise): the margin a noise model or check uses."""
+    if h <= ZERO_MARGIN_TOL:
+        raise ZeroMarginError(f"margin {h!r} is numerically zero")
+    return h
 
 
 # ---------------------------------------------------------------------------

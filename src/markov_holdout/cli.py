@@ -352,8 +352,8 @@ _COMMANDS = {
                  (_SEED_FLAG,)),
     "verify": (cmd_verify, "replicate, estimate tails, check domination",
                (_SEED_FLAG,
-                ("--threads", "override the worker process count "
-                              "(replications, either mode)"))),
+                ("--threads", "override the worker cap: min(threads, "
+                              "replications, CPUs) processes run"))),
     "noise": (cmd_noise, "margin, fixed points, noise-condition check", ()),
 }
 

@@ -33,7 +33,7 @@ import sys
 
 import numpy as np
 
-from .bounds import MammenTsybakovNoise, TabulatedNoise, margin
+from .bounds import MammenTsybakovNoise, TabulatedNoise, margin, nonzero_margin
 from .chains import HigherOrderChainSpec, MarkovizedChain, markovize
 from .errors import ConfigError
 from .harness import ExperimentConfig
@@ -160,7 +160,7 @@ def parse_noise(d: dict, chain: MarkovizedChain | None):
             if chain is None:
                 raise ConfigError("noise h omitted and no chain to take a "
                                   "margin from")
-            h = margin(chain)
+            h = nonzero_margin(margin(chain))
         return MammenTsybakovNoise(alpha=read(spec, "alpha", "number", 1.0),
                                    h=h)
     if kind == "tabulated":

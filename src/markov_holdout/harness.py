@@ -34,7 +34,6 @@ from .errors import (
     NumericalFailureError,
     RangeError,
     UnknownEventError,
-    ZeroMarginError,
 )
 from .predictors import (
     LossSpec,
@@ -486,7 +485,8 @@ def _gap_to_best(run: RunResult) -> np.ndarray:
 # mean best-candidate risk), ``risk_bayes`` and ``excess_best`` (their gap,
 # floored at 0).  "hoeffding" and "bernstein" bound E[risk(selected) -
 # risk(best)]; "noise" bounds E[risk(selected) - bayes] against the
-# leniency-weighted best excess
+# leniency-weighted best excess; "expectation_hoeffding" bounds the expected
+# largest deviation of a candidate's hold-out risk from its exact risk
 CHECKS = {
     "hoeffding": ("oracle_checks", "oracle hoeffding", _gap_to_best,
                   bnd.oracle_gap_hoeffding, {}),
@@ -498,26 +498,25 @@ CHECKS = {
               lambda run: run.exact_hat - run.bayes_risk, bnd.nc_oracle_rhs,
               {"excess_best": lambda risk_best, risk_bayes:
                risk_best - risk_bayes}),
+    "expectation_hoeffding": (
+        "expectation_checks", "expectation hoeffding",
+        lambda run: np.abs(run.empirical - run.exact).max(axis=1),
+        bnd.expectation_bound_hoeffding,
+        {"statistic": "max_k |empirical_k - exact_k|"}),
 }
-
-
-def _needs_noise(kind: str) -> bool:
-    # a right side that takes the noise model's fixed point
-    return "tau_star" in dict(bnd._positional(CHECKS[kind][3]))
 
 
 def planned_checks(config: ExperimentConfig) -> tuple[str, ...]:
     """The kinds of :data:`CHECKS` a verify run of ``config`` makes.
 
     None unless the config asks for the checks and has at least
-    ``ORACLE_MIN_REPLICATIONS``; a kind whose right side takes ``tau_star``
-    only with a noise model.
+    ``ORACLE_MIN_REPLICATIONS``; "noise" only with a noise model.
     """
     if (not config.run_oracle_checks
             or config.replications < ORACLE_MIN_REPLICATIONS):
         return ()
     return tuple(kind for kind in CHECKS
-                 if config.noise is not None or not _needs_noise(kind))
+                 if kind != "noise" or config.noise is not None)
 
 
 def oracle_gap_check(run: RunResult, kind: str) -> OracleGapReport:
@@ -531,9 +530,9 @@ def oracle_gap_check(run: RunResult, kind: str) -> OracleGapReport:
                          " replications")
     if kind not in CHECKS:
         raise UnknownEventError(f"unknown oracle check kind {kind!r}")
+    if kind == "noise" and run.tau_star is None:
+        raise RangeError("noise oracle check needs a noise model")
     _, label, statistic, form, extra = CHECKS[kind]
-    if _needs_noise(kind) and run.tau_star is None:
-        raise RangeError(f"{label} check needs a noise model")
     risk_best = float(run.exact_tilde.mean())
     params = {**_bound_params(run), "risk_best": risk_best,
               "risk_bayes": run.bayes_risk,
@@ -614,9 +613,7 @@ def _noise_check_margin(chain: MarkovizedChain, order_q: int) -> float:
         raise RangeError(
             f"order must lie in [0, {min(chain.embedding_order, 3)}] "
             "(enumeration grows doubly exponentially)")
-    if h <= bnd.ZERO_MARGIN_TOL:
-        raise ZeroMarginError(f"margin {h!r} is numerically zero")
-    return h
+    return bnd.nonzero_margin(h)
 
 
 def noise_condition_check(chain: MarkovizedChain, order_q: int,

@@ -21,10 +21,11 @@ import markov_holdout.cli as cli
 from markov_holdout import (
     MammenTsybakovNoise,
     event_table,
+    harness,
     pseudo_spectral_gap,
     run_replications,
 )
-from markov_holdout.bounds import BOUND_FORMS, form_parameters
+from markov_holdout.bounds import BOUND_FORMS, form_parameters, margin
 from markov_holdout.cli import main
 from markov_holdout.config import (
     EPSILON_GRID_MAX_POINTS,
@@ -930,6 +931,38 @@ def test_verify_reports_oracle_checks_and_noise(tmp_path):
     assert "gap_abs_dev[g0]" in event_ids
 
 
+def test_verify_gates_on_the_expectation_check(tmp_path, monkeypatch):
+    # the shipped two-state run passes every check; a Hoeffding expectation
+    # bound shrunk twentyfold fails it, and with it the run
+    cfg = str(CONFIGS / "verify_two_state.json")
+    assert main(["verify", "--config", cfg, "--out", str(tmp_path / "ok"),
+                 "--quiet"]) == 0
+    (entry,) = read_json(tmp_path / "ok", "report.json")["expectation_checks"]
+    assert entry["kind"] == "expectation_hoeffding"
+    assert entry["passed"] is True
+    key, label, statistic, form, details = harness.CHECKS[
+        "expectation_hoeffding"]
+    monkeypatch.setitem(harness.CHECKS, "expectation_hoeffding", (
+        key, label, statistic,
+        lambda n_candidates, m, t_mix: form(n_candidates, m, t_mix) / 20,
+        details))
+    assert main(["verify", "--config", cfg, "--out", str(tmp_path / "bad"),
+                 "--quiet"]) == 1
+    report = read_json(tmp_path / "bad", "report.json")
+    assert [r["passed"] for r in report["expectation_checks"]] == [False]
+    assert all(r["passed"] for r in report["oracle_checks"])
+    assert report["verdict_summary"]["passed"] is False
+
+
+def test_verify_without_oracle_checks_makes_no_expectation_check(tmp_path):
+    cfg = write_config(tmp_path, {**VERIFY_TWO_STATE, "oracle_checks": False})
+    out = tmp_path / "out"
+    assert main(["verify", "--config", cfg, "--out", str(out),
+                 "--quiet"]) == 0
+    report = read_json(out, "report.json")
+    assert report["oracle_checks"] == report["expectation_checks"] == []
+
+
 def strict_json(path):
     def reject(constant):
         raise ValueError(f"{path.name} holds {constant}, which is not JSON")
@@ -1107,6 +1140,42 @@ def test_noise_zero_margin_chain(tmp_path):
     assert payload["tau_star"] is None
 
 
+# order2_binary.json with context 1,0 moved 2e-13 off 1/2 (a margin of
+# about 4e-13), and with that context at exactly 1/2
+NEAR_ZERO_MARGIN = {**ORDER2, "chain": {**ORDER2["chain"], "conditional": {
+    **ORDER2["chain"]["conditional"], "1,0": [0.5 + 2e-13, 0.5 - 2e-13]}}}
+ZERO_MARGIN = {**ORDER2, "chain": {**ORDER2["chain"], "conditional": {
+    **ORDER2["chain"]["conditional"], "1,0": [0.5, 0.5]}}}
+
+
+@pytest.mark.parametrize("payload", [NEAR_ZERO_MARGIN, ZERO_MARGIN],
+                         ids=["4e-13", "0"])
+def test_noise_model_on_the_chains_margin_rejects_a_zero_one(tmp_path, capsys,
+                                                             payload):
+    # h = null takes the chain's margin, by the zero rule the exhaustive
+    # check applies: one line, the same for both, naming no unset key
+    lines = []
+    for name, extra in (("model", {"noise": {"kind": "mammen-tsybakov",
+                                             "h": None}}),
+                        ("check", {"noise_check_order": 1})):
+        cfg = write_config(tmp_path, {**payload, **extra}, name=f"{name}.json")
+        assert main(["noise", "--config", cfg,
+                     "--out", str(tmp_path / name), "--quiet"]) == 2
+        lines.append(capsys.readouterr().err)
+    h = margin(build_chain(payload["chain"]))
+    assert lines == [f"error: margin {h!r} is numerically zero\n"] * 2
+
+
+def test_verify_rejects_a_noise_model_on_a_zero_margin(tmp_path, capsys):
+    cfg = write_config(tmp_path, {
+        **VERIFY_TWO_STATE, "chain": {"kernel": [[0.5, 0.5], [0.5, 0.5]],
+                                      "embedding_order": 1},
+        "noise_check_order": None})
+    assert main(["verify", "--config", cfg, "--out", str(tmp_path / "out"),
+                 "--quiet"]) == 2
+    assert capsys.readouterr().err == "error: margin 0.0 is numerically zero\n"
+
+
 def test_noise_on_a_non_binary_chain(tmp_path, capsys):
     # the margin and its noise model are binary-only: a 3-state chain
     # reports none of them, and the exhaustive check refuses to run
@@ -1173,6 +1242,8 @@ STAGE_LINES = {
         "[verify] oracle hoeffding: mean 0 + 3se vs rhs 0.986209 -> ok",
         "[verify] oracle bernstein: mean 0 + 3se vs rhs 29.6702 -> ok",
         "[verify] oracle noise: mean 0 + 3se vs rhs 159.666 -> ok",
+        "[verify] expectation hoeffding: mean 0.0426857 + 3se vs rhs 0.493105 "
+        "-> ok",
         "[verify] coupling over b<=20: ok",
         "[verify] noise condition at order 1 over 4 tables: ok",
         "[verify] PASS"]),

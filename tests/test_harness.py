@@ -797,7 +797,7 @@ def test_oracle_right_side_that_is_nan_names_its_kind(oracle_run,
     # no in-domain input reaches this line; a stand-in form does
     key, label, statistic, _, details = harness.CHECKS["noise"]
     monkeypatch.setitem(harness.CHECKS, "noise", (
-        key, label, statistic, lambda m, tau_star: float("nan"), details))
+        key, label, statistic, lambda m: float("nan"), details))
     with pytest.raises(NumericalFailureError) as info:
         harness.oracle_gap_check(oracle_run, "noise")
     assert str(info.value) == "oracle noise right side evaluated to NaN"
@@ -818,6 +818,58 @@ def test_oracle_gap_check_noise_needs_model(two_state_chain):
     run = run_replications(config)
     with pytest.raises(RangeError):
         oracle_gap_check(run, "noise")
+
+
+@pytest.mark.parametrize("change, kinds", [
+    ({"replications": 999}, ()),
+    ({"run_oracle_checks": False}, ()),
+    ({"noise": None}, ("hoeffding", "bernstein", "expectation_hoeffding")),
+    ({}, ("hoeffding", "bernstein", "noise", "expectation_hoeffding")),
+], ids=["below-floor", "turned-off", "no-noise-model", "all"])
+def test_planned_checks(oracle_run, change, kinds):
+    # oracle_run has R = 1000, the floor, and a noise model
+    config = replace(oracle_run.config, **change)
+    assert harness.planned_checks(config) == kinds
+
+
+def test_expectation_check_averages_the_largest_candidate_deviation(
+        oracle_run):
+    rep = harness.oracle_gap_check(oracle_run, "expectation_hoeffding")
+    stats = np.abs(oracle_run.empirical - oracle_run.exact).max(axis=1)
+    assert rep.mean_gap == stats.mean()
+    assert rep.std_error == stats.std(ddof=1) / np.sqrt(1000)
+    cfg = oracle_run.config
+    assert rep.rhs == bnd.expectation_bound_hoeffding(
+        cfg.n_candidates, cfg.m, oracle_run.mixing.t_mix)
+    assert rep.details["statistic"] == "max_k |empirical_k - exact_k|"
+    assert rep.passed
+
+
+@pytest.fixture(scope="module")
+def cond_s16_run():
+    with open(WORKLOADS / "verify-cond-s16.json") as fh:
+        cfg = json.load(fh)
+    return run_replications(experiment_from_dict({**cfg, "seed": 20260825}))
+
+
+@pytest.mark.parametrize("divisor, passed", [(1, True), (10, True),
+                                             (20, False)])
+def test_expectation_check_fails_a_bound_shrunk_twentyfold(
+        cond_s16_run, monkeypatch, divisor, passed):
+    # mean + 3 SE is 0.01113 against a bound of 0.1611: the bound over 20,
+    # 0.00806, fails; over 10, 0.0161, still passes, so a tenfold error in
+    # the form's constant would go unseen at R = 1000
+    key, label, statistic, form, details = harness.CHECKS[
+        "expectation_hoeffding"]
+    monkeypatch.setitem(harness.CHECKS, "expectation_hoeffding", (
+        key, label, statistic,
+        lambda n_candidates, m, t_mix: form(n_candidates, m, t_mix) / divisor,
+        details))
+    rep = harness.oracle_gap_check(cond_s16_run, "expectation_hoeffding")
+    assert rep.mean_gap + 3 * rep.std_error == pytest.approx(0.01113,
+                                                             abs=1e-5)
+    assert rep.rhs == pytest.approx(0.1611 / divisor, rel=1e-3)
+    assert rep.passed is passed
 
 
 # ---------------------------------------------------------------------------
