@@ -1150,8 +1150,8 @@ ZERO_MARGIN = {**ORDER2, "chain": {**ORDER2["chain"], "conditional": {
 
 @pytest.mark.parametrize("payload", [NEAR_ZERO_MARGIN, ZERO_MARGIN],
                          ids=["4e-13", "0"])
-def test_noise_model_on_the_chains_margin_rejects_a_zero_one(tmp_path, capsys,
-                                                             payload):
+def test_noise_model_on_a_numerically_zero_margin_exits_two(tmp_path, capsys,
+                                                           payload):
     # h = null takes the chain's margin, by the zero rule the exhaustive
     # check applies: one line, the same for both, naming no unset key
     lines = []
