@@ -203,11 +203,13 @@ def _replication_rows(args):
     counted with one ``bincount`` of its states plus ``codes``, which adds
     to each position the offset of its row and segment, a multiple of S.
     The segments are the learning part (marginal mode only), the first
-    ``gap_b`` validation states and the rest, so the full validation counts
-    are the sum of the last two blocks of a row and the gapped counts are
-    the last one.  A state outside [0, S) moves into another block or past
-    the last, so every row's block totals must equal the segment lengths
-    (NumericalFailureError).  The fits and the selections
+    ``gap_b`` validation states and the rest; each segment with states has
+    one block of S counts, and one of length 0 (the burn-in at gap_b = 0)
+    has none.  So the gapped counts are the last block of a row, and the
+    full validation counts are that block when gap_b = 0, or the sum of
+    the last two blocks.  A state outside [0, S) moves into another block
+    or past the last, so every row's block totals must equal the segment
+    lengths (NumericalFailureError).  The fits and the selections
     then run once for the whole chunk: :func:`erm_losses` on the stacked
     learning counts, :func:`holdout_select` on the validation counts and
     :func:`oracle_select` on the stationary law.
@@ -219,7 +221,8 @@ def _replication_rows(args):
     config, loss_matrix, x_last, indices = args
     chain, n, m, gap_b = config.chain, config.n, config.m, config.gap_b
     marginal = loss_matrix is None
-    lengths = np.array(([n] if marginal else []) + [gap_b, m - gap_b])
+    lengths = np.array([length for length in ([n] if marginal else [])
+                        + [gap_b, m - gap_b] if length > 0])
     code = np.repeat(np.arange(len(lengths)) * chain.n_states, lengths)
     width = len(lengths) * chain.n_states
     group = rows_per_block(chain, len(code))
@@ -247,7 +250,8 @@ def _replication_rows(args):
     else:
         losses = np.broadcast_to(loss_matrix,
                                  (len(indices),) + loss_matrix.shape)
-    k_hat, emp = holdout_select(losses, counts[:, -2] + counts[:, -1])
+    valid = counts[:, -1] if gap_b == 0 else counts[:, -2] + counts[:, -1]
+    k_hat, emp = holdout_select(losses, valid)
     gap = holdout_select(losses, counts[:, -1])[1] if gap_b > 0 else None
     k_tilde, exact = oracle_select(losses, chain.stationary)
     return k_hat, k_tilde, emp, gap, exact
@@ -523,16 +527,18 @@ def oracle_gap_check(run: RunResult, kind: str) -> OracleGapReport:
     """Check mean statistic + 3 SE <= right side for one row of :data:`CHECKS`.
 
     Needs R >= ``ORACLE_MIN_REPLICATIONS`` for a stable mean.  Unlike a tail
-    bound, an infinite right side or detail form is an error.
+    bound, an infinite right side or detail form is an error.  Each refusal
+    names the check by its label; an unknown kind lists the known ones.
     """
-    if run.replications < ORACLE_MIN_REPLICATIONS:
-        raise RangeError(f"oracle gap checks need >= {ORACLE_MIN_REPLICATIONS}"
-                         " replications")
     if kind not in CHECKS:
-        raise UnknownEventError(f"unknown oracle check kind {kind!r}")
-    if kind == "noise" and run.tau_star is None:
-        raise RangeError("noise oracle check needs a noise model")
+        raise UnknownEventError(f"unknown check kind {kind!r}; known kinds: "
+                                + ", ".join(CHECKS))
     _, label, statistic, form, extra = CHECKS[kind]
+    if run.replications < ORACLE_MIN_REPLICATIONS:
+        raise RangeError(f"{label} check needs >= {ORACLE_MIN_REPLICATIONS} "
+                         f"replications, got {run.replications}")
+    if kind == "noise" and run.tau_star is None:
+        raise RangeError(f"{label} check needs a noise model")
     risk_best = float(run.exact_tilde.mean())
     params = {**_bound_params(run), "risk_best": risk_best,
               "risk_bayes": run.bayes_risk,

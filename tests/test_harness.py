@@ -11,6 +11,7 @@ import os
 import pickle
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -400,12 +401,14 @@ def test_package_import_leaves_the_pool_unimported():
 def _rows_match_public_calls(config, loss_matrix, x_last, chunks):
     """Run the worker on each chunk and check its rows, bit for bit,
     against per-replication erm_fit, state_losses, holdout_select and
-    oracle_select calls; return the oracle's learning counts."""
+    oracle_select calls; return the oracle's learning counts.  With no
+    burn-in (gap_b = 0) the worker returns no gapped rows."""
     chain, n, m, b = config.chain, config.n, config.m, config.gap_b
     k_hat, k_tilde, emp, gap, exact = (
-        np.concatenate(col) for col in zip(*(
+        None if col[0] is None else np.concatenate(col) for col in zip(*(
             _replication_rows((config, loss_matrix, x_last, chunk))
             for chunk in chunks)))
+    assert (gap is None) == (b == 0)
     learned = []
     for i, r in enumerate(np.concatenate(chunks).tolist()):
         seed = SeedSpec(config.master_seed, r)
@@ -425,23 +428,33 @@ def _rows_match_public_calls(config, loss_matrix, x_last, chunks):
             losses, np.bincount(seg, minlength=chain.n_states))
         assert k_hat[i] == index
         assert emp[i].tolist() == full.tolist()
-        _, gapped = holdout_select(
-            losses, np.bincount(seg[b:], minlength=chain.n_states))
-        assert gap[i].tolist() == gapped.tolist()
+        if b > 0:
+            _, gapped = holdout_select(
+                losses, np.bincount(seg[b:], minlength=chain.n_states))
+            assert gap[i].tolist() == gapped.tolist()
         best, risks = oracle_select(losses, chain.stationary)
         assert k_tilde[i] == best
         assert exact[i].tolist() == risks.tolist()
     return k_hat, k_tilde, learned
 
 
+# both modes with a burn-in of 7 states, and with none (gap_b = 0), the
+# layout of the conditional workloads and of configs/verify_two_state.json,
+# where the burn-in gets no block of counts
+MODES_AND_BURN_IN = [
+    pytest.param(mode, gap_b, id=mode + ("" if gap_b else "-no-burn-in"))
+    for gap_b in (7, 0) for mode in ("conditional", "marginal")]
+
+
 @pytest.mark.parametrize("zero_one", [True, False])
-@pytest.mark.parametrize("mode", ["conditional", "marginal"])
+@pytest.mark.parametrize("mode, gap_b", MODES_AND_BURN_IN)
 def test_replication_rows_count_each_segment_once(two_state_chain, mode,
-                                                  zero_one):
+                                                  zero_one, gap_b):
     # the worker counts each replication's states once, in one block per
-    # segment, and fits and selects for the whole chunk at once; its rows
-    # equal, bit for bit, the public per-replication calls, for 0/1 loss
-    # tables and for random tables in [0, 1]
+    # segment with states, and fits and selects for the whole chunk at
+    # once; its rows equal, bit for bit, the public per-replication calls,
+    # for 0/1 loss tables and for random tables in [0, 1].  At gap_b = 0
+    # the burn-in has no block and the validation block is the last
     rng = np.random.default_rng(1501)
 
     def table(shape):
@@ -449,7 +462,7 @@ def test_replication_rows_count_each_segment_once(two_state_chain, mode,
         return np.round(t) if zero_one else t
 
     chain = two_state_chain
-    config = _config(chain, mode=mode, n=60, m=80, gap_b=7,
+    config = _config(chain, mode=mode, n=60, m=80, gap_b=gap_b,
                      loss=LossSpec(table((2, 2))))
     loss_matrix, x_last = (None, None) if mode == "marginal" else \
         (table((2, chain.n_states)), 2)
@@ -488,10 +501,10 @@ def test_replication_rows_match_public_calls_in_edge_cases(two_state_chain,
 
 
 @pytest.mark.parametrize("position", [0, -1, "row-end"])
-@pytest.mark.parametrize("mode", ["conditional", "marginal"])
+@pytest.mark.parametrize("mode, gap_b", MODES_AND_BURN_IN)
 def test_replication_rows_reject_states_outside_range(two_state_chain,
                                                       monkeypatch, mode,
-                                                      position):
+                                                      position, gap_b):
     # a state S would count in the next segment's block, in the next row's
     # first block (at the end of a row that shares its draw with the next),
     # or past the last block; the chunk's segment totals catch all three
@@ -509,11 +522,37 @@ def test_replication_rows_reject_states_outside_range(two_state_chain,
         return states
 
     monkeypatch.setattr(harness, name, corrupt)
-    config = _config(chain, mode=mode, n=60, m=80, gap_b=7)
+    config = _config(chain, mode=mode, n=60, m=80, gap_b=gap_b)
     loss_matrix, x_last = (None, None) if mode == "marginal" else \
         (np.ones((2, chain.n_states)), 2)
     with pytest.raises(NumericalFailureError, match="outside"):
         _replication_rows((config, loss_matrix, x_last, np.arange(1, 5)))
+
+
+def test_replication_chunk_at_s1024_pages_in_one_count_block():
+    # verify-cond-s1024 (S = 1024, m = 2000, gap_b = 0) runs chunks of 250
+    # replications.  Its one validation segment needs one (250, 1024) int64
+    # block of counts, 2 MiB, which the risks cast once to float64.  A block
+    # for the empty burn-in and the sum of the two blocks would add 4 MiB
+    # (8.0 MiB traced), paged in again for every chunk
+    with open(WORKLOADS / "verify-cond-s1024.json") as fh:
+        config = experiment_from_dict({**json.load(fh), "seed": 20260825})
+    chain = config.chain
+    learn = sample_stationary_trajectory(
+        chain, config.n, 0, SeedSpec(config.master_seed, 0))
+    counts = np.bincount(learn, minlength=chain.n_states)
+    loss_matrix = np.stack([
+        state_losses(erm_fit(chain, q, counts, config.loss), chain,
+                     config.loss) for q in config.orders])
+    assert loss_matrix.shape == (4, 1024) and config.gap_b == 0
+    tracemalloc.start()
+    try:
+        _replication_rows((config, loss_matrix, int(learn[-1]),
+                           np.arange(1, 251)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5 * 2 ** 20
 
 
 # Values recorded from the replication code before its two modes shared one
@@ -707,9 +746,14 @@ def test_verify_bounds_scale_can_make_everything_vacuous(two_state_chain):
 
 
 def test_oracle_gap_check_requires_enough_replications(small_run):
+    # the refusal names the check by its CHECKS label
     from markov_holdout import oracle_gap_check
-    with pytest.raises(RangeError):
-        oracle_gap_check(small_run, "hoeffding")
+    for kind, label in (("hoeffding", "oracle hoeffding"),
+                        ("expectation_hoeffding", "expectation hoeffding")):
+        with pytest.raises(RangeError) as info:
+            oracle_gap_check(small_run, kind)
+        assert str(info.value) == (f"{label} check needs >= 1000 "
+                                   "replications, got 120")
 
 
 @pytest.fixture(scope="module")
@@ -805,8 +849,11 @@ def test_oracle_right_side_that_is_nan_names_its_kind(oracle_run,
 
 def test_oracle_gap_check_unknown_kind(oracle_run):
     from markov_holdout import oracle_gap_check
-    with pytest.raises(UnknownEventError):
+    with pytest.raises(UnknownEventError) as info:
         oracle_gap_check(oracle_run, "chernoff")
+    assert str(info.value) == (
+        "unknown check kind 'chernoff'; known kinds: hoeffding, bernstein, "
+        "noise, expectation_hoeffding")
 
 
 def test_oracle_gap_check_noise_needs_model(two_state_chain):
@@ -816,8 +863,9 @@ def test_oracle_gap_check_noise_needs_model(two_state_chain):
         loss=LossSpec.misclassification(2), n=300, m=200, replications=1000,
         epsilon_grid=(0.2,), master_seed=13)
     run = run_replications(config)
-    with pytest.raises(RangeError):
+    with pytest.raises(RangeError) as info:
         oracle_gap_check(run, "noise")
+    assert str(info.value) == "oracle noise check needs a noise model"
 
 
 @pytest.mark.parametrize("change, kinds", [
