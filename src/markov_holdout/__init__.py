@@ -41,6 +41,7 @@ from .chains import (
     SpectralDiagnostics,
     TransitionKernel,
     markovize,
+    mixing_certificate,
     mixing_time,
     pseudo_spectral_gap,
     stationary_distribution,

@@ -5,6 +5,11 @@ uniformly ergodic chain with mixing time ``t_mix`` (TV level 1/4) and
 pseudo-spectral gap ``gamma_ps``.  Raw values are returned unclamped; a
 value >= 1 is a vacuous tail bound and is flagged, never an error.
 
+Every coupling term is the mixing certificate C * 2^(-t/t_mix) of
+:func:`~markov_holdout.chains.mixing_certificate`, which owns C: at t = b
+in the burn-in forms, and one step early, at t = -1, in the forms with the
+burn-in optimized away (the 2 e^(ln 2/t_mix) of the paper).
+
 Conventions: ``m`` validation length, ``b`` coupling burn-in, ``epsilon``
 deviation level, ``a`` multiplicative localization ("over" compares
 (1+a)-scaled risks, "under" (1-a)), ``theta`` oracle leniency,
@@ -22,7 +27,12 @@ from functools import cache, partial, wraps
 
 import numpy as np
 
-from .chains import LN2, HigherOrderChainSpec, MarkovizedChain
+from .chains import (
+    LN2,
+    HigherOrderChainSpec,
+    MarkovizedChain,
+    mixing_certificate,
+)
 from .errors import (
     BinaryOnlyError,
     DimensionMismatchError,
@@ -115,7 +125,7 @@ def _side_factor(a: float, side: str) -> float:
 def hoeffding_gap_tail(m: int, b: int, epsilon: float, t_mix: int) -> float:
     """Tail for the burn-in empirical mean: worst-start coupling + Hoeffding."""
     return (math.exp(-2.0 * (m - b) * epsilon ** 2 / (9.0 * t_mix))
-            + 2.0 * math.exp(-b * LN2 / t_mix))
+            + mixing_certificate(b, t_mix))
 
 
 @_checked
@@ -127,7 +137,7 @@ def gap_event_shift(m: int, b: int) -> Fraction:
 @_checked
 def hoeffding_tail(m: int, epsilon: float, t_mix: int) -> float:
     """Burn-in-free deviation tail with the optimized b folded in."""
-    prefactor = 2.0 * math.exp(LN2 / t_mix) + 1.0
+    prefactor = mixing_certificate(-1, t_mix) + 1.0
     return prefactor * math.exp(
         -m * epsilon ** 2 * LN2 / (_HOEFFDING_SHAPE * t_mix))
 
@@ -143,7 +153,7 @@ def selection_hoeffding_tail(n_candidates: int, m: int, epsilon: float,
 def expectation_bound_hoeffding(n_candidates: int, m: int, t_mix: int) -> float:
     """Bound on E[max candidate deviation] from integrating the union tail."""
     log_term = math.log(
-        math.e * n_candidates * (2.0 * math.exp(LN2 / t_mix) + 1.0))
+        math.e * n_candidates * (mixing_certificate(-1, t_mix) + 1.0))
     return math.sqrt(log_term * _HOEFFDING_SHAPE * t_mix / (LN2 * m))
 
 
@@ -189,7 +199,7 @@ def bernstein_gap_tail(m: int, b: int, epsilon: float, a: float,
     factor = _side_factor(a, side)
     shape = 8.0 * (1.0 + 1.0 / gamma_ps) + 20.0
     return (math.exp(-(m - b) * gamma_ps * a * factor * epsilon / shape)
-            + 2.0 * math.exp(-b * LN2 / t_mix))
+            + mixing_certificate(b, t_mix))
 
 
 @_checked
@@ -198,7 +208,7 @@ def bernstein_tail(m: int, epsilon: float, a: float, gamma_ps: float,
     """Localized tail with the burn-in optimized away."""
     factor = _side_factor(a, side)
     shape = 8.0 * (1.0 + 1.0 / gamma_ps) + 20.0
-    prefactor = 1.0 + 2.0 * math.exp(LN2 / t_mix)
+    prefactor = 1.0 + mixing_certificate(-1, t_mix)
     return prefactor * math.exp(
         -a * factor * m * epsilon / (4.0 * t_mix * shape))
 
@@ -211,7 +221,7 @@ def expectation_bound_bernstein(n_candidates: int, m: int, a: float,
     factor = _side_factor(a, side)
     shape = 8.0 * (1.0 + 1.0 / gamma_ps) + 20.0
     log_term = math.log(
-        math.e * n_candidates * (2.0 * math.exp(LN2 / t_mix) + 1.0))
+        math.e * n_candidates * (mixing_certificate(-1, t_mix) + 1.0))
     return 4.0 * t_mix * shape * log_term / (a * factor * m)
 
 
@@ -262,7 +272,7 @@ def nc_gap_tail(n_candidates: int, m: int, b: int, epsilon: float,
     shape = 16.0 * (1.0 + 1.0 / gamma_ps) * m * tau_star + 80.0 * theta
     exponent = (theta * gamma_ps * (m - b) * epsilon) / ((1.0 + theta) * shape)
     return (n_candidates * math.exp(-exponent)
-            + 2.0 * math.exp(-b * LN2 / t_mix))
+            + mixing_certificate(b, t_mix))
 
 
 @_checked
@@ -283,7 +293,7 @@ def nc_tail(n_candidates: int, m: int, epsilon: float, theta: float,
     shape = 16.0 * (1.0 + 1.0 / gamma_ps) * m * tau_star + 80.0 * theta
     exponent = (theta * gamma_ps * m * epsilon) / (4.0 * t_mix
                                                    * (1.0 + theta) * shape)
-    prefactor = n_candidates + 2.0 * math.exp(LN2 / t_mix)
+    prefactor = n_candidates + mixing_certificate(-1, t_mix)
     return prefactor * math.exp(-exponent)
 
 
@@ -293,7 +303,7 @@ def nc_oracle_rhs(n_candidates: int, m: int, theta: float, gamma_ps: float,
     """Bound on E[risk(selected) - risk_bayes] given the best candidate excess."""
     shape = 16.0 * (1.0 + 1.0 / gamma_ps) * m * tau_star + 80.0 * theta
     log_term = math.log(
-        math.e * (2.0 * math.exp(LN2 / t_mix) + n_candidates))
+        math.e * (mixing_certificate(-1, t_mix) + n_candidates))
     return (1.0 + theta) * (excess_best
                             + 4.0 * t_mix * shape * log_term
                             / (theta * gamma_ps * m))
@@ -307,7 +317,7 @@ def mt_oracle_rhs(n_candidates: int, m: int, theta: float, gamma_ps: float,
     fixed point solved in closed form; algebraically identical to plugging
     tau_star(m) of the polynomial model into nc_oracle_rhs."""
     log_term = math.log(
-        math.e * (2.0 * math.exp(LN2 / t_mix) + n_candidates))
+        math.e * (mixing_certificate(-1, t_mix) + n_candidates))
     slow = 320.0 * t_mix / (gamma_ps * m)
     fast = (64.0 * t_mix * (1.0 + 1.0 / gamma_ps)
             * h ** (-alpha / (2.0 - alpha))

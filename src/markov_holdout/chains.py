@@ -197,7 +197,8 @@ class MixingProfile:
 
     ``d_values[t]`` is the worst-start TV distance after t steps; ``t_mix``
     the first t with d(t) <= epsilon_level; (certificate_c, certificate_rho)
-    = (2, 2^(-1/t_mix)) dominates the profile: d(t) <= C * rho^t.
+    = (2, 2^(-1/t_mix)) dominates the profile: d(t) <= C * rho^t, the value
+    of :func:`mixing_certificate`, which alone evaluates it.
     """
 
     certificate_c: ClassVar[float] = 2.0
@@ -224,9 +225,15 @@ class MixingProfile:
     def certificate_rho(self) -> float:
         return math.exp(-LN2 / self.t_mix)
 
-    def certificate_curve(self, horizon: int) -> np.ndarray:
-        t = np.arange(horizon + 1)
-        return self.certificate_c * self.certificate_rho ** t
+
+def mixing_certificate(t: int, t_mix: int) -> float:
+    """The mixing certificate C * 2^(-t/t_mix), C = ``certificate_c`` of
+    :class:`MixingProfile`: a bound on d(t) for a chain of mixing time t_mix.
+
+    Every coupling term of the bounds is this value: the burn-in terms at
+    t = b, the forms with the burn-in optimized away at t = -1.
+    """
+    return MixingProfile.certificate_c * math.exp(-t * LN2 / t_mix)
 
 
 def _law(kernel, q):

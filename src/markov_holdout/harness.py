@@ -22,11 +22,11 @@ import numpy as np
 
 from . import bounds as bnd
 from .chains import (
-    LN2,
     MarkovizedChain,
     MixingProfile,
     SpectralDiagnostics,
     _power_rows,
+    mixing_certificate,
     mixing_time,
     pseudo_spectral_gap,
 )
@@ -580,7 +580,8 @@ def coupling_check(chain: MarkovizedChain, predictor: PredictorTable,
 
     Both sides exact: the left from the rows of K^(b+1) that
     :func:`_power_rows` yields, which are all its distinct rows, the right
-    from the mixing certificate (C = ``profile.certificate_c``).
+    :func:`~markov_holdout.chains.mixing_certificate` at t = b with the
+    profile's t_mix.
     """
     if b_max < 0:
         raise RangeError("b_max must be >= 0")
@@ -593,7 +594,7 @@ def coupling_check(chain: MarkovizedChain, predictor: PredictorTable,
     for b, (rows, _) in zip(range(b_max + 1),
                             _power_rows(chain, chain.stationary)):
         deviation = float(np.abs(rows @ ell - stationary_risk).max())
-        bound = profile.certificate_c * math.exp(-b * LN2 / t_mix)
+        bound = mixing_certificate(b, t_mix)
         entries.append((b, deviation, bound))
     passed = not any(deviation > bound + 1e-12
                      for _, deviation, bound in entries)

@@ -8,6 +8,7 @@ against live mpmath re-evaluation run in the acceptance suite.
 
 import inspect
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -20,6 +21,7 @@ from markov_holdout import (
     HoldoutError,
     KeyMismatchError,
     MammenTsybakovNoise,
+    MixingProfile,
     NoSolutionError,
     NumericalFailureError,
     RangeError,
@@ -28,6 +30,8 @@ from markov_holdout import (
     bernstein_gap_tail,
     bernstein_tail,
     bernstein_tail_raw,
+    bayes_predictor,
+    coupling_check,
     evaluate_bound,
     expectation_bound_bernstein,
     expectation_bound_hoeffding,
@@ -36,6 +40,7 @@ from markov_holdout import (
     hoeffding_tail,
     margin,
     markovize,
+    mixing_certificate,
     mt_oracle_rhs,
     nc_event_shift,
     nc_gap_tail,
@@ -49,10 +54,12 @@ from markov_holdout import (
 from markov_holdout.bounds import (
     BOUND_FORMS,
     _DOMAINS,
+    _HOEFFDING_SHAPE,
     _bisect_fixed_point,
     event_shift,
     form_parameters,
 )
+from markov_holdout.chains import LN2
 
 REL = 1e-9
 
@@ -245,6 +252,55 @@ def test_expectation_bounds_shrink_with_m():
     small_b = expectation_bound_bernstein(4, 100, 0.5, 3, 0.51, "over")
     large_b = expectation_bound_bernstein(4, 10000, 0.5, 3, 0.51, "over")
     assert large_b == pytest.approx(small_b / 100.0, rel=1e-12)  # 1/m decay
+
+
+# ---------------------------------------------------------------------------
+# the mixing certificate
+
+
+def test_every_coupling_term_is_the_one_certificate(monkeypatch,
+                                                    two_state_chain,
+                                                    zero_one_loss):
+    # with C patched, every form and the coupling check move with it: at
+    # epsilon = 0 a tail is its concentration coefficient plus its
+    # certificate term, and each log factor holds the certificate one step
+    # early.  A form that keeps its own C = 2 fails here
+    monkeypatch.setattr(MixingProfile, "certificate_c", 3.0)
+    m, b, t, n_cand, a, gamma, theta, tau = 200, 20, 3, 4, 0.5, 0.51, 0.5, 1e-3
+    burn_in, early = mixing_certificate(b, t), mixing_certificate(-1, t)
+    assert early == 3.0 * math.exp(LN2 / t)
+    assert hoeffding_gap_tail(m, b, 0.0, t) == 1.0 + burn_in
+    assert (nc_gap_tail(n_cand, m, b, 0.0, theta, gamma, t, tau)
+            == n_cand + burn_in)
+    assert hoeffding_tail(m, 0.0, t) == early + 1.0
+    assert nc_tail(n_cand, m, 0.0, theta, gamma, t, tau) == early + n_cand
+
+    log_factor = 1.0 + math.log(n_cand * (early + 1.0))
+    assert (expectation_bound_hoeffding(n_cand, m, t) ** 2 * LN2 * m
+            / (_HOEFFDING_SHAPE * t)) == pytest.approx(log_factor, rel=1e-12)
+    shape = 8.0 * (1.0 + 1.0 / gamma) + 20.0
+    for side, factor in (("over", 1.0 + a), ("under", 1.0 - a)):
+        assert (bernstein_gap_tail(m, b, 0.0, a, gamma, t, side)
+                == 1.0 + burn_in)
+        assert bernstein_tail(m, 0.0, a, gamma, t, side) == 1.0 + early
+        assert (expectation_bound_bernstein(n_cand, m, a, t, gamma, side)
+                * a * factor * m / (4.0 * t * shape)
+                ) == pytest.approx(log_factor, rel=1e-12)
+
+    nc_shape = 16.0 * (1.0 + 1.0 / gamma) * m * tau + 80.0 * theta
+    assert (nc_oracle_rhs(n_cand, m, theta, gamma, t, tau, 0.0)
+            / (1.0 + theta) * theta * gamma * m / (4.0 * t * nc_shape)
+            ) == pytest.approx(1.0 + math.log(early + n_cand), rel=1e-12)
+    h = 0.4
+    assert mt_oracle_rhs(n_cand, m, theta, gamma, t, 1.0, h, 0.0) == (
+        pytest.approx(nc_oracle_rhs(n_cand, m, theta, gamma, t,
+                                    MammenTsybakovNoise(1.0, h).tau_star(m),
+                                    0.0), rel=1e-10))
+
+    g = bayes_predictor(two_state_chain, zero_one_loss)
+    report = coupling_check(two_state_chain, g, zero_one_loss, b_max=8)
+    assert [bound for _, _, bound in report.entries] == [
+        mixing_certificate(b, report.t_mix) for b in range(9)]
 
 
 # ---------------------------------------------------------------------------

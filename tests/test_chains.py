@@ -7,6 +7,8 @@ kernel is reversible, hence A_k = K^{2k} and gamma_k = (1 - 0.49^k) / k,
 maximized at k = 1 with value 0.51.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -27,6 +29,7 @@ from markov_holdout import (
     bayes_predictor,
     coupling_check,
     markovize,
+    mixing_certificate,
     mixing_time,
     pseudo_spectral_gap,
     stationary_distribution,
@@ -34,6 +37,7 @@ from markov_holdout import (
     total_variation,
 )
 from markov_holdout.chains import (
+    LN2,
     _append_step,
     _append_weights,
     _check_stationary,
@@ -127,6 +131,30 @@ def test_stationary_agrees_with_power_iteration_oracle():
         assert q == pytest.approx(q_oracle, abs=1e-10)
         assert q @ matrix == pytest.approx(q, abs=1e-12)
         assert q.sum() == pytest.approx(1.0, abs=1e-14)
+
+
+def test_stationary_rejects_a_state_with_no_outflow():
+    # state 1 of the identity never leaves, so the solve cannot censor it
+    kernel = TransitionKernel(np.eye(2), require_primitive=False)
+    with pytest.raises(NumericalFailureError,
+                       match="stationary solve: state 1 has no outflow"):
+        stationary_distribution(kernel)
+
+
+def test_stationary_rejects_a_residual_above_its_tolerance(monkeypatch):
+    # rows 1e-4 off 1, let in by a looser row-sum rule, have no law Q with
+    # QK = Q for the solve to meet
+    monkeypatch.setattr(chains, "ROW_SUM_TOL", 1e-3)
+    kernel = TransitionKernel([[0.5, 0.5], [0.4, 0.5999]])
+    with pytest.raises(NumericalFailureError, match="stationary residual"):
+        stationary_distribution(kernel)
+
+
+def test_power_iteration_oracle_raises_when_it_does_not_converge(
+        two_state_matrix):
+    with pytest.raises(NumericalFailureError,
+                       match="power iteration did not converge"):
+        _stationary_by_power_iteration(two_state_matrix, max_steps=1)
 
 
 # ---------------------------------------------------------------------------
@@ -230,10 +258,19 @@ def test_mixing_time_composite_two_state(two_state_chain):
 
 def test_mixing_time_certificate_dominates_profile(two_state_kernel):
     profile = mixing_time(two_state_kernel)
-    curve = profile.certificate_curve(50)
+    curve = np.array([mixing_certificate(t, profile.t_mix)
+                      for t in range(51)])
     q = stationary_distribution(two_state_kernel)
     d = mixing_time(two_state_kernel, q=q, horizon=50).d_values
     assert (d <= curve + 1e-12).all()
+
+
+def test_mixing_certificate_is_one_formula_bit_for_bit():
+    # C * 2^(-t/t_mix) with C = 2, at t = -1 (one step early) too
+    for t_mix in range(1, 65):
+        for t in range(-1, 65):
+            assert (mixing_certificate(t, t_mix)
+                    == 2.0 * math.exp(-t * LN2 / t_mix))
 
 
 def test_mixing_time_raises_when_horizon_exhausted(two_state_kernel):
@@ -553,6 +590,29 @@ def test_gap_rejects_non_finite_diagonal_gram(two_state_kernel, monkeypatch,
     monkeypatch.setattr(chains, "_gram_matrices",
                         lambda kernel, q: iter([gram]))
     with pytest.raises(EigensolverFailureError):
+        pseudo_spectral_gap(two_state_kernel)
+
+
+def test_gap_turns_a_lapack_failure_into_an_eigensolver_error(
+        two_state_kernel, monkeypatch):
+    # G_1 of the two-state kernel is not diagonal, so it reaches LAPACK
+    def fail(gram):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+    with pytest.raises(EigensolverFailureError,
+                       match="Eigenvalues did not converge"):
+        pseudo_spectral_gap(two_state_kernel)
+
+
+@pytest.mark.parametrize("lam2", [1.5, -0.5])
+def test_gap_rejects_an_eigenvalue_outside_the_unit_interval(
+        two_state_kernel, monkeypatch, lam2):
+    gram = np.diag([lam2, 2.0])
+    monkeypatch.setattr(chains, "_gram_matrices",
+                        lambda kernel, q: iter([gram]))
+    with pytest.raises(NumericalFailureError,
+                       match=rf"eigenvalue {lam2} of A_1 outside \[0, 1\]"):
         pseudo_spectral_gap(two_state_kernel)
 
 

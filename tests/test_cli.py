@@ -19,7 +19,9 @@ import pytest
 import markov_holdout
 import markov_holdout.cli as cli
 from markov_holdout import (
+    ConfigError,
     MammenTsybakovNoise,
+    SpectralDiagnostics,
     event_table,
     harness,
     pseudo_spectral_gap,
@@ -32,6 +34,7 @@ from markov_holdout.config import (
     build_chain,
     experiment_from_dict,
     experiment_to_dict,
+    noise_to_dict,
     parse_epsilon_grid,
 )
 
@@ -798,6 +801,19 @@ def test_verify_echoes_its_train_loss(tmp_path):
     assert experiment_to_dict(experiment_from_dict(echo)) == echo
 
 
+def test_echo_rejects_a_noise_model_it_cannot_write():
+    with pytest.raises(ConfigError, match="cannot serialize noise model"):
+        noise_to_dict(object())
+
+
+def test_json_default_writes_numpy_values_and_rejects_the_rest():
+    value = cli._json_default(np.int32(7))
+    assert value == 7 and type(value) is int
+    assert cli._json_default(np.array([1, 2])) == [1, 2]
+    with pytest.raises(TypeError, match="object is not JSON serializable"):
+        cli._json_default(object())
+
+
 def test_verify_manifest_echoes_the_flags_it_ran_with(tmp_path):
     cfg = write_config(tmp_path, VERIFY_BASE)
     out, rerun = tmp_path / "out", tmp_path / "rerun"
@@ -1381,6 +1397,23 @@ def test_out_of_memory_exits_two(tmp_path, capsys, monkeypatch, exc, line):
     assert code == 2
     assert capsys.readouterr().err == line
     assert not (tmp_path / "out" / "manifest.json").exists()
+
+
+def test_verify_rejects_a_gap_below_half_the_inverse_mixing_time(
+        tmp_path, capsys, monkeypatch):
+    # gamma_ps >= 1/(2 t_mix) holds for every chain, so diagnostics that
+    # break it are inconsistent and the run is rejected before any draw
+    def pseudo_spectral_gap(chain, q):
+        return SpectralDiagnostics(gamma_ps=0.01, argmax_k=1,
+                                   gammas=(0.01,), k_stop=64)
+    monkeypatch.setattr(harness, "pseudo_spectral_gap", pseudo_spectral_gap)
+    cfg = write_config(tmp_path, VERIFY_BASE)
+    code = main(["verify", "--config", cfg, "--out", str(tmp_path / "out"),
+                 "--quiet"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: gamma_ps 0.01 below 1/(2 t_mix)")
+    assert len(err.splitlines()) == 1
 
 
 @pytest.mark.parametrize("name, make", [
