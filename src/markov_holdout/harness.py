@@ -44,6 +44,7 @@ from .predictors import (
     erm_fit,
     erm_losses,
     exact_risk,
+    expectation,
     holdout_select,
     oracle_select,
     state_losses,
@@ -581,7 +582,10 @@ def coupling_check(chain: MarkovizedChain, predictor: PredictorTable,
     Both sides exact: the left from the rows of K^(b+1) that
     :func:`_power_rows` yields, which are all its distinct rows, the right
     :func:`~markov_holdout.chains.mixing_certificate` at t = b with the
-    profile's t_mix.
+    profile's t_mix.  Each row's risk and the stationary risk are
+    :func:`~markov_holdout.predictors.expectation` contractions, so the
+    stationary risk is :func:`exact_risk` bit for bit and no entry depends
+    on the BLAS kernel.
     """
     if b_max < 0:
         raise RangeError("b_max must be >= 0")
@@ -589,11 +593,12 @@ def coupling_check(chain: MarkovizedChain, predictor: PredictorTable,
         profile = mixing_time(chain, q=chain.stationary)
     t_mix = profile.t_mix
     ell = state_losses(predictor, chain, loss)
-    stationary_risk = float(chain.stationary @ ell)
+    stationary_risk = float(expectation(ell, chain.stationary))
     entries = []
     for b, (rows, _) in zip(range(b_max + 1),
                             _power_rows(chain, chain.stationary)):
-        deviation = float(np.abs(rows @ ell - stationary_risk).max())
+        deviation = float(np.abs(expectation(ell, rows)
+                                  - stationary_risk).max())
         bound = mixing_certificate(b, t_mix)
         entries.append((b, deviation, bound))
     passed = not any(deviation > bound + 1e-12

@@ -2,7 +2,8 @@
 
 A predictor is a lookup table from the q most recent past symbols to a
 predicted next symbol.  Risks are taken under the composite stationary law
-(exact) or along a sampled segment (empirical).  Ties are always broken
+(exact) or along a sampled segment (empirical), each as one
+:func:`expectation`.  Ties are always broken
 toward the lowest symbol / lowest candidate index; with argmin-style numpy
 reductions that is the first minimizer.
 
@@ -105,10 +106,28 @@ def state_losses(predictor: PredictorTable, chain: MarkovizedChain,
     return loss.table[predictor.predictions(chain), chain.targets]
 
 
+def expectation(values: np.ndarray, law: np.ndarray) -> np.ndarray:
+    """Sum of ``values * law`` along the last axis, the one contraction
+    every risk goes through.
+
+    An einsum without ``optimize`` runs numpy's own sum-of-products loop,
+    never BLAS, so a risk has one summation order whatever the operand
+    shapes and whichever OpenBLAS kernel the CPU selects (``optimize``
+    would hand the contraction back to BLAS).  Leading axes broadcast: a
+    (..., N, S) stack against an (S,) law gives (..., N).
+    """
+    return np.einsum("...s,...s->...", values, law)
+
+
 def exact_risk(predictor: PredictorTable, chain: MarkovizedChain,
                loss: LossSpec) -> float:
-    """Stationary risk E_Q[L(g(features), target)]."""
-    return float(chain.stationary @ state_losses(predictor, chain, loss))
+    """Stationary risk E_Q[L(g(features), target)].
+
+    It is the :func:`expectation` of the :func:`state_losses` under Q, so
+    it equals the predictor's row of :func:`oracle_select` bit for bit.
+    """
+    return float(expectation(state_losses(predictor, chain, loss),
+                             chain.stationary))
 
 
 def bayes_predictor(chain: MarkovizedChain, loss: LossSpec) -> PredictorTable:
@@ -229,9 +248,11 @@ def holdout_select(loss_matrix: np.ndarray, counts: np.ndarray):
     Row k of ``loss_matrix`` (N, S) is candidate k's :func:`state_losses`,
     and ``counts`` (S,) are the segment's state-visit counts.  Candidate
     k's empirical risk, its mean loss along the segment, is
-    ``loss_matrix[k] @ counts / counts.sum()``: for 0/1 losses every sum is
-    an exact integer and the risks equal the gathered mean bit for bit;
-    other loss tables may differ from it in the last digits.  Returns
+    ``expectation(loss_matrix[k], counts) / counts.sum()``: for 0/1 losses
+    every sum is an exact integer and the risks equal the gathered mean
+    bit for bit; other loss tables may differ from it in the last digits,
+    but not with the BLAS kernel, since :func:`expectation` never calls
+    BLAS.  Returns
     (index, empirical risks); ties go to the lowest index.
 
     A leading replication axis selects for many segments at once:
@@ -240,23 +261,24 @@ def holdout_select(loss_matrix: np.ndarray, counts: np.ndarray):
     """
     loss_matrix = _candidates(loss_matrix)
     counts = _counts(counts, loss_matrix.shape[:-2] + loss_matrix.shape[-1:])
-    return _select((loss_matrix @ counts[..., None])[..., 0]
+    return _select(expectation(loss_matrix, counts[..., None, :])
                    / counts.sum(axis=-1, keepdims=True))
 
 
 def oracle_select(loss_matrix: np.ndarray, stationary: np.ndarray):
     """Index of the exact-risk minimizer; ties go to the lowest index.
 
-    Returns (index, loss_matrix @ stationary), the exact risk of each row.
-    ``loss_matrix`` may carry a leading replication axis, as in
-    :func:`holdout_select`.
+    Returns (index, ``expectation(loss_matrix, stationary)``), the exact
+    risk of each row, which for a row of :func:`state_losses` equals
+    :func:`exact_risk` bit for bit.  ``loss_matrix`` may carry a leading
+    replication axis, as in :func:`holdout_select`.
     """
     loss_matrix = _candidates(loss_matrix)
     if np.shape(stationary) != loss_matrix.shape[-1:]:
         raise DimensionMismatchError(
             f"stationary law must have shape {loss_matrix.shape[-1:]}, "
             f"got {np.shape(stationary)}")
-    return _select(loss_matrix @ stationary)
+    return _select(expectation(loss_matrix, stationary))
 
 
 def conditional_risk(predictor: PredictorTable, chain: MarkovizedChain,
@@ -277,7 +299,7 @@ def disagreement_variance(g: PredictorTable, g_star: PredictorTable,
     D is a probability, clamped to [0, 1]: a stationary law that sums to
     1 + 1 ulp would otherwise give D > 1 and a negative variance.
     """
-    d = float(chain.stationary @ (g.predictions(chain) !=
-                                  g_star.predictions(chain)))
+    d = float(expectation(g.predictions(chain) != g_star.predictions(chain),
+                          chain.stationary))
     d = min(max(d, 0.0), 1.0)
     return d * (1.0 - d)

@@ -1025,6 +1025,14 @@ def test_verify_exit_one_on_forced_violation(tmp_path):
     report = read_json(out, "report.json")
     assert report["verdict_summary"]["passed"] is False
     assert report["verdict_summary"]["violations"] > 0
+    # the cells with a positive count, (event, epsilon, count, trials,
+    # verdict); every other cell counts 0 and flags only the Monte Carlo
+    # floor under a 1e-9 bound
+    counted = [(t["event_id"], t["epsilon"], t["count"], t["trials"],
+                t["verdict"]) for t in report["tails"] if t["count"] > 0]
+    assert counted == [("abs_dev[g0]", 0.1, 47, 150, "VIOLATION"),
+                       ("abs_dev[g0]", 0.2, 5, 150, "VIOLATION"),
+                       ("scaled_under[g0]", 0.1, 2, 150, "VIOLATION")]
 
 
 def test_verify_rejects_insufficient_replications(tmp_path, capsys):

@@ -9,6 +9,7 @@ import concurrent.futures
 import json
 import os
 import pickle
+import platform
 import subprocess
 import sys
 import tracemalloc
@@ -50,10 +51,14 @@ from markov_holdout import (
     wilson_upper,
 )
 from markov_holdout.bounds import margin
-from markov_holdout.chains import TransitionKernel, pseudo_spectral_gap
+from markov_holdout.chains import (
+    TransitionKernel,
+    _power_rows,
+    pseudo_spectral_gap,
+)
 from markov_holdout.config import experiment_from_dict
 from markov_holdout.errors import ConfigError, UnknownEventError
-from markov_holdout.predictors import conditional_risk
+from markov_holdout.predictors import conditional_risk, expectation
 from markov_holdout import bounds as bnd
 from markov_holdout import harness
 from markov_holdout.harness import WILSON_Z_99, _replication_rows
@@ -727,7 +732,13 @@ def test_verify_bounds_flags_forced_violations(negative_control_run):
     report = verify_bounds(negative_control_run)
     assert report.violations > 0
     assert not report.passed
-    assert any(e.verdict == "VIOLATION" for e in report.estimates)
+    # the one cell with a positive count, (event, epsilon, count, trials,
+    # verdict); the other 15 count 0 and flag only the Monte Carlo floor
+    # under a 1e-9 bound
+    counted = [(e.event_id, e.epsilon, e.count, e.trials, e.verdict)
+               for e in report.estimates if e.count > 0]
+    assert len(report.estimates) == 16
+    assert counted == [("abs_dev[g0]", 0.1, 40, 120, "VIOLATION")]
 
 
 def test_verify_bounds_scale_can_make_everything_vacuous(two_state_chain):
@@ -977,6 +988,71 @@ def test_coupling_check_worst_start_is_exact(two_state_chain, order2_spec,
             manual = max(abs(conditional_risk(g, chain, x, b, loss)
                              - stationary) for x in range(chain.n_states))
             assert lhs == pytest.approx(manual, abs=1e-15)
+
+
+def test_every_risk_is_one_contraction():
+    # exact_risk, oracle_select on one stack and on a run's (R, N, S)
+    # stacks, and coupling_check all sum through predictors.expectation,
+    # so one risk has one set of bits whatever the operand shape
+    with open(WORKLOADS / "verify-cond-s1024.json") as fh:
+        config = replace(experiment_from_dict(json.load(fh)),
+                         replications=100)
+    run = run_replications(config)
+    chain, loss = config.chain, config.loss
+    tables = [*run.candidates, run.bayes]
+    stack = np.stack([state_losses(g, chain, loss) for g in tables])
+    risks = oracle_select(stack, chain.stationary)[1]
+    assert [exact_risk(g, chain, loss) for g in tables] == risks.tolist()
+    assert (run.exact == risks[:-1]).all()
+    assert run.bayes_risk == risks[-1]
+    report = coupling_check(chain, run.bayes, loss, 20, run.mixing)
+    assert len(report.entries) == 21
+    for (_, deviation, _), (rows, _) in zip(
+            report.entries, _power_rows(chain, chain.stationary)):
+        assert deviation == np.abs(expectation(stack[-1], rows)
+                                   - risks[-1]).max()
+
+
+# prints, as float.hex, the Bayes risk, the frozen candidates' oracle_select
+# risks and the coupling deviations of the workload config in argv[1]
+_KERNEL_RISKS = """
+import json, sys
+import numpy as np
+from markov_holdout import (SeedSpec, bayes_predictor, coupling_check,
+                            erm_fit, exact_risk, oracle_select,
+                            sample_stationary_trajectory, state_losses)
+from markov_holdout.config import experiment_from_dict
+with open(sys.argv[1]) as fh:
+    config = experiment_from_dict(json.load(fh))
+chain, loss = config.chain, config.loss
+learn = sample_stationary_trajectory(chain, config.n, 0,
+                                     SeedSpec(config.master_seed, 0))
+counts = np.bincount(learn, minlength=chain.n_states)
+stack = np.stack([state_losses(erm_fit(chain, q, counts,
+                                       config.effective_train_loss),
+                               chain, loss) for q in config.orders])
+bayes = bayes_predictor(chain, loss)
+values = [exact_risk(bayes, chain, loss),
+          *oracle_select(stack, chain.stationary)[1],
+          *(d for _, d, _ in coupling_check(chain, bayes, loss, 20).entries)]
+print(" ".join(float(v).hex() for v in values))
+"""
+
+
+@pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),
+                    reason="OPENBLAS_CORETYPE names x86-64 kernels")
+def test_risks_do_not_depend_on_the_openblas_kernel():
+    # the oldest and a recent x86-64 kernel, set on the child process only:
+    # no risk or coupling deviation may move by a bit
+    src = str(Path(harness.__file__).resolve().parent.parent)
+    outputs = [subprocess.run(
+        [sys.executable, "-c", _KERNEL_RISKS,
+         str(WORKLOADS / "verify-cond-s16.json")],
+        env={**os.environ, "PYTHONPATH": src, "OPENBLAS_CORETYPE": core},
+        capture_output=True, text=True, check=True, timeout=120).stdout
+        for core in ("Prescott", "Haswell")]
+    assert len(outputs[0].split()) == 1 + 4 + 21
+    assert outputs[0] == outputs[1]
 
 
 def test_verify_path_never_builds_the_dense_kernel(order2_spec,
