@@ -498,7 +498,8 @@ class SpectralDiagnostics:
 
 def _gram_matrices(kernel, q: np.ndarray):
     """Yield, for k = 1, 2, ..., a symmetric PSD matrix G_k whose nonzero
-    eigenvalues are those of (M^k)^T M^k, M = D K D^{-1}, D = diag(sqrt(Q)).
+    eigenvalues are those of (M^k)^T M^k, M = D K D^{-1}, D = diag(sqrt(Q)),
+    or None where G_k is the identity.
 
     G_k = H (H diag(1/Q))^T with H = W^(1/2) C, from the rows C and masses
     W of :func:`_power_rows`.  With K^k = E C and E^T D^2 E = W,
@@ -506,17 +507,25 @@ def _gram_matrices(kernel, q: np.ndarray):
     same nonzero eigenvalues.  A raw kernel has E = I and B = M^k; a
     chain gives an R_k x R_k matrix, and the other eigenvalues are 0.
     For k <= p+1-order the classes of a chain's K^k reach disjoint
-    columns, so G_k is exactly diagonal; its diagonal still comes from
-    the product, as every other entry does.  Before the first G, the
-    first power checks Q as :func:`_check_stationary` does, so a gap
-    starts one sequence of powers.
+    columns, so Q(y) = W_c C_c(y) on class c's columns and the diagonal
+    entry W_c sum_y C_c(y)^2 / Q(y) is sum_y C_c(y) = 1: G_k = I in exact
+    arithmetic.  For those k no H and no product is formed and None is
+    yielded; the powers still advance, as the later G_k read them.  Before
+    the first G, the first power checks Q as :func:`_check_stationary`
+    does, so a gap starts one sequence of powers.
     """
     powers = _power_rows(kernel, q)
     rows, masses = next(powers)
     q = _check_stationary(kernel, q, (rows, masses))
-    while True:
-        h = np.sqrt(masses)[:, None] * rows
-        yield h @ (h / q[None, :]).T
+    identities = 0
+    if isinstance(kernel, MarkovizedChain):
+        identities = kernel.embedding_order + 1 - kernel.base.order
+    for k in itertools.count(1):
+        if k <= identities:
+            yield None
+        else:
+            h = np.sqrt(masses)[:, None] * rows
+            yield h @ (h / q[None, :]).T
         rows, masses = next(powers)
 
 
@@ -524,7 +533,9 @@ def _eigenvalues(gram: np.ndarray) -> np.ndarray:
     # ascending eigenvalues of a symmetric matrix.  LAPACK's tridiagonal
     # reduction leaves a diagonal matrix as it is and dsterf then sorts its
     # diagonal, so that matrix skips the solver with the same bits; a
-    # non-finite diagonal fails, as LAPACK fails on it from 3 x 3 up
+    # non-finite diagonal fails, as LAPACK fails on it from 3 x 3 up.  A
+    # chain's G_k that are exactly diagonal by construction are the
+    # identity and never reach here (:func:`_gram_matrices` yields None)
     diagonal = gram.diagonal()
     if np.count_nonzero(gram) == np.count_nonzero(diagonal):
         if not np.all(np.isfinite(diagonal)):
@@ -546,10 +557,11 @@ def pseudo_spectral_gap(kernel: TransitionKernel | MarkovizedChain,
     construction.  Each k takes lambda_2 from :func:`_gram_matrices`, one
     matrix per k with the eigenvalues of (M^k)^T M^k (and zeros for a
     :class:`MarkovizedChain`): the sorted diagonal of an exactly diagonal
-    matrix, as LAPACK returns it, else a symmetric eigensolver.  Early k can
-    give gamma_k = 0 (a repeated eigenvalue 1 at small k happens for
-    embedded higher-order chains); the stop rule k >= 1/max only engages
-    once the running max is positive.
+    matrix, as LAPACK returns it, else a symmetric eigensolver.  For a
+    :class:`MarkovizedChain` and k <= p+1-order, G_k is the identity in
+    exact arithmetic: no product is formed, lambda_2 = 1 and gamma_k is
+    0.0 exactly.  The stop rule k >= 1/max only engages once the running
+    max is positive.
 
     Raises
     ------
@@ -574,8 +586,10 @@ def pseudo_spectral_gap(kernel: TransitionKernel | MarkovizedChain,
     k = 0
     while k < GAP_K_CAP:
         k += 1
-        # a Python float, so gamma_ps and gammas are Python floats
-        lam2 = float(_eigenvalues(next(grams))[-2])
+        gram = next(grams)
+        # a Python float, so gamma_ps and gammas are Python floats; None is
+        # the identity, whose lambda_2 is 1
+        lam2 = 1.0 if gram is None else float(_eigenvalues(gram)[-2])
         if lam2 > 1.0 + 1e-8 or lam2 < -1e-8:
             raise NumericalFailureError(
                 f"eigenvalue {lam2!r} of A_{k} outside [0, 1]")

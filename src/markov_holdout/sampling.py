@@ -18,10 +18,11 @@ so a walk holds its states plus O(_CELLS + _STEPS) more.  Each thread keeps
 one Philox and re-keys it to each row's seed (:func:`_streams`), setting
 its whole state, so which rows share a call or a pass, and what the thread
 drew before, never changes a row either.
-Each chain's walk is built at its first draw and kept in a weak-keyed cache
-until the chain is collected, under the module constants of that draw: a
-test that patches a walk constant must draw from a chain built after the
-patch.  Two walks give the same states from the same uniforms:
+Each chain's walk, with the cumulative stationary law its rows start from,
+is built at its first draw and kept in a weak-keyed cache until the chain
+is collected, under the module constants of that draw: a test that patches
+a walk constant must draw from a chain built after the patch.  Two walks
+give the same states from the same uniforms:
 
 - the chunked walk (:class:`_ChunkedWalk`) composes the one-step context
   maps into tables over grams of g steps, finds each uniform's bucket with
@@ -165,8 +166,6 @@ def _walk(chain, seeds: list[SeedSpec], x_last: int | None,
     # None a row's first uniform draws X_1 ~ Q and the rest walk on from it
     walk = _chain_walk(chain)
     first = x_last is None
-    if first:
-        law = _cumulative(chain.stationary)
     streams = _streams(seeds)
     per = max(1, walk.size // out.shape[1])
     for lo in range(0, len(out), per):
@@ -177,7 +176,7 @@ def _walk(chain, seeds: list[SeedSpec], x_last: int | None,
             gen = next(streams)
             gen.random(out=row)
         if first:
-            starts = law.searchsorted(u[:, 0], side="right")
+            starts = walk.start.searchsorted(u[:, 0], side="right")
             rows[:, 0] = starts
             u, rows = u[:, 1:], rows[:, 1:]
         else:
@@ -194,11 +193,13 @@ class _BisectWalk:
     """The walk of one chain, one bisect of a cumulative table per state.
 
     The context x // S^(p+1-k) is constant over runs of S^(p+1-k) states,
-    so rows[x] is its table.
+    so rows[x] is its table.  ``start`` is the cumulative stationary law
+    X_1 is drawn from.
     """
 
     def __init__(self, chain):
         s, p, k = chain.base.symbols, chain.embedding_order, chain.base.order
+        self.start = _cumulative(chain.stationary)
         tables = _cumulative(chain.base.conditional).tolist()
         self.rows = [t for t in tables for _ in range(s ** (p + 1 - k))]
         self.symbols, self.high = s, s ** p
@@ -239,11 +240,13 @@ class _ChunkedWalk:
     block is cut into chunks of at most _CHUNK grams; one walker per
     (chunk, start context) follows that chunk's gram maps with one take per
     gram, the chunks are chained from the known start context, and the
-    states are rebuilt from the drawn symbols.
+    states are rebuilt from the drawn symbols.  ``start`` is the cumulative
+    stationary law X_1 is drawn from.
     """
 
     def __init__(self, chain):
         s, k = chain.base.symbols, chain.base.order
+        self.start = _cumulative(chain.stationary)
         self.symbols, self.embedding_order = s, chain.embedding_order
         self.contexts = contexts = s ** k
         self.context_unit = s ** (chain.embedding_order + 1 - k)

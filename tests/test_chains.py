@@ -554,32 +554,55 @@ def test_first_power_has_the_bits_of_the_append_step(spec, p):
         masses, chain.stationary.reshape(len(rows), -1).sum(axis=1))
 
 
+def _formed_grams(chain, q):
+    # G_k = H (H diag(1/Q))^T with H = W^(1/2) C for every k, formed from
+    # the powers themselves, those the gap knows to be the identity included
+    for rows, masses in _power_rows(chain, q):
+        h = np.sqrt(masses)[:, None] * rows
+        yield h @ (h / q[None, :]).T
+
+
 @pytest.mark.parametrize("spec,p", SEEDED_CHAINS)
 def test_gap_matches_eigvalsh_on_every_gram_matrix_bit_for_bit(spec, p):
-    # the diagonal G_k skip the eigensolver; every gamma_k must still be
-    # the one eigvalsh gives, to the last bit
+    # for k <= p+1-order G_k is the identity, so gamma_k is 0.0 with no
+    # product formed, and the formed product's gamma_k is a rounding
+    # residue; every later gamma_k must be the one eigvalsh gives on the
+    # formed G_k, to the last bit
     chain = markovize(spec, p)
     q = chain.stationary
     diag = pseudo_spectral_gap(chain, q)
-    grams = _gram_matrices(chain, q)
-    oracle = []
+    identities = p + 1 - spec.order
+    assert diag.k_stop > identities
+    grams = _formed_grams(chain, q)
     for k in range(1, diag.k_stop + 1):
         lam2 = np.linalg.eigvalsh(next(grams))[-2]
-        oracle.append((1.0 - min(max(lam2, 0.0), 1.0)) / k)
-    assert diag.gammas == tuple(oracle)
+        oracle = (1.0 - min(max(lam2, 0.0), 1.0)) / k
+        if k <= identities:
+            assert diag.gammas[k - 1] == 0.0, k
+            assert oracle <= 1e-15, k
+        else:
+            assert diag.gammas[k - 1] == oracle, k
 
 
 @pytest.mark.parametrize("spec,p", SEEDED_CHAINS)
 def test_gram_matrices_are_diagonal_exactly_up_to_p_plus_one_minus_k(spec, p):
-    # for k <= p+1-order the classes of K^k reach disjoint columns; the next
-    # power shares columns between classes, as conditional > 0
+    # for k <= p+1-order the classes of K^k reach disjoint columns, so the
+    # formed G_k is diagonal, and its diagonal lies within 8 R_k u of the 1
+    # it is in exact arithmetic: the fact that lets the gap form no product
+    # there.  The next power shares columns between classes, as
+    # conditional > 0, and the gap forms it with the same bits
     chain = markovize(spec, p)
-    grams = _gram_matrices(chain, chain.stationary)
+    grams = _formed_grams(chain, chain.stationary)
+    skipped = _gram_matrices(chain, chain.stationary)
     for k in range(1, p + 2 - spec.order):
         gram = next(grams)
         assert np.array_equal(gram, np.diag(gram.diagonal())), k
+        assert (np.abs(gram.diagonal() - 1.0).max()
+                <= 8 * len(gram) * 2.0 ** -53), k
+        assert next(skipped) is None, k
     gram = next(grams)
     assert not np.array_equal(gram, np.diag(gram.diagonal()))
+    assert np.array_equal(next(skipped), gram)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])

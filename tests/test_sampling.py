@@ -402,6 +402,26 @@ def test_walk_is_built_once_per_chain(monkeypatch):
     assert len(built) == 1
 
 
+@pytest.mark.parametrize("max_contexts", [2 ** 64, 0],
+                         ids=["chunked", "bisect"])
+def test_start_law_is_built_once_per_chain(monkeypatch, max_contexts):
+    # the cumulative law X_1 is drawn from is held on the chain's walk, not
+    # rebuilt by every stationary draw
+    monkeypatch.setattr(sampling, "_MAX_CONTEXTS", max_contexts)
+    laws = []
+    cumulative = sampling._cumulative
+
+    def counted(law):
+        laws.append(law)
+        return cumulative(law)
+
+    monkeypatch.setattr(sampling, "_cumulative", counted)
+    chain = _fresh_chain()
+    for r in range(4):
+        sample_stationary_trajectory(chain, 20, 30, SeedSpec(2, r))
+    assert sum(law is chain.stationary for law in laws) == 1
+
+
 def test_walk_cache_drops_collected_chains():
     gc.collect()
     cached = len(sampling._WALKS)
